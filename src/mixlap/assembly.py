@@ -10,22 +10,25 @@ zero-exterior Dirichlet setting.  The bilinear form is
 with the double integral running over all of R x R (exterior strips
 included).
 
-For translated hats on a uniform mesh the double integral reduces, through
-the substitution z = x - y, to one-dimensional moments of the hat-hat
-correlation kernel (a cubic B-spline) against |z|^{-1-2s}.  Those moments
-have closed-form antiderivatives on the spline's breakpoint intervals, so
-every nonlocal entry is assembled exactly (up to rounding); the matrix is
-symmetric Toeplitz.  At s = 1/2 the k = 1 moment switches to its logarithmic
-antiderivative.
+On a uniform mesh both parts are symmetric Toeplitz and a system keeps only
+their first rows: (2, -1, 0, ...)/h, and c_{1,s} h^{1-2s} G(m) at offset m,
+where G(m) is the finite-part moment of the hat-hat correlation (the cubic
+B-spline, a fourth difference of the truncated cubic) against |z|^{-1-2s}:
+
+    G(m) = delta^4 |m|^{3-2s} / ((3-2s)(2-2s)(1-2s)(2s)),
+
+or delta^4 [m^2 log|m|] / 2 in the limit s = 1/2.  Dense matrices are built
+only on request; products go through an FFT of a circulant embedding.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg as sla
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, InputError
@@ -35,15 +38,24 @@ from .kernel import OperatorParams, QuadratureSpec
 _LOAD_GAUSS_X, _LOAD_GAUSS_W = leggauss(6)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
-    """Uniform partition of (a, b) with n interior nodes, spacing h."""
+    """Uniform partition of (a, b) with n interior nodes, spacing h; equal
+    meshes have equal (a, b, n), from which h and the nodes follow."""
 
     a: float
     b: float
     n: int
     h: float
     nodes: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, Mesh):
+            return NotImplemented
+        return (self.a, self.b, self.n) == (other.a, other.b, other.n)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.n))
 
     def element_edges(self) -> np.ndarray:
         """The n+2 element boundaries a = x_0 < ... < x_{n+1} = b."""
@@ -102,80 +114,58 @@ def grid_interpolant(mesh: Mesh, coeffs: Sequence[float]) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# hat-correlation kernel: closed-form nonlocal entries
+# Toeplitz rows: closed-form entries
 # ---------------------------------------------------------------------------
 
-# cubic B-spline pieces of Q(t) = int hat(y+t) hat(y) dy, ascending coeffs
-_Q_PIECES = {
-    (0, 1): (2.0 / 3.0, 0.0, -1.0, 0.5),
-    (1, 2): (4.0 / 3.0, -2.0, 1.0, -1.0 / 6.0),
-}
+_EPS = np.finfo(float).eps
 
 
-def _q_value(t: float) -> float:
-    t = abs(t)
-    if t >= 2.0:
-        return 0.0
-    lo = 0 if t < 1.0 else 1
-    c = _Q_PIECES[(lo, lo + 1)]
-    return c[0] + t * (c[1] + t * (c[2] + t * c[3]))
+def _fourth_difference_moments(n: int, s: float) -> np.ndarray:
+    """G(m) = delta^4 |m|^p / (p (p-1) (p-2) 2s), p = 3 - 2s, for m = 0..n-1.
+
+    m <= 2: delta^4 of (|t|^p - t^2)/(p-2) = t^2 expm1((p-2) log|t|)/(p-2),
+    which holds at s = 1/2 too, as t^2 log|t|.  m >= 3: the series
+    (2 sinh(D/2))^4 = sum_{k >= 4 even} (2^{k+1} - 8)/k! D^k with p (p-1) (p-2)
+    cancelled; its terms share one sign, and each is added only to the
+    offsets that still feel it.
+    """
+    p = 3.0 - 2.0 * s
+    g = np.zeros(n)
+    t = np.abs(np.arange(-2.0, 5.0))
+    log_t = np.log(t, out=np.zeros_like(t), where=t > 0.0)
+    e = p - 2.0
+    phi = t * t * (np.expm1(e * log_t) / e if e != 0.0 else log_t)
+    head = min(n, 3)
+    delta4 = np.convolve(phi, [1.0, -4.0, 6.0, -4.0, 1.0], "valid")
+    g[:head] = delta4[:head] / (p * (p - 1.0) * 2.0 * s)
+    m = np.arange(3.0, n)
+    power = m ** (p - 4.0)
+    inv_sq = 1.0 / (m * m)
+    coef = (p - 3.0) / (2.0 * s)  # k = 4, where (2^{k+1} - 8)/k! = 1
+    k, live = 4, m.size
+    while live:
+        term = coef * power[:live]
+        g[3:3 + live] += term
+        felt = np.flatnonzero(np.abs(term) > 0.25 * _EPS * np.abs(g[3:3 + live]))
+        live = int(felt[-1]) + 1 if felt.size else 0
+        power[:live] *= inv_sq[:live]
+        coef *= ((2.0 ** (k + 3) - 8.0) / (2.0 ** (k + 1) - 8.0)
+                 * (p - k) * (p - k - 1.0) / ((k + 1.0) * (k + 2.0)))
+        k += 2
+    return g
 
 
-def _q_poly_at(offset: float, t_mid: float):
-    """Coefficients (in t, ascending) of Q(t + offset) near t = t_mid."""
-    tau = t_mid + offset
-    a = abs(tau)
-    if a >= 2.0:
-        return None
-    lo = 0 if a < 1.0 else 1
-    c = list(_Q_PIECES[(lo, lo + 1)])
-    if tau < 0.0:  # mirror: Q is even
-        c = [c[0], -c[1], c[2], -c[3]]
-    # substitute tau = t + offset into c0 + c1 tau + c2 tau^2 + c3 tau^3
-    out = [0.0, 0.0, 0.0, 0.0]
-    for k, ck in enumerate(c):
-        for j in range(k + 1):
-            out[j] += ck * math.comb(k, j) * offset ** (k - j)
-    return out
+def _nonlocal_row(mesh: Mesh, params: OperatorParams) -> np.ndarray:
+    if params.n_dim != 1:
+        raise DomainError("the Galerkin assembly is one-dimensional")
+    s = params.s
+    return params.c_ns * mesh.h ** (1.0 - 2.0 * s) * _fourth_difference_moments(mesh.n, s)
 
 
-def _power_moment(k: int, a: float, b: float, s: float) -> float:
-    """int_a^b t^(k - 1 - 2s) dt with the logarithmic branch at k = 2s... 1."""
-    e = k - 2.0 * s
-    if abs(e) < 1e-14:
-        return math.log(b / a)
-    if a == 0.0:
-        return b**e / e
-    return (b**e - a**e) / e
-
-
-def _correlation_moment(m: int, s: float) -> float:
-    """G(m) = int_0^inf t^(-1-2s) [2 Q(m) - Q(t-m) - Q(t+m)] dt, exact."""
-    qm = _q_value(float(m))
-    candidates = {m + k for k in range(-2, 3)} | {k - m for k in range(-2, 3)}
-    lo_edge = 0.0 if m < 2 else float(m - 2)
-    pts = [lo_edge] + sorted(float(b) for b in candidates if lo_edge < b <= m + 2)
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (a + b)
-        coeffs = [0.0, 0.0, 0.0, 0.0]
-        coeffs[0] = 2.0 * qm
-        for off in (-m, m):
-            piece = _q_poly_at(off, mid)
-            if piece is not None:
-                for k in range(4):
-                    coeffs[k] -= piece[k]
-        if a == 0.0:
-            # the integrand vanishes to second order at t = 0
-            if abs(coeffs[0]) > 1e-12 or abs(coeffs[1]) > 1e-12:
-                raise AssertionError("correlation kernel must vanish at 0")
-            coeffs[0] = coeffs[1] = 0.0
-        total += sum(
-            ck * _power_moment(k, a, b, s) for k, ck in enumerate(coeffs) if ck != 0.0
-        )
-    if qm != 0.0:
-        total += 2.0 * qm * (m + 2.0) ** (-2.0 * s) / (2.0 * s)
-    return total
+def _local_row(mesh: Mesh) -> np.ndarray:
+    row = np.zeros(mesh.n)
+    row[:2] = [2.0 / mesh.h, -1.0 / mesh.h][: mesh.n]
+    return row
 
 
 def nonlocal_stiffness(mesh: Mesh, params: OperatorParams,
@@ -183,30 +173,16 @@ def nonlocal_stiffness(mesh: Mesh, params: OperatorParams,
     """Dense symmetric matrix of the full-plane Gagliardo form on the hats.
 
     Entries are (c_{1,s}/2) * intint over R x R of the hat-difference
-    product against |x-y|^{-1-2s}; on a uniform mesh they reduce to exact
-    breakpoint integrals of the hat correlation spline, so the result is
-    Toeplitz and includes the exterior strips analytically.  ``quad`` is
-    accepted for interface symmetry; the entries do not need it.
+    product against |x-y|^{-1-2s}, exterior strips included; the matrix is
+    the Toeplitz expansion of the closed-form row.  ``quad`` is accepted for
+    interface symmetry; the entries do not need it.
     """
-    if params.n_dim != 1:
-        raise DomainError("the Galerkin assembly is one-dimensional")
-    s = params.s
-    scale = params.c_ns * mesh.h ** (1.0 - 2.0 * s)
-    first_row = np.array([scale * _correlation_moment(m, s) for m in range(mesh.n)])
-    idx = np.abs(np.subtract.outer(np.arange(mesh.n), np.arange(mesh.n)))
-    return first_row[idx]
+    return sla.toeplitz(_nonlocal_row(mesh, params))
 
 
 def local_stiffness(mesh: Mesh) -> np.ndarray:
     """Tridiagonal gradient Gram matrix: 2/h on the diagonal, -1/h off it."""
-    n = mesh.n
-    mat = np.zeros((n, n))
-    np.fill_diagonal(mat, 2.0 / mesh.h)
-    off = -1.0 / mesh.h
-    for i in range(n - 1):
-        mat[i, i + 1] = off
-        mat[i + 1, i] = off
-    return mat
+    return sla.toeplitz(_local_row(mesh))
 
 
 def load_vector(f: ScalarField, mesh: Mesh) -> np.ndarray:
@@ -232,16 +208,41 @@ def load_vector(f: ScalarField, mesh: Mesh) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StiffnessSystem:
-    """Assembled local + nonlocal stiffness with its provenance."""
+    """First rows of the symmetric Toeplitz local and nonlocal stiffness."""
 
-    local: np.ndarray
-    nonlocal_: np.ndarray
+    local_row: np.ndarray
+    nonlocal_row: np.ndarray
     params: OperatorParams
     mesh: Mesh
     meta: dict = field(default_factory=dict)
 
+    @property
+    def local(self) -> np.ndarray:
+        return sla.toeplitz(self.local_row)
+
+    @property
+    def nonlocal_(self) -> np.ndarray:
+        return sla.toeplitz(self.nonlocal_row)
+
+    @cached_property
+    def row(self) -> np.ndarray:  # first row of local + nonlocal
+        return self.local_row + self.nonlocal_row
+
     def combined(self) -> np.ndarray:
-        return self.local + self.nonlocal_
+        return sla.toeplitz(self.row)
+
+    @cached_property
+    def _embedding(self):
+        """Length and spectrum of a circulant holding the matrix in its corner."""
+        n = self.row.size
+        size = 1 << (2 * n - 2).bit_length()
+        col = np.concatenate((self.row, np.zeros(size + 1 - 2 * n), self.row[:0:-1]))
+        return size, np.fft.rfft(col)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """(local + nonlocal) @ x in O(n log n), through the circulant embedding."""
+        size, spectrum = self._embedding
+        return np.fft.irfft(spectrum * np.fft.rfft(x, size), size)[: x.size]
 
 
 def build_system(mesh: Mesh, params: OperatorParams,
@@ -249,24 +250,19 @@ def build_system(mesh: Mesh, params: OperatorParams,
                  include_local: bool = True,
                  include_nonlocal: bool = True) -> StiffnessSystem:
     """Assemble the discrete operator; parts can be dropped for contrast runs."""
-    n = mesh.n
-    loc = local_stiffness(mesh) if include_local else np.zeros((n, n))
-    non = nonlocal_stiffness(mesh, params, quad) if include_nonlocal else np.zeros((n, n))
-    meta = {
-        "method": "exact hat-correlation moments",
-        "include_local": include_local,
-        "include_nonlocal": include_nonlocal,
-        "c_ns": params.c_ns,
-        "s": params.s,
-    }
-    return StiffnessSystem(local=loc, nonlocal_=non, params=params, mesh=mesh, meta=meta)
+    loc = _local_row(mesh) if include_local else np.zeros(mesh.n)
+    non = _nonlocal_row(mesh, params) if include_nonlocal else np.zeros(mesh.n)
+    meta = {"method": "closed-form fourth-difference Toeplitz row",
+            "include_local": include_local, "include_nonlocal": include_nonlocal,
+            "c_ns": params.c_ns, "s": params.s}
+    return StiffnessSystem(loc, non, params, mesh, meta)
 
 
 def bilinear_eval(u: GridFunction, v: GridFunction, sys: StiffnessSystem) -> float:
     """u^T (local + nonlocal) v for grid functions on the system's mesh."""
     if u.mesh != sys.mesh or v.mesh != sys.mesh:
         raise DomainError("grid functions must live on the system's mesh")
-    return float(u.coeffs @ sys.combined() @ v.coeffs)
+    return float(u.coeffs @ sys.apply(v.coeffs))
 
 
 def export_matrix(path, mat: np.ndarray, comment: str = "") -> None:

@@ -180,3 +180,43 @@ def nonlocal_entry_oracle(mesh, params, i: int, j: int) -> float:
         ext, _ = quad(lambda x: pi(x) * pj(x) * wext(x), a, b, points=nodes,
                       epsabs=1e-12, epsrel=1e-10, limit=300)
     return params.c_ns * (body + ext)
+
+
+def row_moment_oracle(s: float, m: int, dps: int = 60) -> float:
+    """G(m) = delta^4 |m|^{3-2s} / ((3-2s)(2-2s)(1-2s)(2s)) at ``dps`` digits.
+
+    The central fourth difference is taken directly in high precision, where
+    its cancellation costs nothing; at s = 1/2 it is the limit
+    delta^4 [m^2 log|m|] / 2.  The stiffness entry at offset m is
+    c_{1,s} h^{1-2s} G(m).
+    """
+    with mp.workdps(dps):
+        s_ = mp.mpf(s)
+        if s == 0.5:
+            def f(t):
+                return t * t * mp.log(abs(t)) if t != 0 else mp.mpf(0)
+            k_s = mp.mpf(1) / 2
+        else:
+            def f(t):
+                return abs(mp.mpf(t)) ** (3 - 2 * s_)
+            k_s = 1 / ((3 - 2 * s_) * (2 - 2 * s_) * (1 - 2 * s_) * (2 * s_))
+        d4 = f(m + 2) - 4 * f(m + 1) + 6 * f(m) - 4 * f(m - 1) + f(m - 2)
+        return float(k_s * d4)
+
+
+def spline_moment_oracle(s: float, m: int, dps: int = 30) -> float:
+    """G(m) for m >= 2 from its definition, with no closed form.
+
+    G(m) = int_0^inf t^{-1-2s} [2 Q(m) - Q(t - m) - Q(t + m)] dt with Q the
+    hat-hat correlation, the cubic B-spline on [-2, 2]; for m >= 2 only
+    -Q(t - m) survives, a smooth integrand on [m - 2, m + 2].
+    """
+    with mp.workdps(dps):
+        s_ = mp.mpf(s)
+
+        def q(tau):
+            a = abs(tau)
+            return 2 * mp.mpf(1) / 3 - a * a + a ** 3 / 2 if a < 1 else (2 - a) ** 3 / 6
+
+        return float(-mp.quad(lambda t: q(t - m) * t ** (-1 - 2 * s_),
+                              [m - 2, m - 1, m, m + 1, m + 2]))

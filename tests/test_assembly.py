@@ -128,6 +128,37 @@ def test_nonlocal_matches_live_oracle_small_mesh():
             assert A[i, j] == pytest.approx(ref, rel=1e-8)
 
 
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_row_matches_fourth_difference_oracle_far_out(s):
+    # n = 100001 reaches offset 1e5, where a power-moment expansion of the
+    # spline pieces has lost every digit; the row is built, no dense matrix
+    mesh = build_mesh(-1.0, 1.0, 100_001)
+    params = OperatorParams(1, s)
+    row = build_system(mesh, params, include_local=False).nonlocal_row
+    scale = params.c_ns * mesh.h ** (1.0 - 2.0 * s)
+    for m in (3, 100, 1_000, 10_000, 100_000):
+        ref = scale * oracles.row_moment_oracle(s, m)
+        assert abs(row[m] - ref) <= 1e-13 * abs(ref), (s, m)
+
+
+def test_row_oracle_agrees_with_spline_moment_quadrature():
+    for s in (0.25, 0.5, 0.75):
+        for m in (3, 100):
+            assert oracles.row_moment_oracle(s, m) == pytest.approx(
+                oracles.spline_moment_oracle(s, m), rel=1e-14)
+
+
+def test_dense_matrices_expand_the_rows():
+    mesh = build_mesh(-1.0, 1.0, 9)
+    params = OperatorParams(1, 0.3)
+    sys_ = build_system(mesh, params)
+    assert np.array_equal(sys_.local, local_stiffness(mesh))
+    assert np.array_equal(sys_.nonlocal_, nonlocal_stiffness(mesh, params))
+    assert np.array_equal(sys_.combined(), sys_.local + sys_.nonlocal_)
+    assert np.array_equal(sys_.nonlocal_[3], np.concatenate(
+        (sys_.nonlocal_row[3:0:-1], sys_.nonlocal_row[:6])))
+
+
 def test_nonlocal_offdiagonal_signs_reported():
     # sign structure is observed, not asserted as an invariant: record that
     # the first row is positive on the diagonal for the orders tested
@@ -198,6 +229,22 @@ def test_bilinear_mesh_mismatch():
     u = GridFunction(other, np.zeros(7))
     with pytest.raises(DomainError):
         bilinear_eval(u, u, sys_)
+
+
+def test_equal_meshes_compare_and_hash_equal():
+    a, b = build_mesh(-1.0, 1.0, 7), build_mesh(-1.0, 1.0, 7)
+    assert a == b and hash(a) == hash(b)
+    assert a != build_mesh(-1.0, 1.0, 9) and a != build_mesh(0.0, 1.0, 7)
+    assert a != "mesh"
+
+
+def test_bilinear_accepts_an_equal_mesh_built_separately():
+    sys_ = build_system(build_mesh(-1.0, 1.0, 15), OperatorParams(1, 0.5))
+    rng = np.random.default_rng(5)
+    u = GridFunction(build_mesh(-1.0, 1.0, 15), rng.standard_normal(15))
+    v = GridFunction(build_mesh(-1.0, 1.0, 15), rng.standard_normal(15))
+    ref = float(u.coeffs @ sys_.combined() @ v.coeffs)
+    assert bilinear_eval(u, v, sys_) == pytest.approx(ref, rel=1e-12)
 
 
 def test_combined_matrix_positive_definite():

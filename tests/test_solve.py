@@ -2,13 +2,16 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from mixlap import fields
+from mixlap import fields, solve
 from mixlap.assembly import build_mesh, build_system, load_vector
-from mixlap.errors import DomainError
+from mixlap.errors import DomainError, NumericalError
 from mixlap.kernel import OperatorParams
 from mixlap.solve import (export_report, export_solution_csv,
                           lift_nonhomogeneous, solve_dirichlet)
+
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +74,80 @@ def test_ratio_energy_stable_under_refinement():
                               fields.constant(1.0))
         ratios.append(rep.ratio_energy)
     assert max(ratios) / min(ratios) < 1.1
+
+
+def _cholesky(sys_, f):
+    A = sys_.combined()
+    return sla.cho_solve(sla.cho_factor(A), load_vector(f, sys_.mesh))
+
+
+def _smooth_load():
+    return fields.ScalarField(
+        evaluate=lambda x: 1.0 + np.cos(np.pi * np.asarray(x, dtype=float) + 1.0) ** 2)
+
+
+@pytest.mark.parametrize("n", [2047, 3071])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_solves_where_the_residual_gate_refused(n, s):
+    rep = solve_dirichlet(build_system(build_mesh(-1.0, 1.0, n), OperatorParams(1, s)),
+                          _smooth_load())
+    assert rep.backward_error <= n * EPS
+    assert float(np.min(rep.solution.coeffs)) > 0.0
+    assert 0 < rep.iterations < solve.MAX_ITERATIONS
+    assert rep.meta["solver"] == "toeplitz-pcg"
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_matches_dense_cholesky_at_1023(s):
+    sys_ = build_system(build_mesh(-1.0, 1.0, 1023), OperatorParams(1, s))
+    ref = _cholesky(sys_, _smooth_load())
+    u = solve_dirichlet(sys_, _smooth_load()).solution.coeffs
+    assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("parts", [{"include_nonlocal": False}, {"include_local": False}])
+def test_matches_dense_cholesky_on_one_part_alone(parts):
+    sys_ = build_system(build_mesh(-1.0, 1.0, 511), OperatorParams(1, 0.5), **parts)
+    ref = _cholesky(sys_, _smooth_load())
+    rep = solve_dirichlet(sys_, _smooth_load())
+    assert np.max(np.abs(rep.solution.coeffs - ref)) <= 1e-9 * np.max(np.abs(ref))
+    assert rep.backward_error <= 511 * EPS
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tiny_meshes(n):
+    for s in (0.05, 0.5, 0.99):
+        sys_ = build_system(build_mesh(-1.0, 1.0, n), OperatorParams(1, s))
+        rep = solve_dirichlet(sys_, _smooth_load())
+        ref = _cholesky(sys_, _smooth_load())
+        assert np.allclose(rep.solution.coeffs, ref, rtol=1e-13, atol=0.0)
+        assert rep.x_norm**2 == pytest.approx(
+            float(ref @ sys_.local @ ref), rel=1e-12)
+
+
+def test_backward_error_gate_rejects_a_corrupted_solution(monkeypatch, sys_05_255):
+    f = fields.constant(1.0)
+    clean = solve_dirichlet(sys_05_255, f)
+    assert clean.backward_error <= 255 * EPS
+    rng = np.random.default_rng(11)
+    pcg = solve._pcg
+
+    def corrupted(sys_, b):
+        u, _, iterations = pcg(sys_, b)
+        bad = u * (1.0 + 1e-8 * rng.standard_normal(u.size))
+        return bad, sys_.apply(bad), iterations
+
+    monkeypatch.setattr(solve, "_pcg", corrupted)
+    with pytest.raises(NumericalError, match="backward error"):
+        solve_dirichlet(sys_05_255, f)
+
+
+def test_backward_error_stays_out_of_the_report_dict(sys_05_255):
+    rep = solve_dirichlet(sys_05_255, fields.constant(1.0))
+    doc = rep.to_dict()
+    assert "backward_error" not in doc
+    assert doc["iterations"] == rep.iterations
+    assert doc["solver"] == "toeplitz-pcg"
 
 
 # ---------------------------------------------------------------------------
