@@ -14,13 +14,14 @@ from .assembly import (GridFunction, Mesh, StiffnessSystem, bilinear_eval,
                        load_vector, local_stiffness, nonlocal_stiffness)
 from .barrier import (BarrierParams, ExponentLadder, beta, build_barrier,
                       build_ladder, coefficients, gamma, kappa, radial_cutoff,
-                      tail_kappa, theta, w_alpha)
+                      theta)
 from .errors import (AccuracyError, ConfigError, ConstructionError,
                      DomainError, InputError, MixlapError, NumericalError,
                      ResolutionError, TailDivergenceError)
 from .fields import RadialField, ScalarField, TailExpansion
 from .kernel import (LocalSign, OperatorParams, QuadratureSpec, frac_apply,
-                     mixed_apply, normalization_constant, tail_integral)
+                     mixed_apply, normalization_constant, tail_integral,
+                     tail_kappa)
 from .solve import (SolveReport, lift_nonhomogeneous, solve_dirichlet)
 from .verify import (VerificationReport, check_boundary_lipschitz,
                      check_linf_bound, check_strong_mp_contact, check_weak_mp,

@@ -33,7 +33,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, InputError
 from .fields import ScalarField, TailExpansion
-from .kernel import OperatorParams, QuadratureSpec
+from .kernel import OperatorParams
 
 _LOAD_GAUSS_X, _LOAD_GAUSS_W = leggauss(6)
 
@@ -72,9 +72,10 @@ def build_mesh(a: float, b: float, n: int) -> Mesh:
     return Mesh(a=float(a), b=float(b), n=int(n), h=h, nodes=nodes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Nodal coefficients of the piecewise-linear interpolant, zero outside."""
+    """Nodal coefficients of the piecewise-linear interpolant, zero outside;
+    compared and hashed by identity."""
 
     mesh: Mesh
     coeffs: np.ndarray
@@ -168,14 +169,12 @@ def _local_row(mesh: Mesh) -> np.ndarray:
     return row
 
 
-def nonlocal_stiffness(mesh: Mesh, params: OperatorParams,
-                       quad: QuadratureSpec | None = None) -> np.ndarray:
+def nonlocal_stiffness(mesh: Mesh, params: OperatorParams) -> np.ndarray:
     """Dense symmetric matrix of the full-plane Gagliardo form on the hats.
 
     Entries are (c_{1,s}/2) * intint over R x R of the hat-difference
     product against |x-y|^{-1-2s}, exterior strips included; the matrix is
-    the Toeplitz expansion of the closed-form row.  ``quad`` is accepted for
-    interface symmetry; the entries do not need it.
+    the Toeplitz expansion of the closed-form row.
     """
     return sla.toeplitz(_nonlocal_row(mesh, params))
 
@@ -206,9 +205,10 @@ def load_vector(f: ScalarField, mesh: Mesh) -> np.ndarray:
     return b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StiffnessSystem:
-    """First rows of the symmetric Toeplitz local and nonlocal stiffness."""
+    """First rows of the symmetric Toeplitz local and nonlocal stiffness;
+    compared and hashed by identity."""
 
     local_row: np.ndarray
     nonlocal_row: np.ndarray
@@ -246,7 +246,6 @@ class StiffnessSystem:
 
 
 def build_system(mesh: Mesh, params: OperatorParams,
-                 quad: QuadratureSpec | None = None,
                  include_local: bool = True,
                  include_nonlocal: bool = True) -> StiffnessSystem:
     """Assemble the discrete operator; parts can be dropped for contrast runs."""

@@ -10,15 +10,17 @@ The lower barrier is produced in stages:
 3. recursion coefficients ``c_j = -kappa_{j-1} c_{j-1} / (alpha_j (alpha_j - 1))``
    that make each monomial's nonlocal output cancel against the Laplacian of
    the next one (telescoping);
-4. a capped top power so the sum stays bounded, a logarithmic corrector
-   that absorbs the cap's nonlocal residue, and a window size d shrunk until
-   the corrector is small relative to the window;
+4. a capped top power (:func:`~mixlap.fields.truncated_power`) so the sum
+   stays bounded, a logarithmic corrector that absorbs the cap's nonlocal
+   residue, and a window size d shrunk until the corrector is small relative
+   to the window;
 5. a convex parabolic deduction and a scaling M that turn the bounded-below
    inequality into a certified "mixed operator >= 1 near the boundary".
 
 Existential constants are replaced by measured grid extrema with a 25%
 safety margin; every built parameter set carries its own certificate of the
-grid inequalities it was checked against.
+grid inequalities it was checked against.  The far-field mass of a truncated
+comparison function is :func:`~mixlap.kernel.tail_kappa`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -112,15 +114,6 @@ def coefficients(ladder: ExponentLadder, kappas) -> Tuple[float, ...]:
     return tuple(cs)
 
 
-def w_alpha(x, alpha: float, L: float):
-    """x_+^alpha capped at the constant (2L)^alpha from x = 2L on."""
-    arr = np.asarray(x, dtype=float)
-    cap = (2.0 * L) ** alpha
-    out = np.where(arr >= 2.0 * L, cap,
-                   np.where(arr > 0.0, np.maximum(arr, 0.0) ** alpha, 0.0))
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class BarrierParams:
     """Certificate-carrying parameter set for the barrier pair (beta, gamma)."""
@@ -167,9 +160,8 @@ def _log_potential_d2(x: float) -> float:
 class _Corrector:
     """W: equals the explicit potential up to d, decays to 0 at 2d."""
 
-    def __init__(self, d: float, c_sharp: float, mono: Tuple[Tuple[float, float], ...]):
+    def __init__(self, d: float, mono: Tuple[Tuple[float, float], ...]):
         self.d = d
-        self.c_sharp = c_sharp
         self.mono = mono  # (coef, alpha) pairs of (2/C#) sum c_j x^alpha_j
 
     def w_tilde(self, x):
@@ -224,7 +216,7 @@ def _corrector_for(p: BarrierParams) -> _Corrector:
         (2.0 * p.cs[j] / p.C_sharp, p.ladder.alphas[j])
         for j in range(1, len(p.cs))
     )
-    return _Corrector(p.d, p.C_sharp, mono)
+    return _Corrector(p.d, mono)
 
 
 def beta_sharp_field(p: BarrierParams) -> ScalarField:
@@ -252,7 +244,7 @@ def beta_sharp_field(p: BarrierParams) -> ScalarField:
 
     plus = tuple((c, a) for c, a in mono) + ((c_top * cap, 0.0),)
     return ScalarField(
-        evaluate=ev, second_derivative=d2, smooth_region=(0.0, 2.0),
+        evaluate=ev, second_derivative=d2,
         kinks=(0.0, 2.0), tail=TailExpansion(2.0, plus, ()),
         name="beta_sharp",
     )
@@ -275,13 +267,13 @@ def beta_field(p: BarrierParams) -> ScalarField:
     mono = _barrier_monomials(p)
     plus = tuple(mono) + ((p.cs[-1] * 2.0 ** p.ladder.alphas[-1], 0.0),)
     return ScalarField(
-        evaluate=ev, second_derivative=d2, smooth_region=(0.0, p.d),
+        evaluate=ev, second_derivative=d2,
         kinks=(0.0, p.d, 2.0 * p.d, 2.0), tail=TailExpansion(cutoff, plus, ()),
         name="beta",
     )
 
 
-def beta(x, p: BarrierParams, quad: Optional[QuadratureSpec] = None):
+def beta(x, p: BarrierParams):
     """Barrier value; vanishes for x <= 0, linear-ish on (0, d), bounded below
     by a positive constant past d."""
     return beta_field(p)(x)
@@ -321,7 +313,7 @@ def gamma_field(p: BarrierParams) -> ScalarField:
     const = p.cs[-1] * 2.0 ** p.ladder.alphas[-1] - p.C2 * p.ell * (2.0 * p.d - p.ell)
     plus = tuple((M * c, a) for c, a in mono) + ((M * const, 0.0),)
     return ScalarField(
-        evaluate=ev, second_derivative=d2, smooth_region=(0.0, p.ell),
+        evaluate=ev, second_derivative=d2,
         kinks=(0.0, p.ell, p.d, 2.0 * p.d, 2.0),
         tail=TailExpansion(cutoff, plus, ()),
         name="gamma",
@@ -340,10 +332,6 @@ def gamma(x, p: BarrierParams):
 
 class _AttemptFailed(Exception):
     pass
-
-
-def _geometric_grid(lo: float, hi: float, count: int) -> np.ndarray:
-    return np.geomspace(lo, hi, count)
 
 
 def build_barrier(s: float, quad: QuadratureSpec,
@@ -387,12 +375,13 @@ def _attempt_build(s, quad, params_op, ladder, kappas, cs, w_top, c_top, d,
     tol = quad.tolerance
 
     # C_sharp: log-normalized bound of the capped power's nonlocal output
-    grid = _geometric_grid(d * 1e-6, d * 0.999, 64)
+    grid = np.geomspace(d * 1e-6, d * 0.999, 64)
     top_vals = np.array([frac_apply(w_top, float(x), params_op, quad) for x in grid])
     ratios = np.abs(c_top * top_vals) / (1.0 + np.abs(np.log(grid)))
     c_sharp = 1.25 * float(np.max(ratios))
 
-    # provisional parameter shell so the field builders can be reused
+    # provisional parameter shell so the field builders can be reused;
+    # beta_field reads none of the constants measured below
     shell = BarrierParams(
         ladder=ladder, kappas=kappas, cs=cs, d=d, C_sharp=c_sharp,
         C2=1.0, C0=d / 2.0, C1=1.0, ell=d / 4.0, M=1.0, R=8.0 * rho_omega,
@@ -418,15 +407,10 @@ def _attempt_build(s, quad, params_op, ladder, kappas, cs, w_top, c_top, d,
     if float(np.min(w_on_blend)) < -1e-15:
         raise _AttemptFailed("corrector blend went negative")
 
-    shell = BarrierParams(
-        ladder=ladder, kappas=kappas, cs=cs, d=d, C_sharp=c_sharp,
-        C2=1.0, C0=d / 2.0, C1=1.0, ell=d / 4.0, M=1.0, R=8.0 * rho_omega,
-        c_gamma=0.5, rho_omega=rho_omega, S_d=s_d,
-    )
     bf = beta_field(shell)
 
     # sandwich constant C1 on (0, d)
-    bgrid = _geometric_grid(d * 1e-6, d * 0.999, 128)
+    bgrid = np.geomspace(d * 1e-6, d * 0.999, 128)
     bvals = bf.evaluate(bgrid)
     if float(np.min(bvals)) <= 0.0:
         raise _AttemptFailed("corrected barrier lost positivity inside the window")
@@ -435,12 +419,11 @@ def _attempt_build(s, quad, params_op, ladder, kappas, cs, w_top, c_top, d,
 
     # C0: floor past the window
     far_grid = np.concatenate((np.linspace(d, 4.0, 64), np.geomspace(4.0, 64.0, 16)))
-    c0 = d / 2.0
-    if float(np.min(bf.evaluate(far_grid))) < c0:
+    if float(np.min(bf.evaluate(far_grid))) < shell.C0:
         raise _AttemptFailed("barrier dips below d/2 past the window")
 
     # C2: measured lower bound of the mixed operator on the window
-    lgrid = _geometric_grid(d * 1e-6, d * 0.999, 400)
+    lgrid = np.geomspace(d * 1e-6, d * 0.999, 400)
     lbeta = np.array([mixed_apply(bf, float(x), params_op, quad) for x in lgrid])
     c2 = max(1.25 * float(np.max(np.maximum(-lbeta, 0.0))), 0.05)
 
@@ -459,15 +442,12 @@ def _attempt_build(s, quad, params_op, ladder, kappas, cs, w_top, c_top, d,
     c_gamma = min(M / (2.0 * c1), 1.0 / (M * c1))
     assert 0.0 < c_gamma < 1.0
 
-    p = BarrierParams(
-        ladder=ladder, kappas=kappas, cs=cs, d=d, C_sharp=c_sharp, C2=c2,
-        C0=c0, C1=c1, ell=ell, M=M, R=8.0 * rho_omega, c_gamma=c_gamma,
-        rho_omega=rho_omega, S_d=s_d,
-    )
+    p = dataclasses.replace(shell, C2=c2, C1=c1, ell=ell, M=M, c_gamma=c_gamma,
+                            S_d=s_d)
 
     # certification grids
     gf = gamma_field(p)
-    ggrid = _geometric_grid(ell * 1e-3, ell * 0.99, 200)
+    ggrid = np.geomspace(ell * 1e-3, ell * 0.99, 200)
     lgamma = np.array([mixed_apply(gf, float(x), params_op, quad) for x in ggrid])
     lgamma_min = float(np.min(lgamma))
     if lgamma_min < 1.0 - 1e-6:
@@ -540,38 +520,3 @@ def theta(x, p: BarrierParams, cutoff: RadialField) -> float:
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     r = float(np.linalg.norm(xv))
     return float(gamma(xv[0], p) * cutoff(r))
-
-
-def tail_kappa(R: float, g, params: OperatorParams) -> float:
-    """Weighted far-field mass: int over |y| >= R of |g(y)| / (1 + |y|^{N+2s}).
-
-    Compactly supported fields give exactly zero once R clears the support;
-    bounded tails are integrated with the 1/y substitution on graded panels.
-    """
-    if R <= 0:
-        raise DomainError("radius must be positive")
-    s = params.s
-    from .kernel import _geometric_refine, _panel_nodes, _SPHERE_AREA
-
-    if isinstance(g, RadialField):
-        if R >= g.support_radius:
-            return 0.0
-        pts, w = _panel_nodes(_geometric_refine([R, g.support_radius], 4))
-        vals = np.abs(g.profile(pts))
-        n = params.n_dim
-        return _SPHERE_AREA[n] * float(
-            np.sum(w * vals * pts ** (n - 1) / (1.0 + pts ** (n + 2.0 * s)))
-        )
-    if params.n_dim != 1:
-        raise DomainError("dimension above 1 requires a radial field")
-    if g.tail.is_compact() and R >= g.tail.cutoff:
-        return 0.0
-    if g.tail.max_power() >= 2.0 * s:
-        return math.inf
-    t, tw = _panel_nodes(_geometric_refine([1e-10, 1.0], 4))
-    y = R / t
-    jac = R / t**2
-    weight = 1.0 / (1.0 + y ** (1.0 + 2.0 * s))
-    hi = float(np.sum(tw * np.abs(g.evaluate(y)) * weight * jac))
-    lo = float(np.sum(tw * np.abs(g.evaluate(-y)) * weight * jac))
-    return hi + lo

@@ -48,14 +48,22 @@ def _require(cond: bool, key: str, msg: str):
         raise ConfigError(f"{key}: {msg}")
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON config document; unknown keys are rejected."""
+def _json_object(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"document: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigError("document: must be a JSON object")
+    return doc
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse and validate a JSON config document; unknown keys are rejected."""
+    return _validated(_json_object(text))
+
+
+def _validated(doc: dict) -> RunConfig:
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown key")
@@ -148,7 +156,12 @@ def _load_field(spec: str, domain) -> ScalarField:
         path = Path(rest)
         if not path.exists():
             raise ConfigError(f"f: sample file {rest!r} not found")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"f: sample file {rest!r} is not numeric CSV ({exc})") from exc
+        if data.shape[0] == 0 or data.shape[1] < 2:
+            raise ConfigError(f"f: sample file {rest!r} needs rows of x,u samples")
         xs, ys = data[:, 0], data[:, 1]
         order = np.argsort(xs)
         xs, ys = xs[order], ys[order]
@@ -173,7 +186,7 @@ def _run_solve(cfg: RunConfig, outdir: Path) -> int:
     a, b = cfg.domain
     mesh = assembly.build_mesh(a, b, cfg.n)
     params = OperatorParams(1, cfg.s)
-    sys_ = assembly.build_system(mesh, params, cfg.quad)
+    sys_ = assembly.build_system(mesh, params)
     report = solve.solve_dirichlet(sys_, _load_field(cfg.f, cfg.domain))
     solve.export_solution_csv(outdir / "solution.csv", report)
     solve.export_report(outdir / "report.json", report)
@@ -283,9 +296,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     doc = {}
     if args.config:
-        doc = json.loads(Path(args.config).read_text())
-        if not isinstance(doc, dict):
-            raise ConfigError("document: must be a JSON object")
+        try:
+            text = Path(args.config).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config: cannot read {args.config!r} ({exc})") from exc
+        doc = _json_object(text)
     doc["command"] = args.command
     for key in ("s", "n", "f", "seed"):
         val = getattr(args, key, None)
@@ -305,7 +320,7 @@ def _config_from_args(args) -> RunConfig:
             doc[key] = val
     if getattr(args, "annulus_radius", None) is not None:
         doc["annulus_radius"] = args.annulus_radius
-    return parse_config(json.dumps(doc))
+    return _validated(doc)
 
 
 def main(argv=None) -> int:

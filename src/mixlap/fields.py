@@ -58,26 +58,11 @@ class TailExpansion:
 
 
 @dataclass(frozen=True)
-class TailClass:
-    """Coarse classification of far-field behaviour.
-
-    ``kind`` is one of ``"compact_support"`` (with ``value`` the support
-    radius), ``"bounded"`` (constant tails; ``value`` is the largest
-    constant magnitude) or ``"power_growth"`` (``value`` is the growth
-    exponent).
-    """
-
-    kind: str
-    value: float
-
-
-@dataclass(frozen=True)
 class ScalarField:
     """A function on R with the metadata needed for nonlocal evaluation."""
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     second_derivative: Optional[Callable[[float], float]] = None
-    smooth_region: Optional[Tuple[float, float]] = None
     kinks: Tuple[float, ...] = ()
     tail: TailExpansion = field(default_factory=lambda: TailExpansion(0.0))
     name: str = ""
@@ -95,19 +80,6 @@ class ScalarField:
         if not self.kinks:
             return math.inf
         return min(abs(x - k) for k in self.kinks)
-
-    def tail_class(self) -> TailClass:
-        if self.tail.is_compact():
-            return TailClass("compact_support", self.tail.cutoff)
-        p = self.tail.max_power()
-        if p <= 0.0:
-            mag = max(
-                [abs(c) for c, q in self.tail.plus_terms if q == 0.0]
-                + [abs(c) for c, q in self.tail.minus_terms if q == 0.0]
-                + [0.0]
-            )
-            return TailClass("bounded", mag)
-        return TailClass("power_growth", p)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +124,6 @@ def pure_power(alpha: float) -> ScalarField:
     return ScalarField(
         evaluate=ev,
         second_derivative=d2,
-        smooth_region=(0.0, math.inf),
         kinks=(0.0,),
         tail=TailExpansion(1.0, ((1.0, alpha),), ()),
         name=f"x_+^{alpha}",
@@ -178,7 +149,6 @@ def truncated_power(alpha: float, L: float) -> ScalarField:
     return ScalarField(
         evaluate=ev,
         second_derivative=d2,
-        smooth_region=(0.0, 2.0 * L),
         kinks=(0.0, 2.0 * L),
         tail=TailExpansion(2.0 * L, ((cap, 0.0),), ()),
         name=f"w_alpha({alpha},L={L})",
@@ -195,7 +165,6 @@ def parabola_cap() -> ScalarField:
     return ScalarField(
         evaluate=ev,
         second_derivative=lambda x: 2.0 if abs(x) < 1.0 else 0.0,
-        smooth_region=(-1.0, 1.0),
         kinks=(-1.0, 1.0),
         tail=TailExpansion(1.0),
         name="parabola_cap",
@@ -209,13 +178,9 @@ def scaled(u: ScalarField, eps: float) -> ScalarField:
     d2 = None
     if u.second_derivative is not None:
         d2 = lambda x: u.second_derivative(x / eps) / eps**2  # noqa: E731
-    region = None
-    if u.smooth_region is not None:
-        region = (u.smooth_region[0] * eps, u.smooth_region[1] * eps)
     return ScalarField(
         evaluate=lambda x: u.evaluate(np.asarray(x, dtype=float) / eps),
         second_derivative=d2,
-        smooth_region=region,
         kinks=tuple(k * eps for k in u.kinks),
         tail=u.tail.scaled(eps),
         name=f"{u.name}(x/{eps})",
@@ -229,13 +194,9 @@ def translated(u: ScalarField, t: float) -> ScalarField:
     d2 = None
     if u.second_derivative is not None:
         d2 = lambda x: u.second_derivative(x - t)  # noqa: E731
-    region = None
-    if u.smooth_region is not None:
-        region = (u.smooth_region[0] + t, u.smooth_region[1] + t)
     return ScalarField(
         evaluate=lambda x: u.evaluate(np.asarray(x, dtype=float) - t),
         second_derivative=d2,
-        smooth_region=region,
         kinks=tuple(k + t for k in u.kinks),
         tail=TailExpansion(u.tail.cutoff + abs(t), u.tail.plus_terms, u.tail.minus_terms),
         name=f"{u.name}(x-{t})",
@@ -274,6 +235,25 @@ def linear_combination(coeffs, fields) -> ScalarField:
     )
 
 
+def pointwise(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """Array evaluator that applies the scalar ``fn`` point by point and
+    computes each distinct point once: loads built from pointwise operator
+    images are sampled at the same quadrature nodes by every solve."""
+    cache: dict = {}
+
+    def ev(x):
+        arr = np.asarray(x, dtype=float)
+        out = np.empty(arr.size)
+        for i, t in enumerate(arr.ravel()):
+            t = float(t)
+            if t not in cache:
+                cache[t] = fn(t)
+            out[i] = cache[t]
+        return out.reshape(arr.shape)
+
+    return ev
+
+
 def _bump_profile(t):
     """exp(-1/(1-t^2)) on |t|<1, zero outside; smooth on all of R."""
     t = np.asarray(t, dtype=float)
@@ -309,7 +289,6 @@ def mollifier_bump(center: float, radius: float, height: float = 1.0) -> ScalarF
     return ScalarField(
         evaluate=ev,
         second_derivative=d2,
-        smooth_region=(-math.inf, math.inf),
         kinks=(center - radius, center + radius),
         tail=TailExpansion(abs(center) + radius),
         name=f"bump(c={center},r={radius})",
@@ -362,7 +341,6 @@ def plateau(lo_inner, lo_outer, hi_inner, hi_outer, depth: float = 1.0) -> Scala
     return ScalarField(
         evaluate=ev,
         second_derivative=d2,
-        smooth_region=(-math.inf, math.inf),
         kinks=(),
         tail=TailExpansion(max(abs(lo_inner), abs(hi_outer))),
         name=f"plateau[{lo_inner},{lo_outer},{hi_inner},{hi_outer}]",

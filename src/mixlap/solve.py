@@ -22,10 +22,9 @@ from numpy.polynomial.legendre import leggauss
 
 from .assembly import GridFunction, StiffnessSystem, load_vector
 from .errors import DomainError, NumericalError
-from .fields import ScalarField
+from .fields import ScalarField, pointwise
 from .kernel import QuadratureSpec, mixed_apply, tail_integral
 
-RESIDUAL_RTOL = 1e-10
 MAX_ITERATIONS = 500
 _EPS = np.finfo(float).eps
 _NORM_GAUSS_X, _NORM_GAUSS_W = leggauss(8)
@@ -116,8 +115,11 @@ def _pcg(sys: StiffnessSystem, b: np.ndarray):
         q = sys.apply(p)
         pq = float(p @ q)
         if not pq > 0.0:
-            raise NumericalError("the system matrix is not positive definite",
-                                 eigenvalue_estimate=pq / float(p @ p))
+            pp = float(p @ p)
+            raise NumericalError(
+                "PCG breakdown: p^T A p is not positive (the matrix is not "
+                "positive definite, or the data underflow)",
+                eigenvalue_estimate=pq / pp if pp > 0.0 else None)
         alpha = rz / pq
         u = u + alpha * p
         r = r - alpha * q
@@ -166,21 +168,8 @@ def lift_nonhomogeneous(sys: StiffnessSystem, f: ScalarField, g: ScalarField,
     if not math.isfinite(tail_integral(g, sys.params)):
         raise DomainError("exterior datum fails the membership integral")
     mesh = sys.mesh
-
-    lg_cache: dict = {}
-
-    def lg(x: float) -> float:
-        if x not in lg_cache:
-            lg_cache[x] = mixed_apply(g, x, sys.params, quad)
-        return lg_cache[x]
-
-    def rhs(x):
-        arr = np.asarray(x, dtype=float)
-        flat = arr.ravel()
-        out = f.evaluate(flat) - np.array([lg(float(t)) for t in flat])
-        return out.reshape(arr.shape)
-
-    rhs_field = ScalarField(evaluate=rhs, name="f - L g")
+    lg = pointwise(lambda t: mixed_apply(g, t, sys.params, quad))
+    rhs_field = ScalarField(evaluate=lambda x: f.evaluate(x) - lg(x), name="f - L g")
     report = solve_dirichlet(sys, rhs_field)
     u_vals = report.solution.coeffs + g.evaluate(mesh.nodes)
     return replace(

@@ -15,16 +15,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import assembly, solve
+from . import assembly
 from .assembly import build_mesh, build_system, load_vector
+from .barrier import radial_cutoff
 from .errors import DomainError, ResolutionError
-from .fields import (RadialField, ScalarField, TailExpansion, scaled,
-                     smoothstep, _smoothstep_d1, _smoothstep_d2)
+from .fields import (RadialField, ScalarField, TailExpansion, constant,
+                     parabola_cap, plateau, pointwise, scaled)
 from .kernel import (LocalSign, OperatorParams, QuadratureSpec, frac_apply,
                      mixed_apply)
 from .solve import SolveReport, lp_norm, solve_dirichlet
 
 MP_TOL = 1e-8
+RESIDUAL_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,17 +78,17 @@ def check_weak_mp(report: SolveReport, exterior_min: float = 0.0) -> Verificatio
 
 
 def check_strong_mp_contact(u, params: OperatorParams, quad: QuadratureSpec,
-                            x0: float, omega=(-1.0, 1.0),
-                            sample_halfwidth: float = 8.0) -> VerificationReport:
+                            x0: float, omega=(-1.0, 1.0)) -> VerificationReport:
     """Interior contact point of a supersolution forces global vanishing.
 
     Exact contact points do not arise in floating point, so the check is
     guarded: with no contact it passes in contrapositive form; with contact
-    but unverifiable operator sign it reports inconclusive.
+    but unverifiable operator sign it reports inconclusive.  Nonnegativity
+    is sampled on [-8, 8].
     """
     a, b = omega
     digest = _digest(x0=x0, omega=omega, s=params.s)
-    xs = np.linspace(-sample_halfwidth, sample_halfwidth, 801)
+    xs = np.linspace(-8.0, 8.0, 801)
     uvals = u.evaluate(xs)
     maxu = float(np.max(np.abs(uvals)))
     if float(np.min(uvals)) < -1e-10 * (1.0 + maxu):
@@ -217,14 +219,7 @@ def check_boundary_lipschitz(reports: Sequence[SolveReport],
 # ---------------------------------------------------------------------------
 
 
-def _parabola_cap_scaled(eps: float) -> ScalarField:
-    from .fields import parabola_cap
-
-    return scaled(parabola_cap(), eps)
-
-
-def counterexample_ces(s: float, quad: QuadratureSpec,
-                       n_positive: int = 127) -> VerificationReport:
+def counterexample_ces(s: float, quad: QuadratureSpec) -> VerificationReport:
     """Zero exterior data, sign-reversed local part, s below 1/2.
 
     Scales the capped parabola until its wrong-sign image is strictly
@@ -242,28 +237,17 @@ def counterexample_ces(s: float, quad: QuadratureSpec,
         eps0 *= 0.5
         if eps0 < 2.0**-40:
             raise ResolutionError("no admissible scaling found")
-    f_eps = _parabola_cap_scaled(eps0)
+    f_eps = scaled(parabola_cap(), eps0)
     grid = np.linspace(-eps0, eps0, 101)[1:-1]
     fvals = f_eps.evaluate(grid)
     lvals = np.array([mixed_apply(f_eps, float(x), params_plus, quad) for x in grid])
     violation = min(float(np.min(lvals)), float(np.min(-fvals)))
 
     # positive side: same positive data under the true-sign operator
-    mesh = build_mesh(-eps0, eps0, n_positive)
+    mesh = build_mesh(-eps0, eps0, 127)
     params_minus = OperatorParams(1, s, LocalSign.MINUS)
     sys_ = build_system(mesh, params_minus)
-    cache: dict = {}
-
-    def pos_load(x):
-        arr = np.asarray(x, dtype=float)
-        out = np.empty(arr.size)
-        for i, t in enumerate(arr.ravel()):
-            t = float(t)
-            if t not in cache:
-                cache[t] = max(mixed_apply(f_eps, t, params_plus, quad), 0.0)
-            out[i] = cache[t]
-        return out.reshape(arr.shape)
-
+    pos_load = pointwise(lambda t: max(mixed_apply(f_eps, t, params_plus, quad), 0.0))
     rep = solve_dirichlet(sys_, ScalarField(evaluate=pos_load, name="wrong-sign image"))
     mp = check_weak_mp(rep)
     passed = violation > 0.0 and mp.passed
@@ -278,15 +262,8 @@ def counterexample_ces(s: float, quad: QuadratureSpec,
 
 def _radial_counterexample_profile(n_dim: int):
     """(|x|^2 - 1) times a C^2 plateau equal to 1 on B(0,1), 0 outside B(0,2)."""
-
-    def phi(r):
-        return 1.0 - smoothstep(np.asarray(r, dtype=float) - 1.0)
-
-    def phi_d1(r):
-        return -float(_smoothstep_d1(r - 1.0))
-
-    def phi_d2(r):
-        return -float(_smoothstep_d2(r - 1.0))
+    cutoff = radial_cutoff(1.0)
+    phi, phi_d1, phi_d2 = cutoff.profile, cutoff.d_profile, cutoff.dd_profile
 
     def prof(r):
         r = np.asarray(r, dtype=float)
@@ -317,8 +294,7 @@ def _radial_counterexample_profile(n_dim: int):
     )
 
 
-def counterexample_general(s: float, n_dim: int, quad: QuadratureSpec,
-                           n_positive: int = 127) -> VerificationReport:
+def counterexample_general(s: float, n_dim: int, quad: QuadratureSpec) -> VerificationReport:
     """Nonnegative exterior data, wrong-sign local part, any s in (0, 1)."""
     if n_dim not in (1, 2, 3):
         raise DomainError("dimensions 1, 2 and 3 only")
@@ -369,7 +345,7 @@ def counterexample_general(s: float, n_dim: int, quad: QuadratureSpec,
     # positive side: the true-sign operator with the same positive data obeys
     # the weak principle (the discrete solver is one-dimensional)
     if n_dim == 1:
-        mesh = build_mesh(-eps0, eps0, n_positive)
+        mesh = build_mesh(-eps0, eps0, 127)
         sys_ = build_system(mesh, OperatorParams(1, s, LocalSign.MINUS))
         pos = np.maximum(np.interp(mesh.nodes, test_pts, lvals), 0.0)
         mp_rep = check_weak_mp(
@@ -392,30 +368,12 @@ def counterexample_general(s: float, n_dim: int, quad: QuadratureSpec,
 
 def _ring_well(r: float) -> ScalarField:
     """Even C^2 field: -1 on r+2 <= |x| <= r+3, 0 inside |x| <= r+1 and
-    outside |x| >= r+4, values in [-1, 0]."""
-
-    def g(t):
-        t = np.asarray(t, dtype=float)
-        up = smoothstep(t - (r + 1.0))
-        down = 1.0 - smoothstep(t - (r + 3.0))
-        return up * down
-
-    def g_d1(t):
-        return (float(_smoothstep_d1(t - (r + 1.0))) * (1.0 - float(smoothstep(t - (r + 3.0))))
-                - float(smoothstep(t - (r + 1.0))) * float(_smoothstep_d1(t - (r + 3.0))))
-
-    def g_d2(t):
-        return (float(_smoothstep_d2(t - (r + 1.0))) * (1.0 - float(smoothstep(t - (r + 3.0))))
-                - 2.0 * float(_smoothstep_d1(t - (r + 1.0))) * float(_smoothstep_d1(t - (r + 3.0)))
-                - float(smoothstep(t - (r + 1.0))) * float(_smoothstep_d2(t - (r + 3.0))))
-
-    def ev(x):
-        return -g(np.abs(np.asarray(x, dtype=float)))
-
+    outside |x| >= r+4, values in [-1, 0]: the even extension of a plateau."""
     kink_radii = (r + 1.0, r + 2.0, r + 3.0, r + 4.0)
+    well = plateau(*kink_radii, depth=-1.0)
     return ScalarField(
-        evaluate=ev,
-        second_derivative=lambda x: -g_d2(abs(x)),
+        evaluate=lambda x: well.evaluate(np.abs(np.asarray(x, dtype=float))),
+        second_derivative=lambda x: well.second_derivative(abs(x)),
         kinks=tuple(-k for k in kink_radii[::-1]) + kink_radii,
         tail=TailExpansion(r + 4.0),
         name=f"ring well(r={r})",
@@ -438,18 +396,7 @@ def counterexample_boundary_only(r: float, s: float, n: int,
     mesh = build_mesh(-1.0, 1.0, n)
     sys_ = build_system(mesh, params)
 
-    cache: dict = {}
-
-    def neg_image(x):
-        arr = np.asarray(x, dtype=float)
-        out = np.empty(arr.size)
-        for i, t in enumerate(arr.ravel()):
-            t = float(t)
-            if t not in cache:
-                cache[t] = -mixed_apply(phi, t, params, quad)
-            out[i] = cache[t]
-        return out.reshape(arr.shape)
-
+    neg_image = pointwise(lambda t: -mixed_apply(phi, t, params, quad))
     f = ScalarField(evaluate=neg_image, name="transferred ring load")
     b = load_vector(f, mesh)
     rep = solve_dirichlet(sys_, f)
@@ -478,7 +425,7 @@ def counterexample_boundary_only(r: float, s: float, n: int,
         and v_boundary > 0.0
         and v_min_inside < 0.0
         and float(np.min(v_annulus)) > 0.0
-        and residual <= 10.0 * solve.RESIDUAL_RTOL * res_scale
+        and residual <= 10.0 * RESIDUAL_RTOL * res_scale
         and mp_rep.passed
     )
     return VerificationReport(
@@ -566,7 +513,7 @@ def _random_nonneg_load(mesh, rng) -> ScalarField:
 
 
 def run_suite(s: float, n: int, seed: int, quad: QuadratureSpec,
-              domain=(-1.0, 1.0), loads: int = 5) -> list:
+              domain=(-1.0, 1.0)) -> list:
     """A deterministic battery of checks at one fractional order.
 
     Returns the list of reports; the caller decides how to render them.
@@ -578,15 +525,14 @@ def run_suite(s: float, n: int, seed: int, quad: QuadratureSpec,
 
     mesh = build_mesh(a, b, n)
     sys_ = build_system(mesh, params)
-    for _ in range(loads):
+    for _ in range(5):
         f = _random_nonneg_load(mesh, rng)
         out.append(check_weak_mp(solve_dirichlet(sys_, f)))
 
-    one = None
     family = []
     for nn in (63, 127, 255):
         m = build_mesh(a, b, nn)
-        family.append(solve_dirichlet(build_system(m, params), _constant_one()))
+        family.append(solve_dirichlet(build_system(m, params), constant(1.0)))
     one = family[-1]
     out.append(check_linf_bound(family, p=2.0))
     out.append(check_boundary_lipschitz(family, band=(b - a) / 20.0))
@@ -611,12 +557,6 @@ def run_suite(s: float, n: int, seed: int, quad: QuadratureSpec,
         out.append(counterexample_general(s, 1, quad))
     out.append(counterexample_boundary_only(2.0, s, 255, quad))
     return out
-
-
-def _constant_one() -> ScalarField:
-    from .fields import constant
-
-    return constant(1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Independent reference computations used only by the test suite.
 
 These deliberately avoid the library's own quadrature machinery: the
-normalization constants come from direct high-precision quadrature of the
-defining integrals (and the classical closed form), the power-function
+normalization constants come from high-precision quadrature of the defining
+integrals, with the oscillatory tail in closed form through the incomplete
+gamma function in 1D and on a contour turned into the upper half-plane in
+2D (and the classical closed form), the power-function
 kernel constants from a brute-force regularized integral with Richardson
 extrapolation, and the stiffness entries from iterated adaptive quadrature
 of the double integral, folded onto the triangle y < x by the symmetry of
@@ -26,23 +28,32 @@ def closed_form_constant(n_dim: int, s: float) -> float:
 
 
 def norm_const_oracle_1d(s: float, dps: int = 40) -> float:
-    """c_{1,s} by direct high-order quadrature of the defining integral."""
+    """c_{1,s} by high-order quadrature of the defining integral on [0, 1].
+
+    The tail int_1^inf cos(t) t^{a-1} dt, a = -2s, is Re of
+    int_1^inf e^{it} t^{a-1} dt = e^{i pi a/2} Gamma(a, -i).
+    """
     with mp.workdps(dps):
         s_ = mp.mpf(s)
         body = mp.quad(lambda t: (1 - mp.cos(t)) / t ** (1 + 2 * s_), [0, 1])
-        osc = mp.quadosc(lambda t: mp.cos(t) * t ** (-1 - 2 * s_), [1, mp.inf],
-                         period=2 * mp.pi)
+        osc = mp.re(mp.expjpi(-s_) * mp.gammainc(-2 * s_, -1j))
         integral = 2 * (body + 1 / (2 * s_) - osc)
         return float(1 / integral)
 
 
 def norm_const_oracle_2d(s: float, dps: int = 30) -> float:
-    """c_{2,s} through the polar reduction to a Bessel-transform integral."""
+    """c_{2,s} through the polar reduction to a Bessel-transform integral.
+
+    The oscillatory tail int_1^inf J_0(r) r^{-1-2s} dr is Re of the same
+    integral of H_0^(1), which decays like e^{-Im z} in the upper half-plane;
+    the contour is turned onto the vertical ray z = 1 + i t.
+    """
     with mp.workdps(dps):
         s_ = mp.mpf(s)
         body = mp.quad(lambda r: (1 - mp.besselj(0, r)) / r ** (1 + 2 * s_), [0, 1])
-        osc = mp.quadosc(lambda r: mp.besselj(0, r) * r ** (-1 - 2 * s_),
-                         [1, mp.inf], zeros=lambda n: mp.besseljzero(0, n))
+        osc = mp.re(1j * mp.quad(
+            lambda t: mp.hankel1(0, 1 + 1j * t) * (1 + 1j * t) ** (-1 - 2 * s_),
+            [0, mp.inf]))
         integral = 2 * mp.pi * (body + 1 / (2 * s_) - osc)
         return float(1 / integral)
 

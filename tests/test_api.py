@@ -1,0 +1,28 @@
+import types
+
+import mixlap
+
+# the public surface of the package; a name added or removed shows up here as
+# a reviewed diff (w_alpha is gone: use fields.truncated_power(alpha, L))
+PUBLIC_NAMES = {
+    "AccuracyError", "BarrierParams", "ConfigError", "ConstructionError",
+    "DomainError", "ExponentLadder", "GridFunction", "InputError",
+    "LocalSign", "Mesh", "MixlapError", "NumericalError", "OperatorParams",
+    "QuadratureSpec", "RadialField", "ResolutionError", "ScalarField",
+    "SolveReport", "StiffnessSystem", "TailDivergenceError", "TailExpansion",
+    "VerificationReport", "beta", "bilinear_eval", "build_barrier",
+    "build_ladder", "build_mesh", "build_system", "check_boundary_lipschitz",
+    "check_linf_bound", "check_strong_mp_contact", "check_weak_mp",
+    "coefficients", "counterexample_boundary_only", "counterexample_ces",
+    "counterexample_general", "frac_apply", "gamma", "grid_interpolant",
+    "kappa", "lift_nonhomogeneous", "load_vector", "local_stiffness",
+    "mixed_apply", "nonlocal_stiffness", "normalization_constant",
+    "radial_cutoff", "residual_check", "run_suite", "sobolev_index",
+    "solve_dirichlet", "tail_integral", "tail_kappa", "theta",
+}
+
+
+def test_public_names_snapshot():
+    names = {n for n, v in vars(mixlap).items()
+             if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert names == PUBLIC_NAMES

@@ -238,6 +238,15 @@ def test_equal_meshes_compare_and_hash_equal():
     assert a != "mesh"
 
 
+def test_grid_functions_and_systems_compare_and_hash_by_identity():
+    mesh = build_mesh(-1.0, 1.0, 7)
+    u, v = GridFunction(mesh, np.ones(7)), GridFunction(mesh, np.ones(7))
+    a, b = build_system(mesh, OperatorParams(1, 0.5)), build_system(mesh, OperatorParams(1, 0.5))
+    for x, y in ((u, v), (a, b)):
+        assert (x == y) is False and (x == x) is True
+        assert len({x, y}) == 2
+
+
 def test_bilinear_accepts_an_equal_mesh_built_separately():
     sys_ = build_system(build_mesh(-1.0, 1.0, 15), OperatorParams(1, 0.5))
     rng = np.random.default_rng(5)

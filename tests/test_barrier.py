@@ -6,11 +6,10 @@ import pytest
 from mixlap import fields
 from mixlap.barrier import (beta, beta_field, beta_sharp_field,
                             build_barrier, build_ladder, coefficients, gamma,
-                            gamma_field, kappa, radial_cutoff, tail_kappa,
-                            theta, w_alpha)
+                            gamma_field, kappa, radial_cutoff, theta)
 from mixlap.errors import DomainError
 from mixlap.kernel import (OperatorParams, frac_apply, mixed_apply,
-                           tail_integral)
+                           tail_integral, tail_kappa)
 
 # brute-force Richardson oracle output, frozen from tests/oracles.py
 _KAPPA_12_09_ORACLE = -0.42253461123528113
@@ -116,11 +115,11 @@ def test_coefficients_all_positive_s09(quad):
 
 
 def test_w_alpha_values():
-    assert w_alpha(-1.0, 1.5, 1.0) == 0.0
-    assert w_alpha(3.0, 1.5, 1.0) == 2.0**1.5
-    assert w_alpha(1.0, 1.5, 1.0) == 1.0
+    assert fields.truncated_power(1.5, 1.0)(-1.0) == 0.0
+    assert fields.truncated_power(1.5, 1.0)(3.0) == 2.0**1.5
+    assert fields.truncated_power(1.5, 1.0)(1.0) == 1.0
     L = 0.7
-    assert w_alpha(3.0 * L, 2.2, L) == (2.0 * L) ** 2.2
+    assert fields.truncated_power(2.2, L)(3.0 * L) == (2.0 * L) ** 2.2
 
 
 # ---------------------------------------------------------------------------

@@ -113,3 +113,28 @@ def test_env_var_sets_default_output_dir(tmp_path, monkeypatch):
     code = main(["solve", "--s", "0.5", "--n", "15", "--f", "constant:1"])
     assert code == 0
     assert (target / "solution.csv").exists()
+
+
+def test_cli_reports_invalid_config_json(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"s": 0.5,')
+    assert main(["solve", "--config", str(bad), "--output-dir", str(tmp_path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_cli_reports_missing_config_file(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["solve", "--config", str(missing), "--output-dir", str(tmp_path)]) == 2
+    assert "missing.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x,u\n-0.5,1.0\n0.5,abc\n", "not numeric"),
+    ("x\n-0.5\n0.5\n", "x,u samples"),
+    ("x,u\n", "x,u samples"),
+])
+def test_cli_reports_malformed_csv_load(tmp_path, capsys, text, message):
+    sample = tmp_path / "bad.csv"
+    sample.write_text(text)
+    assert main(["solve", "--f", f"csv:{sample}", "--output-dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err

@@ -43,6 +43,22 @@ def test_constant_vs_direct_quadrature_oracles():
         oracles.norm_const_oracle_2d(0.5), rel=1e-8)
 
 
+# frozen outputs of the same oracles with each tail summed by mpmath.quadosc
+# instead: period 2 pi at 40 digits in 1D, exact zeros of J_0 at 30 in 2D
+_QUADOSC_CONSTANTS = {
+    0.25: (0.19947114020071635, 0.08324198387542507),
+    0.5: (0.3183098861837907, 0.15915494309189535),
+    0.75: (0.2992067103013464, 0.17116712975476406),
+}
+
+
+@pytest.mark.parametrize("s", sorted(_QUADOSC_CONSTANTS))
+def test_oracle_tails_match_quadosc(s):
+    c1, c2 = _QUADOSC_CONSTANTS[s]
+    assert oracles.norm_const_oracle_1d(s) == pytest.approx(c1, rel=1e-13, abs=0.0)
+    assert oracles.norm_const_oracle_2d(s) == pytest.approx(c2, rel=1e-13, abs=0.0)
+
+
 def test_constant_domain_errors():
     for bad_s in (0.0, 1.0, 1.2, -0.3):
         with pytest.raises(DomainError):

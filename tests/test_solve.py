@@ -142,6 +142,14 @@ def test_backward_error_gate_rejects_a_corrupted_solution(monkeypatch, sys_05_25
         solve_dirichlet(sys_05_255, f)
 
 
+def test_underflowing_data_raise_numerical_error():
+    # on (0, 1e-300) the preconditioned residual underflows to zero
+    sys_ = build_system(build_mesh(0.0, 1e-300, 3), OperatorParams(1, 0.5))
+    with pytest.raises(NumericalError, match="breakdown") as info:
+        solve_dirichlet(sys_, fields.constant(1.0))
+    assert info.value.eigenvalue_estimate is None
+
+
 def test_backward_error_stays_out_of_the_report_dict(sys_05_255):
     rep = solve_dirichlet(sys_05_255, fields.constant(1.0))
     doc = rep.to_dict()
