@@ -61,6 +61,13 @@ class Mesh:
         """The n+2 element boundaries a = x_0 < ... < x_{n+1} = b."""
         return np.linspace(self.a, self.b, self.n + 2)
 
+    def gauss_points(self):
+        """Nodes, shape (n+1, 6), and weights of 6-point Gauss on each element."""
+        edges = self.element_edges()
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * self.h
+        return mid[:, None] + half * _LOAD_GAUSS_X[None, :], half * _LOAD_GAUSS_W
+
 
 def build_mesh(a: float, b: float, n: int) -> Mesh:
     if not (a < b):
@@ -187,10 +194,7 @@ def local_stiffness(mesh: Mesh) -> np.ndarray:
 def load_vector(f: ScalarField, mesh: Mesh) -> np.ndarray:
     """Components int f phi_i, by 6-point Gauss on each element."""
     edges = mesh.element_edges()
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * mesh.h
-    pts = mid[:, None] + half * _LOAD_GAUSS_X[None, :]
-    w = half * _LOAD_GAUSS_W[None, :]
+    pts, w = mesh.gauss_points()
     vals = f.evaluate(pts.ravel()).reshape(pts.shape)
     if not np.all(np.isfinite(vals)):
         raise InputError("load function produced non-finite samples")
@@ -264,12 +268,17 @@ def bilinear_eval(u: GridFunction, v: GridFunction, sys: StiffnessSystem) -> flo
     return float(u.coeffs @ sys.apply(v.coeffs))
 
 
-def export_matrix(path, mat: np.ndarray, comment: str = "") -> None:
-    """Plain-text triplet dump: header line, then `i j value` rows (1-based)."""
-    mat = np.asarray(mat)
+def export_matrix(path, row: np.ndarray, comment: str = "") -> None:
+    """Plain-text triplet dump of the symmetric Toeplitz matrix with first row
+    ``row``: header line, then `i j value` rows (1-based) for all n^2 entries,
+    each of the n values formatted once and written one matrix row at a time."""
+    vals = [f" {v:.17g}\n" for v in np.asarray(row, dtype=float)]
+    n = len(vals)
+    cols = [f" {j + 1}" for j in range(n)]
     with open(path, "w") as fh:
         fh.write(f"%%matrix coordinate real general  {comment}\n")
-        fh.write(f"{mat.shape[0]} {mat.shape[1]} {mat.size}\n")
-        for i in range(mat.shape[0]):
-            for j in range(mat.shape[1]):
-                fh.write(f"{i + 1} {j + 1} {mat[i, j]:.17g}\n")
+        fh.write(f"{n} {n} {n * n}\n")
+        for i in range(n):
+            label = f"{i + 1}"
+            offsets = vals[i:0:-1] + vals[: n - i]  # |i - j| for j = 0..n-1
+            fh.write(label + label.join(map(str.__add__, cols, offsets)))

@@ -186,10 +186,11 @@ class _Corrector:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        t = (x - self.d) / self.d
-        fade = 1.0 - smoothstep(t)
-        return np.where(x <= self.d, self.w_tilde(x),
-                        np.where(x >= 2.0 * self.d, 0.0, self.w_tilde(x) * fade))
+        out = np.zeros_like(x)
+        live = ~((x <= 0.0) | (x >= 2.0 * self.d))  # W vanishes off (0, 2d)
+        xl = x[live]  # the fade below is exactly 1 on (0, d]
+        out[live] = self.w_tilde(xl) * (1.0 - smoothstep((xl - self.d) / self.d))
+        return out
 
     def d2(self, x: float) -> float:
         if x <= 0.0 or x >= 2.0 * self.d:
@@ -228,11 +229,12 @@ def beta_sharp_field(p: BarrierParams) -> ScalarField:
 
     def ev(x):
         x = np.asarray(x, dtype=float)
-        xp = np.maximum(x, 0.0)
-        out = np.zeros_like(xp)
-        for coef, a in mono:
-            out = out + coef * xp**a
-        return out + c_top * np.where(x >= 2.0, cap, xp**a_top)
+        out = np.zeros_like(x)
+        live = ~(x <= 0.0)  # the field vanishes on x <= 0
+        xp = x[live]
+        out[live] = (sum((coef * xp**a for coef, a in mono), np.zeros_like(xp))
+                     + c_top * np.where(xp >= 2.0, cap, xp**a_top))
+        return out
 
     def d2(x):
         if x <= 0.0:

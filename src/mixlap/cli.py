@@ -48,6 +48,14 @@ def _require(cond: bool, key: str, msg: str):
         raise ConfigError(f"{key}: {msg}")
 
 
+def _typed(doc, key, kind, name: str = ""):
+    """kind(doc[key]), or a ConfigError on ``name`` (default: the key)."""
+    try:
+        return kind(doc[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name or key}: {doc[key]!r} is not a {kind.__name__}") from exc
+
+
 def _json_object(text: str) -> dict:
     try:
         doc = json.loads(text)
@@ -72,18 +80,18 @@ def _validated(doc: dict) -> RunConfig:
     cfg = RunConfig(command=str(doc["command"]))
     _require(cfg.command in _COMMANDS, "command", f"must be one of {_COMMANDS}")
     if "s" in doc:
-        s = float(doc["s"])
+        s = _typed(doc, "s", float)
         _require(0.0 < s < 1.0, "s", "must lie in (0,1)")
         cfg = replace(cfg, s=s)
     if "domain" in doc:
         dom = doc["domain"]
         _require(isinstance(dom, (list, tuple)) and len(dom) == 2, "domain",
                  "must be a pair [a, b]")
-        a, b = float(dom[0]), float(dom[1])
+        a, b = _typed(dom, 0, float, "domain"), _typed(dom, 1, float, "domain")
         _require(a < b, "domain", "must satisfy a < b")
         cfg = replace(cfg, domain=(a, b))
     if "n" in doc:
-        n = int(doc["n"])
+        n = _typed(doc, "n", int)
         _require(n >= 1, "n", "must be a positive integer")
         cfg = replace(cfg, n=n)
     if "f" in doc:
@@ -95,6 +103,7 @@ def _validated(doc: dict) -> RunConfig:
         _require(isinstance(q, dict), "quad", "must be an object")
         bad = set(q) - {"inner_radius", "outer_radius", "panels", "tolerance"}
         _require(not bad, "quad", f"unknown sub-key {sorted(bad)[:1]}")
+        q = {k: _typed(q, k, int if k == "panels" else float, f"quad.{k}") for k in q}
         try:
             cfg = replace(cfg, quad=QuadratureSpec(**q))
         except MixlapError as exc:
@@ -102,18 +111,20 @@ def _validated(doc: dict) -> RunConfig:
     if "output_dir" in doc:
         cfg = replace(cfg, output_dir=str(doc["output_dir"]))
     if "seed" in doc:
-        cfg = replace(cfg, seed=int(doc["seed"]))
+        seed = _typed(doc, "seed", int)
+        _require(seed >= 0, "seed", "must be a nonnegative integer")
+        cfg = replace(cfg, seed=seed)
     if "variant" in doc:
         v = str(doc["variant"])
         _require(v in ("auto", "ces", "general", "boundary"), "variant",
                  "must be auto|ces|general|boundary")
         cfg = replace(cfg, variant=v)
     if "dimension" in doc:
-        d = int(doc["dimension"])
+        d = _typed(doc, "dimension", int)
         _require(d in (1, 2, 3), "dimension", "must be 1, 2 or 3")
         cfg = replace(cfg, dimension=d)
     if "annulus_radius" in doc:
-        rr = float(doc["annulus_radius"])
+        rr = _typed(doc, "annulus_radius", float)
         _require(rr > 1.0, "annulus_radius", "must exceed 1")
         cfg = replace(cfg, annulus_radius=rr)
     return cfg
@@ -190,7 +201,7 @@ def _run_solve(cfg: RunConfig, outdir: Path) -> int:
     report = solve.solve_dirichlet(sys_, _load_field(cfg.f, cfg.domain))
     solve.export_solution_csv(outdir / "solution.csv", report)
     solve.export_report(outdir / "report.json", report)
-    assembly.export_matrix(outdir / "stiffness.txt", sys_.combined(),
+    assembly.export_matrix(outdir / "stiffness.txt", sys_.row,
                            comment=f"s={cfg.s} n={cfg.n}")
     return 0
 

@@ -295,19 +295,26 @@ def mollifier_bump(center: float, radius: float, height: float = 1.0) -> ScalarF
     )
 
 
+def _clamp01(t):
+    """t clipped to [0, 1]; a Python float skips the array round trip."""
+    if isinstance(t, float):
+        return min(max(t, 0.0), 1.0)
+    return np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+
+
 def smoothstep(t):
     """C^2 quintic ramp: 0 for t<=0, 1 for t>=1, monotone in between."""
-    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    t = _clamp01(t)
     return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 
 def _smoothstep_d1(t):
-    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    t = _clamp01(t)
     return 30.0 * t * t * (1.0 - t) ** 2
 
 
 def _smoothstep_d2(t):
-    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    t = _clamp01(t)
     return 60.0 * t * (1.0 - t) * (1.0 - 2.0 * t)
 
 

@@ -268,9 +268,9 @@ def _tail_power_moment(p: float, shift: float, radius: float, s: float) -> float
     return total
 
 
-def _tail_contribution(u: ScalarField, x: float, radius: float, s: float) -> float:
-    """int_R^inf (u(x+t) + u(x-t) - 2 u(x)) t^(-1-2s) dt, resummed exactly."""
-    ux = float(u(x))
+def _tail_contribution(u: ScalarField, x: float, ux: float, radius: float,
+                       s: float) -> float:
+    """int_R^inf (u(x+t) + u(x-t) - 2 ux) t^(-1-2s) dt, ux = u(x), resummed exactly."""
     plus = sum(
         c * _tail_power_moment(p, x, radius, s) for c, p in u.tail.plus_terms
     )
@@ -333,7 +333,8 @@ def frac_apply_1d(u: ScalarField, x: float, params: "OperatorParams",
         )
 
     r_in = min(quad.inner_radius, 0.5 * r_c2)
-    scale = 1.0 + abs(float(u(x)))
+    ux = float(u(x))
+    scale = 1.0 + abs(ux)
     z0 = _noise_floor(s, quad.tolerance, scale)
     z0 = min(max(z0, 1e-8 * r_in), r_in / 8.0)
 
@@ -351,14 +352,13 @@ def frac_apply_1d(u: ScalarField, x: float, params: "OperatorParams",
                               sharp=not u.tame_kinks)
 
     z, w = _panel_nodes(breaks)
-    ux = float(u(x))
     delta2 = u.evaluate(x + z) + u.evaluate(x - z) - 2.0 * ux
     panel_vals = w * delta2 * z ** (-1.0 - 2.0 * s)
     # one fsum per panel keeps the inner-to-outer summation order explicit
     panel_sums = panel_vals.reshape(-1, _GAUSS_ORDER).sum(axis=1)
     middle = -c * math.fsum(panel_sums)
 
-    tail = -c * _tail_contribution(u, x, r_out, s)
+    tail = -c * _tail_contribution(u, x, ux, r_out, s)
     return math.fsum((core, middle, tail))
 
 

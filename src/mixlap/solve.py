@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .assembly import GridFunction, StiffnessSystem, load_vector
 from .errors import DomainError, NumericalError
@@ -27,17 +26,13 @@ from .kernel import QuadratureSpec, mixed_apply, tail_integral
 
 MAX_ITERATIONS = 500
 _EPS = np.finfo(float).eps
-_NORM_GAUSS_X, _NORM_GAUSS_W = leggauss(8)
 
 
 def lp_norm(f: ScalarField, mesh, p: float) -> float:
-    """||f||_{L^p(a,b)} by per-element Gauss quadrature."""
-    edges = mesh.element_edges()
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * mesh.h
-    pts = (mid[:, None] + half * _NORM_GAUSS_X[None, :]).ravel()
-    vals = np.abs(f.evaluate(pts)) ** p
-    return float(np.sum(vals.reshape(-1, _NORM_GAUSS_W.size) * (half * _NORM_GAUSS_W))) ** (1.0 / p)
+    """||f||_{L^p(a,b)} by load_vector's Gauss rule, so pointwise loads reuse samples."""
+    pts, w = mesh.gauss_points()
+    vals = np.abs(f.evaluate(pts.ravel())) ** p
+    return float(np.sum(vals.reshape(pts.shape) * w)) ** (1.0 / p)
 
 
 @dataclass(frozen=True)

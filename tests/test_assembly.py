@@ -283,12 +283,31 @@ def test_export_matrix_roundtrip(tmp_path):
     mesh = build_mesh(-1.0, 1.0, 3)
     A = nonlocal_stiffness(mesh, OperatorParams(1, 0.5))
     path = tmp_path / "mat.txt"
-    export_matrix(path, A, comment="test")
+    export_matrix(path, A[0], comment="test")
     lines = path.read_text().splitlines()
     assert lines[1].split() == ["3", "3", "9"]
     i, j, v = lines[2].split()
     assert (int(i), int(j)) == (1, 1)
     assert float(v) == pytest.approx(A[0, 0], rel=1e-15)
+
+
+def _entrywise_dump(path, mat, comment):
+    """Reference writer: one formatted write per entry of the dense matrix."""
+    with open(path, "w") as fh:
+        fh.write(f"%%matrix coordinate real general  {comment}\n")
+        fh.write(f"{mat.shape[0]} {mat.shape[1]} {mat.size}\n")
+        for i in range(mat.shape[0]):
+            for j in range(mat.shape[1]):
+                fh.write(f"{i + 1} {j + 1} {mat[i, j]:.17g}\n")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17])
+@pytest.mark.parametrize("s", [0.25, 0.5])
+def test_export_matrix_matches_entrywise_writer(tmp_path, n, s):
+    sys_ = build_system(build_mesh(-1.0, 1.0, n), OperatorParams(1, s))
+    export_matrix(tmp_path / "row.txt", sys_.row, comment=f"s={s} n={n}")
+    _entrywise_dump(tmp_path / "ref.txt", sys_.combined(), f"s={s} n={n}")
+    assert (tmp_path / "row.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
 
 
 def test_grid_interpolant_zero_extension():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mixlap import fields
-from mixlap.barrier import (beta, beta_field, beta_sharp_field,
+from mixlap.barrier import (_beta_star, _corrector_for, _log_potential,
+                            beta, beta_field, beta_sharp_field,
                             build_barrier, build_ladder, coefficients, gamma,
                             gamma_field, kappa, radial_cutoff, theta)
 from mixlap.errors import DomainError
@@ -122,6 +123,16 @@ def test_w_alpha_values():
     assert fields.truncated_power(2.2, L)(3.0 * L) == (2.0 * L) ** 2.2
 
 
+@pytest.mark.parametrize("ramp", [fields.smoothstep, fields._smoothstep_d1,
+                                  fields._smoothstep_d2])
+def test_smoothstep_scalar_path_matches_array_path(ramp):
+    ts = [-1.0, 0.0, 0.3, 0.5, 1.0, 2.0]
+    scalar = np.array([ramp(t) for t in ts])
+    assert all(type(ramp(t)) is float for t in ts)
+    assert scalar.tobytes() == ramp(np.array(ts)).tobytes()
+    assert math.isnan(ramp(math.nan)) and np.isnan(ramp(np.array([math.nan])))[0]
+
+
 # ---------------------------------------------------------------------------
 # built barriers
 # ---------------------------------------------------------------------------
@@ -135,6 +146,11 @@ def p075(quad):
 @pytest.fixture(scope="module")
 def p03(quad):
     return build_barrier(0.3, quad)
+
+
+@pytest.fixture(scope="module")
+def p09(quad):
+    return build_barrier(0.9, quad)
 
 
 def test_barrier_type_invariants(p075):
@@ -220,6 +236,60 @@ def test_barrier_membership_integrals(p075):
     params = OperatorParams(1, 0.75)
     assert math.isfinite(tail_integral(beta_field(p075), params))
     assert math.isfinite(tail_integral(gamma_field(p075), params))
+
+
+def _whole_array_fields(p):
+    """beta, gamma and W by formulas applied to the whole node array: the
+    reference for the evaluators that compute only on their support."""
+    mono = () if p.ladder.case == "low_s" else tuple(
+        (p.cs[j], p.ladder.alphas[j]) for j in range(p.ladder.J + 1))
+    c_top, a_top = p.cs[-1], p.ladder.alphas[-1]
+    w_mono = tuple((2.0 * p.cs[j] / p.C_sharp, p.ladder.alphas[j])
+                   for j in range(1, len(p.cs)))
+
+    def sharp(x):
+        xp = np.maximum(x, 0.0)
+        out = np.zeros_like(xp)
+        for coef, a in mono:
+            out = out + coef * xp**a
+        return out + c_top * np.where(x >= 2.0, 2.0**a_top, xp**a_top)
+
+    def w_tilde(x):
+        out = _log_potential(x)
+        xp = np.maximum(x, 0.0)
+        for coef, a in w_mono:
+            out = out + coef * xp**a
+        return out
+
+    def corrector(x):
+        t = np.clip((x - p.d) / p.d, 0.0, 1.0)
+        fade = 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+        return np.where(x <= p.d, w_tilde(x),
+                        np.where(x >= 2.0 * p.d, 0.0, w_tilde(x) * fade))
+
+    def beta_ref(x):
+        return sharp(x) - p.C_sharp * corrector(x)
+
+    def gamma_ref(x):
+        return p.M * (beta_ref(x) - _beta_star(x, p))
+
+    return beta_ref, gamma_ref, corrector
+
+
+@pytest.mark.parametrize("which", ["p03", "p09"])
+def test_support_evaluators_match_whole_array_formulas(which, request):
+    p = request.getfixturevalue(which)
+    d = p.d
+    x = np.concatenate((
+        [-3.0, -1.0, -1e-300, 0.0, 1e-300, d, 2.0 * d, 2.0, 2.5, 70.0, p.ell],
+        np.geomspace(p.ell * 1e-3, 3.0 * d, 41), np.linspace(-2.0 * d, 4.0, 37)))
+    beta_ref, gamma_ref, corrector = _whole_array_fields(p)
+    pairs = ((beta_field(p), beta_ref), (gamma_field(p), gamma_ref),
+             (_corrector_for(p), corrector))
+    for new, ref in pairs:
+        want = ref(x)
+        assert new(x).tobytes() == want.tobytes()
+        assert np.array([new(float(t)) for t in x]).tobytes() == want.tobytes()
 
 
 def test_build_barrier_rejects_bad_order(quad):

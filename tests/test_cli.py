@@ -138,3 +138,21 @@ def test_cli_reports_malformed_csv_load(tmp_path, capsys, text, message):
     sample.write_text(text)
     assert main(["solve", "--f", f"csv:{sample}", "--output-dir", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"s": "abc"}, "s"),
+    ({"n": "x"}, "n"),
+    ({"seed": [3]}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"dimension": None}, "dimension"),
+    ({"annulus_radius": "wide"}, "annulus_radius"),
+    ({"domain": ["a", 1]}, "domain"),
+    ({"quad": {"panels": "x"}}, "quad.panels"),
+    ({"quad": {"tolerance": [1e-8]}}, "quad.tolerance"),
+])
+def test_cli_reports_wrongly_typed_config_value(tmp_path, capsys, doc, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+    assert f"error: {key}:" in capsys.readouterr().err

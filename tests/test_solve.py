@@ -163,6 +163,22 @@ def test_backward_error_stays_out_of_the_report_dict(sys_05_255):
 # ---------------------------------------------------------------------------
 
 
+def test_pointwise_load_is_sampled_once_per_gauss_point():
+    calls = []
+
+    def load(t):
+        calls.append(t)
+        return 1.0 + t * t
+
+    n = 31
+    sys_ = build_system(build_mesh(-1.0, 1.0, n), OperatorParams(1, 0.5))
+    f = fields.ScalarField(evaluate=fields.pointwise(load), name="pointwise")
+    rep = solve_dirichlet(sys_, f)
+    assert len(calls) == 6 * (n + 1)
+    assert rep.l2_f_norm == solve.lp_norm(f, sys_.mesh, 2.0)
+    assert len(calls) == 6 * (n + 1)
+
+
 def test_lift_with_zero_datum_matches_plain_solve(quad):
     sys_ = build_system(build_mesh(-1.0, 1.0, 63), OperatorParams(1, 0.5))
     plain = solve_dirichlet(sys_, fields.constant(1.0))
