@@ -237,3 +237,32 @@ def spline_moment_oracle(s: float, m: int, dps: int = 30) -> float:
 
         return float(-mp.quad(lambda t: q(t - m) * t ** (-1 - 2 * s_),
                               [m - 2, m - 1, m, m + 1, m + 2]))
+
+
+def ring_image_oracle(r: float, s: float, x: float, dps: int = 30) -> float:
+    """-L phi(x) for the even C^2 ring well phi, |x| < r+1, by mpmath.
+
+    phi is 0 on |y| <= r+1, -S(|y|-r-1) up to r+2, -1 up to r+3 and
+    -S(r+4-|y|) up to r+4, with the quintic smoothstep S(t) = t^3 (10 - 15t
+    + 6t^2); phi and phi'' vanish near x, so -L phi(x) = c_{1,s} int phi(y)
+    |x-y|^{-1-2s} dy.  Quadrature is split at the kinks r+1, ..., r+4 and
+    the constant is the classical closed form, evaluated in mpmath.
+    """
+    with mp.workdps(dps):
+        r_, s_, x_ = mp.mpf(r), mp.mpf(s), mp.mpf(x)
+        c = s_ * 4**s_ * mp.gamma(mp.mpf(1) / 2 + s_) / (mp.sqrt(mp.pi) * mp.gamma(1 - s_))
+
+        def step(t):
+            return t**3 * (10 - 15 * t + 6 * t**2)
+
+        def phi(y):
+            if y < r_ + 2:
+                return -step(y - r_ - 1)
+            if y <= r_ + 3:
+                return mp.mpf(-1)
+            return -step(r_ + 4 - y)
+
+        def integrand(y):
+            return phi(y) * ((y - x_) ** (-1 - 2 * s_) + (y + x_) ** (-1 - 2 * s_))
+
+        return float(c * mp.quad(integrand, [r_ + 1, r_ + 2, r_ + 3, r_ + 4]))

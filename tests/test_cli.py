@@ -91,6 +91,14 @@ def test_counterexample_summary_mentions_scale(tmp_path):
     assert "passed" in text
 
 
+def test_boundary_counterexample_passes_at_n_1023(tmp_path):
+    code = main(["counterexample", "--variant", "boundary", "--n", "1023",
+                 "--output-dir", str(tmp_path)])
+    assert code == 0
+    text = (tmp_path / "counterexample_summary.txt").read_text()
+    assert text.startswith("counterexample_boundary_only: passed")
+
+
 def test_barrier_dump(tmp_path):
     code = main(["barrier", "--s", "0.6", "--output-dir", str(tmp_path)])
     assert code == 0

@@ -12,6 +12,8 @@ from mixlap.verify import (check_boundary_lipschitz, check_linf_bound,
                            counterexample_general, residual_check, run_suite,
                            sobolev_index)
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def sys_05_255():
@@ -186,6 +188,37 @@ def test_boundary_only_value_on_annulus(quad):
 def test_boundary_only_rejects_bad_radius(quad):
     with pytest.raises(DomainError):
         counterexample_boundary_only(0.5, 0.5, 63, quad)
+
+
+@pytest.mark.parametrize("n", [1023, 4095])
+def test_boundary_only_passes_at_large_n_without_the_dense_matrix(quad, monkeypatch, n):
+    def refuse(self):
+        raise AssertionError("the dense matrix was built")
+
+    monkeypatch.setattr(assembly.StiffnessSystem, "combined", refuse)
+    r = counterexample_boundary_only(2.0, 0.5, n, quad)
+    assert r.passed, r.notes
+    assert "backward error=" in r.notes
+
+
+@pytest.mark.parametrize("r", [1.01, 2.0, 5.0])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 0.99])
+def test_ring_load_matches_oracle_and_mixed_apply(quad, s, r):
+    params = OperatorParams(1, s)
+    xs = np.array([-0.999, -0.6, -0.1, 0.0, 0.35, 0.8, 0.999])
+    load = verify._ring_load(r, params).evaluate(xs)
+    ref = np.array([oracles.ring_image_oracle(r, s, float(x)) for x in xs])
+    assert np.all(np.abs(load - ref) <= 1e-14 * np.abs(ref))
+    phi = verify._ring_well(r)
+    adaptive = np.array([-mixed_apply(phi, float(x), params, quad) for x in xs])
+    assert np.all(np.abs(load - adaptive) <= 1e-13 * np.abs(adaptive))
+
+
+def test_ring_load_refuses_points_where_its_identity_fails():
+    load = verify._ring_load(2.0, OperatorParams(1, 0.5))
+    for x in (3.0, -3.0, np.array([0.0, 3.0])):
+        with pytest.raises(DomainError):
+            load.evaluate(x)
 
 
 # ---------------------------------------------------------------------------
