@@ -131,8 +131,11 @@ _EPS = np.finfo(float).eps
 def _fourth_difference_moments(n: int, s: float) -> np.ndarray:
     """G(m) = delta^4 |m|^p / (p (p-1) (p-2) 2s), p = 3 - 2s, for m = 0..n-1.
 
-    m <= 2: delta^4 of (|t|^p - t^2)/(p-2) = t^2 expm1((p-2) log|t|)/(p-2),
-    which holds at s = 1/2 too, as t^2 log|t|.  m >= 3: the series
+    m <= 2: delta^4 of (|t|^p - t^j)/(p-2) = t^j expm1((p-j) log|t|)/(p-2),
+    which holds at s = 1/2 too, as t^2 log|t|.  j = 2 at m = 0 and 1; the
+    stencil of m = 2 has t >= 0, so there j is p rounded into {1, 2, 3},
+    the monomial nearest |t|^p, which keeps the digits as s -> 1.  m >= 3:
+    the series
     (2 sinh(D/2))^4 = sum_{k >= 4 even} (2^{k+1} - 8)/k! D^k with p (p-1) (p-2)
     cancelled; its terms share one sign, and each is added only to the
     offsets that still feel it.
@@ -142,10 +145,15 @@ def _fourth_difference_moments(n: int, s: float) -> np.ndarray:
     t = np.abs(np.arange(-2.0, 5.0))
     log_t = np.log(t, out=np.zeros_like(t), where=t > 0.0)
     e = p - 2.0
-    phi = t * t * (np.expm1(e * log_t) / e if e != 0.0 else log_t)
+
+    def delta4(j: int) -> np.ndarray:
+        phi = t**j * (np.expm1((p - j) * log_t) / e if e != 0.0 else log_t)
+        return np.convolve(phi, [1.0, -4.0, 6.0, -4.0, 1.0], "valid")
+
     head = min(n, 3)
-    delta4 = np.convolve(phi, [1.0, -4.0, 6.0, -4.0, 1.0], "valid")
-    g[:head] = delta4[:head] / (p * (p - 1.0) * 2.0 * s)
+    nearest = min(3, max(1, round(p)))
+    g[:head] = (np.append(delta4(2)[:2], delta4(nearest)[2])[:head]
+                / (p * (p - 1.0) * 2.0 * s))
     m = np.arange(3.0, n)
     power = m ** (p - 4.0)
     inv_sq = 1.0 / (m * m)

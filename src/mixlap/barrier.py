@@ -5,8 +5,9 @@ The lower barrier is produced in stages:
 1. an exponent ladder ``alpha_j = 1 + 2 j (1 - s)`` whose truncated index
    keeps every power below the fractional order ``2s``;
 2. kernel constants ``kappa_j`` (the fractional Laplacian acts on each
-   admissible power as ``kappa_j x^(alpha_j - 2s)`` by homogeneity, with
-   ``kappa_j < 0`` by convexity);
+   admissible power as ``kappa_j x^(alpha_j - 2s)`` by homogeneity), in
+   Dyda's closed form ``Gamma(1+alpha) Gamma(2s-alpha) sin(pi (s-alpha)) / pi``,
+   negative for every ``1 <= alpha < 2s``;
 3. recursion coefficients ``c_j = -kappa_{j-1} c_{j-1} / (alpha_j (alpha_j - 1))``
    that make each monomial's nonlocal output cancel against the Laplacian of
    the next one (telescoping);
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import AccuracyError, ConstructionError, DomainError
 from .fields import RadialField, ScalarField, TailExpansion, smoothstep
-from .fields import _smoothstep_d1, _smoothstep_d2, pure_power, truncated_power
+from .fields import _smoothstep_d1, _smoothstep_d2, truncated_power
 from .kernel import (OperatorParams, QuadratureSpec, frac_apply,
                      mixed_apply)
 
@@ -73,27 +74,18 @@ def build_ladder(s: float) -> ExponentLadder:
     return ladder
 
 
-def kappa(alpha: float, s: float, quad: QuadratureSpec) -> float:
+def kappa(alpha: float, s: float) -> float:
     """Multiplier in (-Delta)^s x_+^alpha = kappa * x^(alpha - 2s), x > 0.
 
-    Requires 1 <= alpha < 2s so the untruncated power is admissible; the
-    value is evaluated at x = 1 and self-checked by homogeneity at x = 1/2
-    and x = 2.
+    Requires 1 <= alpha < 2s so the untruncated power is admissible.  Closed
+    form Gamma(1 + alpha) Gamma(2s - alpha) sin(pi (s - alpha)) / pi (Dyda,
+    Fract. Calc. Appl. Anal. 15, 2012); s - alpha lies in (-1, 0), so
+    kappa < 0.
     """
     if not (1.0 <= alpha < 2.0 * s):
         raise DomainError("kappa needs 1 <= alpha < 2s")
-    params = OperatorParams(1, s)
-    u = pure_power(alpha)
-    k = frac_apply(u, 1.0, params, quad)
-    for x in (0.5, 2.0):
-        v = frac_apply(u, x, params, quad)
-        pred = k * x ** (alpha - 2.0 * s)
-        if abs(v - pred) > 10.0 * quad.tolerance * (1.0 + abs(pred)):
-            raise AccuracyError("homogeneity self-check failed",
-                                achieved=abs(v - pred))
-    if k >= 0.0:
-        raise AccuracyError("kernel constant must be negative for convex powers")
-    return k
+    return (math.gamma(1.0 + alpha) * math.gamma(2.0 * s - alpha)
+            * math.sin(math.pi * (s - alpha)) / math.pi)
 
 
 def coefficients(ladder: ExponentLadder, kappas) -> Tuple[float, ...]:
@@ -347,7 +339,7 @@ def build_barrier(s: float, quad: QuadratureSpec,
     ladder = build_ladder(s)
     params_op = OperatorParams(1, s)
     if ladder.case == "high_s":
-        kappas = tuple(kappa(a, s, quad) for a in ladder.alphas[: ladder.J + 1])
+        kappas = tuple(kappa(a, s) for a in ladder.alphas[: ladder.J + 1])
         cs = coefficients(ladder, kappas)
     else:
         kappas = ()

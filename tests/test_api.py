@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
+
+import pytest
 
 import mixlap
 
@@ -26,3 +32,21 @@ def test_public_names_snapshot():
     names = {n for n, v in vars(mixlap).items()
              if not n.startswith("_") and not isinstance(v, types.ModuleType)}
     assert names == PUBLIC_NAMES
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # the constants are closed forms; importing mixlap and building the
+    # first operator pulls in no quadrature package
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, mixlap; mixlap.OperatorParams(1, 0.25); "
+         "print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_operator_constant_is_derived_not_passed():
+    with pytest.raises(TypeError):
+        mixlap.OperatorParams(1, 0.5, c_ns=1.0)

@@ -141,6 +141,19 @@ def test_row_matches_fourth_difference_oracle_far_out(s):
         assert abs(row[m] - ref) <= 1e-13 * abs(ref), (s, m)
 
 
+@pytest.mark.parametrize("s", [0.05, 0.25, 0.5, 0.75, 0.99])
+def test_row_matches_fourth_difference_oracle_near_diagonal(s):
+    # offsets 0, 1, 2 take a direct fourth difference, whose cancellation
+    # grows as s -> 1 unless the nearest monomial is taken out first
+    mesh = build_mesh(-1.0, 1.0, 5)
+    params = OperatorParams(1, s)
+    row = build_system(mesh, params, include_local=False).nonlocal_row
+    scale = params.c_ns * mesh.h ** (1.0 - 2.0 * s)
+    for m in (0, 1, 2):
+        ref = scale * oracles.row_moment_oracle(s, m)
+        assert abs(row[m] - ref) <= 1e-13 * abs(ref), (s, m)
+
+
 def test_row_oracle_agrees_with_spline_moment_quadrature():
     for s in (0.25, 0.5, 0.75):
         for m in (3, 100):

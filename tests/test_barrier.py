@@ -12,6 +12,8 @@ from mixlap.errors import DomainError
 from mixlap.kernel import (OperatorParams, frac_apply, mixed_apply,
                            tail_integral, tail_kappa)
 
+import oracles
+
 # brute-force Richardson oracle output, frozen from tests/oracles.py
 _KAPPA_12_09_ORACLE = -0.42253461123528113
 
@@ -63,7 +65,7 @@ def test_ladder_high_case_invariants():
 
 
 def test_kappa_negative_and_homogeneous(quad):
-    k = kappa(1.0, 0.75, quad)
+    k = kappa(1.0, 0.75)
     assert k < 0.0
     u = fields.pure_power(1.0)
     p = OperatorParams(1, 0.75)
@@ -71,38 +73,45 @@ def test_kappa_negative_and_homogeneous(quad):
     assert abs(k * 2.0 ** (1.0 - 1.5) - v2) <= 10.0 * quad.tolerance * (1.0 + abs(k))
 
 
-def test_kappa_matches_brute_force_oracle(quad):
-    k = kappa(1.2, 0.9, quad)
+def test_kappa_matches_brute_force_oracle():
+    k = kappa(1.2, 0.9)
     assert k == pytest.approx(_KAPPA_12_09_ORACLE, rel=1e-7)
 
 
-def test_kappa_rejects_inadmissible_exponent(quad):
-    with pytest.raises(DomainError):
-        kappa(1.5, 0.7, quad)  # alpha >= 2s
-    with pytest.raises(DomainError):
-        kappa(0.9, 0.75, quad)  # alpha < 1
+@pytest.mark.parametrize("s, alpha", [(0.6, 1.1), (0.75, 1.0), (0.9, 1.2),
+                                      (0.9, 1.6), (0.55, 1.05), (0.95, 1.85)])
+def test_kappa_matches_high_precision_oracle(s, alpha):
+    assert kappa(alpha, s) == pytest.approx(oracles.mp_frac_power(alpha, s),
+                                            rel=1e-14, abs=0.0)
 
 
-def test_coefficients_single_rung(quad):
+def test_kappa_rejects_inadmissible_exponent():
+    with pytest.raises(DomainError):
+        kappa(1.5, 0.7)  # alpha >= 2s
+    with pytest.raises(DomainError):
+        kappa(0.9, 0.75)  # alpha < 1
+
+
+def test_coefficients_single_rung():
     lad = build_ladder(0.75)
-    k0 = kappa(1.0, 0.75, quad)
+    k0 = kappa(1.0, 0.75)
     cs = coefficients(lad, (k0,))
     assert cs[0] == 1.0
     assert cs[1] == pytest.approx(-k0 / (1.5 * 0.5))
     assert all(c > 0.0 for c in cs)
 
 
-def test_coefficients_scale_linearly(quad):
+def test_coefficients_scale_linearly():
     lad = build_ladder(0.75)
-    k0 = kappa(1.0, 0.75, quad)
+    k0 = kappa(1.0, 0.75)
     c_single = coefficients(lad, (k0,))[1]
     c_double = coefficients(lad, (2.0 * k0,))[1]
     assert c_double == pytest.approx(2.0 * c_single, rel=1e-15)
 
 
-def test_coefficients_all_positive_s09(quad):
+def test_coefficients_all_positive_s09():
     lad = build_ladder(0.9)
-    ks = tuple(kappa(a, 0.9, quad) for a in lad.alphas[:-1])
+    ks = tuple(kappa(a, 0.9) for a in lad.alphas[:-1])
     cs = coefficients(lad, ks)
     assert all(c > 0.0 for c in cs)
     for j in range(1, len(cs)):
