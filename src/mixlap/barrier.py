@@ -241,6 +241,7 @@ def beta_sharp_field(p: BarrierParams) -> ScalarField:
         evaluate=ev, second_derivative=d2,
         kinks=(0.0, 2.0), tail=TailExpansion(2.0, plus, ()),
         name="beta_sharp",
+        graded_kinks=(0.0,),
     )
 
 
@@ -264,6 +265,7 @@ def beta_field(p: BarrierParams) -> ScalarField:
         evaluate=ev, second_derivative=d2,
         kinks=(0.0, p.d, 2.0 * p.d, 2.0), tail=TailExpansion(cutoff, plus, ()),
         name="beta",
+        graded_kinks=(0.0,),
     )
 
 
@@ -311,6 +313,7 @@ def gamma_field(p: BarrierParams) -> ScalarField:
         kinks=(0.0, p.ell, p.d, 2.0 * p.d, 2.0),
         tail=TailExpansion(cutoff, plus, ()),
         name="gamma",
+        graded_kinks=(0.0,),
     )
 
 
@@ -370,7 +373,7 @@ def _attempt_build(s, quad, params_op, ladder, kappas, cs, w_top, c_top, d,
 
     # C_sharp: log-normalized bound of the capped power's nonlocal output
     grid = np.geomspace(d * 1e-6, d * 0.999, 64)
-    top_vals = np.array([frac_apply(w_top, float(x), params_op, quad) for x in grid])
+    top_vals = frac_apply(w_top, grid, params_op, quad)
     ratios = np.abs(c_top * top_vals) / (1.0 + np.abs(np.log(grid)))
     c_sharp = 1.25 * float(np.max(ratios))
 
@@ -418,7 +421,7 @@ def _attempt_build(s, quad, params_op, ladder, kappas, cs, w_top, c_top, d,
 
     # C2: measured lower bound of the mixed operator on the window
     lgrid = np.geomspace(d * 1e-6, d * 0.999, 400)
-    lbeta = np.array([mixed_apply(bf, float(x), params_op, quad) for x in lgrid])
+    lbeta = mixed_apply(bf, lgrid, params_op, quad)
     c2 = max(1.25 * float(np.max(np.maximum(-lbeta, 0.0))), 0.05)
 
     ell = min(d / 4.0, 0.999 / (2.0 * c1 * c2))
@@ -442,7 +445,7 @@ def _attempt_build(s, quad, params_op, ladder, kappas, cs, w_top, c_top, d,
     # certification grids
     gf = gamma_field(p)
     ggrid = np.geomspace(ell * 1e-3, ell * 0.99, 200)
-    lgamma = np.array([mixed_apply(gf, float(x), params_op, quad) for x in ggrid])
+    lgamma = mixed_apply(gf, ggrid, params_op, quad)
     lgamma_min = float(np.min(lgamma))
     if lgamma_min < 1.0 - 1e-6:
         raise _AttemptFailed(f"mixed operator on gamma dipped to {lgamma_min:.6g}")

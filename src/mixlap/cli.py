@@ -183,7 +183,7 @@ def _load_field(spec: str, domain) -> ScalarField:
         return ScalarField(
             evaluate=ev, kinks=tuple(xs),
             tail=TailExpansion(float(np.max(np.abs(xs)))),
-            name=f"csv({rest})", tame_kinks=True,
+            name=f"csv({rest})", graded_kinks=(),
         )
     raise ConfigError(f"f: unknown load kind {kind!r}")
 
@@ -214,8 +214,7 @@ def _run_barrier(cfg: RunConfig, outdir: Path) -> int:
     xs = np.geomspace(p.ell * 1e-3, p.ell * 0.99, 50)
     with open(outdir / "barrier.csv", "w") as fh:
         fh.write("x,beta,gamma,Lgamma\n")
-        for x in xs:
-            lg = mixed_apply(gf, float(x), params, cfg.quad)
+        for x, lg in zip(xs, mixed_apply(gf, xs, params, cfg.quad)):
             fh.write(f"{x:.17g},{float(bf(x)):.17g},{float(gf(x)):.17g},{lg:.17g}\n")
     with open(outdir / "certificate.txt", "w") as fh:
         fh.write(f"s = {cfg.s:.17g}\n")

@@ -8,6 +8,16 @@ needs to evaluate nonlocal operators on an explicitly given function:
 * an exact far-field description (:class:`TailExpansion`) so that the
   integral beyond any finite radius can be resummed in closed form.
 
+A *kink* is a point the field lists as a smoothness break: a jump in some
+derivative, or an algebraic singularity.  The singular quadrature puts a
+panel break at the offset of every kink and never evaluates the operator
+within ``1e-12`` of one.  Where two analytic pieces join, such as a hat
+interpolant's node or a polynomial fade meeting a constant, Gauss-Legendre
+panels that end at the break converge geometrically.  A *graded kink* is one
+where a piece itself is singular, such as x_+^alpha or x^2 log x at 0; there
+the panels next to the break are also refined dyadically toward it.
+``graded_kinks`` lists the graded ones; ``None`` grades every kink.
+
 The tail description is *exact*, not asymptotic: beyond ``cutoff`` the
 function must equal the stated finite sum of power terms on each side
 (an empty side means the function vanishes identically there).
@@ -66,9 +76,7 @@ class ScalarField:
     kinks: Tuple[float, ...] = ()
     tail: TailExpansion = field(default_factory=lambda: TailExpansion(0.0))
     name: str = ""
-    # piecewise-polynomial fields (hat interpolants) only need plain panel
-    # breaks at their kinks; fractional-power kinks need dyadic grading
-    tame_kinks: bool = False
+    graded_kinks: Optional[Tuple[float, ...]] = None
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
@@ -107,29 +115,6 @@ def zero() -> ScalarField:
     )
 
 
-def pure_power(alpha: float) -> ScalarField:
-    """x -> max(x, 0)**alpha; grows like x**alpha at +infinity."""
-    if alpha <= 0:
-        raise DomainError("pure_power requires a positive exponent")
-
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x > 0.0, np.maximum(x, 0.0) ** alpha, 0.0)
-
-    def d2(x):
-        if x <= 0.0:
-            return 0.0
-        return alpha * (alpha - 1.0) * x ** (alpha - 2.0)
-
-    return ScalarField(
-        evaluate=ev,
-        second_derivative=d2,
-        kinks=(0.0,),
-        tail=TailExpansion(1.0, ((1.0, alpha),), ()),
-        name=f"x_+^{alpha}",
-    )
-
-
 def truncated_power(alpha: float, L: float) -> ScalarField:
     """x -> x_+**alpha capped at the constant (2L)**alpha from x = 2L on."""
     if alpha <= 0 or L <= 0:
@@ -152,6 +137,7 @@ def truncated_power(alpha: float, L: float) -> ScalarField:
         kinks=(0.0, 2.0 * L),
         tail=TailExpansion(2.0 * L, ((cap, 0.0),), ()),
         name=f"w_alpha({alpha},L={L})",
+        graded_kinks=(0.0,),
     )
 
 
@@ -168,6 +154,7 @@ def parabola_cap() -> ScalarField:
         kinks=(-1.0, 1.0),
         tail=TailExpansion(1.0),
         name="parabola_cap",
+        graded_kinks=(),
     )
 
 
@@ -184,6 +171,8 @@ def scaled(u: ScalarField, eps: float) -> ScalarField:
         kinks=tuple(k * eps for k in u.kinks),
         tail=u.tail.scaled(eps),
         name=f"{u.name}(x/{eps})",
+        graded_kinks=(None if u.graded_kinks is None
+                      else tuple(k * eps for k in u.graded_kinks)),
     )
 
 
@@ -200,6 +189,8 @@ def translated(u: ScalarField, t: float) -> ScalarField:
         kinks=tuple(k + t for k in u.kinks),
         tail=TailExpansion(u.tail.cutoff + abs(t), u.tail.plus_terms, u.tail.minus_terms),
         name=f"{u.name}(x-{t})",
+        graded_kinks=(None if u.graded_kinks is None
+                      else tuple(k + t for k in u.graded_kinks)),
     )
 
 
@@ -226,12 +217,17 @@ def linear_combination(coeffs, fields) -> ScalarField:
     plus = tuple((c * a, p) for c, f in zip(coeffs, fields) for a, p in f.tail.plus_terms)
     minus = tuple((c * a, p) for c, f in zip(coeffs, fields) for a, p in f.tail.minus_terms)
     kinks = tuple(sorted({k for f in fields for k in f.kinks}))
+    graded = None
+    if any(f.graded_kinks is not None for f in fields):
+        graded = tuple(sorted({k for f in fields for k in
+                               (f.kinks if f.graded_kinks is None else f.graded_kinks)}))
     return ScalarField(
         evaluate=ev,
         second_derivative=d2,
         kinks=kinks,
         tail=TailExpansion(cutoff, plus, minus),
         name="+".join(f"{c}*{f.name}" for c, f in zip(coeffs, fields)),
+        graded_kinks=graded,
     )
 
 
@@ -284,8 +280,8 @@ def mollifier_bump(center: float, radius: float, height: float = 1.0) -> ScalarF
         val = e * (4.0 * t * t / g**4 - 2.0 / g**2 - 8.0 * t * t / g**3)
         return h * val / radius**2
 
-    # the support edges are smooth but non-analytic; listing them routes
-    # dyadic panel grading there during singular quadrature
+    # the support edges are smooth but non-analytic; listing them as kinks,
+    # all graded by default, routes dyadic panel grading there
     return ScalarField(
         evaluate=ev,
         second_derivative=d2,

@@ -35,6 +35,9 @@ _MIN_C2_ZONE = 1e-12
 
 _GAUSS_ORDER = 12
 _GX, _GW = leggauss(_GAUSS_ORDER)
+# 1D evaluation gathers the panel nodes of consecutive points into one field
+# call; a bound on the block keeps its temporaries small and in cache
+_BLOCK_NODES = 2**12
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
@@ -142,11 +145,11 @@ def _dyadic_into(lo: float, hi: float, toward: float, floor: float):
     return [lo] + inner + [hi]
 
 
-def _assemble_breaks(z0, r_in, offsets, r_out, panels, sharp=True):
+def _assemble_breaks(z0, r_in, offsets, r_out, panels, graded):
     """Full breakpoint list: graded core zone, kink offsets, outer growth.
 
-    Kink offsets get dyadic accumulation from both sides when ``sharp``;
-    piecewise-polynomial fields only need the plain breakpoints.
+    Every kink offset is a panel break; the offsets in ``graded`` also get
+    dyadic accumulation from both sides.
     """
     pts = [z0, r_in]
     for b in offsets:
@@ -156,14 +159,13 @@ def _assemble_breaks(z0, r_in, offsets, r_out, panels, sharp=True):
         pts.append(r_out)
     else:
         pts[-1] = r_out
-    sharp_set = set(offsets) if sharp else set()
     breaks = [pts[0]]
     for lo, hi in zip(pts[:-1], pts[1:]):
         seg = _geometric_refine([lo, hi], panels)
-        if lo in sharp_set and len(seg) >= 2:
+        if lo in graded and len(seg) >= 2:
             floor = 1e-12 * max(1.0, lo)
             seg = _dyadic_into(seg[0], seg[1], seg[0], floor) + seg[2:]
-        if hi in sharp_set and len(seg) >= 2:
+        if hi in graded and len(seg) >= 2:
             floor = 1e-12 * max(1.0, hi)
             seg = seg[:-2] + _dyadic_into(seg[-2], seg[-1], seg[-1], floor)
         breaks.extend(seg[1:])
@@ -172,8 +174,13 @@ def _assemble_breaks(z0, r_in, offsets, r_out, panels, sharp=True):
 
 def _panel_nodes(breaks):
     """Gauss nodes/weights for all panels [breaks[i], breaks[i+1]] at once."""
-    a = np.asarray(breaks[:-1])
-    b = np.asarray(breaks[1:])
+    return _gauss_nodes(breaks[:-1], breaks[1:])
+
+
+def _gauss_nodes(lo, hi):
+    """Gauss nodes/weights for the panels [lo[i], hi[i]]."""
+    a = np.asarray(lo)
+    b = np.asarray(hi)
     mid = 0.5 * (a + b)[:, None]
     half = 0.5 * (b - a)[:, None]
     nodes = mid + half * _GX[None, :]
@@ -258,48 +265,79 @@ def _second_derivative_estimate(u: ScalarField, x: float, h: float):
     return float(upp), 0.0
 
 
-def frac_apply_1d(u: ScalarField, x: float, params: "OperatorParams",
-                  quad: QuadratureSpec) -> float:
+def _middle_integrals(u: ScalarField, xs: np.ndarray, uxs, breaks, s: float):
+    """int_{z0}^{r_out} (u(x+z) + u(x-z) - 2 u(x)) z^(-1-2s) dz at each point
+    x of ``xs``, on its own panels ``breaks``, with one field evaluation."""
+    lo = [a for b in breaks for a in b[:-1]]
+    hi = [a for b in breaks for a in b[1:]]
+    z, w = _gauss_nodes(lo, hi)
+    counts = [(len(b) - 1) * _GAUSS_ORDER for b in breaks]
+    x = np.repeat(xs, counts)
+    vals = u.evaluate(np.concatenate((x + z, x - z)))
+    delta2 = vals[:z.size] + vals[z.size:] - 2.0 * np.repeat(uxs, counts)
+    panel_vals = w * delta2 * z ** (-1.0 - 2.0 * s)
+    # one fsum per point over its panel sums keeps the inner-to-outer
+    # summation order explicit
+    panel_sums = panel_vals.reshape(-1, _GAUSS_ORDER).sum(axis=1).tolist()
+    out, first = [], 0
+    for b in breaks:
+        out.append(math.fsum(panel_sums[first:first + len(b) - 1]))
+        first += len(b) - 1
+    return out
+
+
+def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams",
+                  quad: QuadratureSpec) -> np.ndarray:
+    """(-Delta)^s u at each point of the 1-D array ``xs``.
+
+    Each point gets its own core radius, panels and tail; the panels of
+    consecutive points are gathered into blocks of about ``_BLOCK_NODES``
+    nodes, and the field is evaluated once per block.
+    """
     s = params.s
     c = params.c_ns
-    r_c2 = u.c2_distance(x)
-    if r_c2 < _MIN_C2_ZONE:
-        raise DomainError(
-            f"evaluation point {x} is within {_MIN_C2_ZONE} of a smoothness break"
-        )
+    points = xs.tolist()
+    r_c2 = [u.c2_distance(x) for x in points]
+    for x, r in zip(points, r_c2):
+        if r < _MIN_C2_ZONE:
+            raise DomainError(
+                f"evaluation point {x} is within {_MIN_C2_ZONE} of a smoothness break"
+            )
     if u.tail.max_power() >= 2.0 * s:
         raise TailDivergenceError(
             "field grows at least like |x|^(2s); the defining integral diverges"
         )
 
-    r_in = min(quad.inner_radius, 0.5 * r_c2)
-    ux = float(u(x))
-    scale = 1.0 + abs(ux)
-    z0 = _noise_floor(s, quad.tolerance, scale)
-    z0 = min(max(z0, 1e-8 * r_in), r_in / 8.0)
+    uxs = u.evaluate(xs).tolist()
+    graded_kinks = u.kinks if u.graded_kinks is None else u.graded_kinks
+    out = np.empty(len(points))
+    start, cores, tails, breaks, nodes = 0, [], [], [], 0
+    for i, (x, ux, r) in enumerate(zip(points, uxs, r_c2)):
+        r_in = min(quad.inner_radius, 0.5 * r)
+        z0 = _noise_floor(s, quad.tolerance, 1.0 + abs(ux))
+        z0 = min(max(z0, 1e-8 * r_in), r_in / 8.0)
 
-    # analytic core on (0, z0]: delta2(z) ~ upp z^2 + u4 z^4 / 12
-    upp, u4 = _second_derivative_estimate(u, x, z0)
-    core = -c * (
-        upp * z0 ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-        + u4 * z0 ** (4.0 - 2.0 * s) / (12.0 * (4.0 - 2.0 * s))
-    )
+        # analytic core on (0, z0]: delta2(z) ~ upp z^2 + u4 z^4 / 12
+        upp, u4 = _second_derivative_estimate(u, x, z0)
+        cores.append(-c * (
+            upp * z0 ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+            + u4 * z0 ** (4.0 - 2.0 * s) / (12.0 * (4.0 - 2.0 * s))
+        ))
 
-    # breakpoints: graded [z0, r_in], then kink offsets out to the tail radius
-    r_out = max(quad.outer_radius, 2.0 * abs(x) + 2.0, u.tail.cutoff + abs(x) + 1.0)
-    offsets = sorted({abs(k - x) for k in u.kinks if z0 < abs(k - x) < r_out})
-    breaks = _assemble_breaks(z0, r_in, offsets, r_out, quad.panels,
-                              sharp=not u.tame_kinks)
+        # breakpoints: graded [z0, r_in], then kink offsets out to the tail radius
+        r_out = max(quad.outer_radius, 2.0 * abs(x) + 2.0, u.tail.cutoff + abs(x) + 1.0)
+        offsets = sorted({abs(k - x) for k in u.kinks if z0 < abs(k - x) < r_out})
+        graded = {abs(k - x) for k in graded_kinks}
+        breaks.append(_assemble_breaks(z0, r_in, offsets, r_out, quad.panels, graded))
+        nodes += (len(breaks[-1]) - 1) * _GAUSS_ORDER
+        tails.append(-c * _tail_contribution(u, x, ux, r_out, s))
 
-    z, w = _panel_nodes(breaks)
-    delta2 = u.evaluate(x + z) + u.evaluate(x - z) - 2.0 * ux
-    panel_vals = w * delta2 * z ** (-1.0 - 2.0 * s)
-    # one fsum per panel keeps the inner-to-outer summation order explicit
-    panel_sums = panel_vals.reshape(-1, _GAUSS_ORDER).sum(axis=1)
-    middle = -c * math.fsum(panel_sums)
-
-    tail = -c * _tail_contribution(u, x, ux, r_out, s)
-    return math.fsum((core, middle, tail))
+        if nodes >= _BLOCK_NODES or i == len(points) - 1:
+            middles = _middle_integrals(u, xs[start:i + 1], uxs[start:i + 1], breaks, s)
+            out[start:i + 1] = [math.fsum((core, -c * middle, tail))
+                                for core, middle, tail in zip(cores, middles, tails)]
+            start, cores, tails, breaks, nodes = i + 1, [], [], [], 0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +433,7 @@ def frac_apply_radial(u: RadialField, x, params: "OperatorParams",
         {abs(k - r) for k in u.kinks if z0 < abs(k - r) < r_out}
         | {k + r for k in u.kinks if z0 < k + r < r_out}
     )
-    breaks = _assemble_breaks(z0, r_in, offsets, r_out, quad.panels)
+    breaks = _assemble_breaks(z0, r_in, offsets, r_out, quad.panels, set(offsets))
 
     rho, w = _panel_nodes(breaks)
     defect = sphere_defect(rho)
@@ -417,23 +455,37 @@ def frac_apply_radial(u: RadialField, x, params: "OperatorParams",
 Field = Union[ScalarField, RadialField]
 
 
-def frac_apply(u: Field, x, params: OperatorParams, quad: QuadratureSpec) -> float:
-    """Pointwise (-Delta)^s u(x) via the regularized second-difference form."""
+def frac_apply(u: Field, x, params: OperatorParams, quad: QuadratureSpec):
+    """Pointwise (-Delta)^s u(x) via the regularized second-difference form.
+
+    In dimension 1, ``x`` may be an array of points: the result is an array
+    of the same shape, and a float for a scalar ``x``.  In dimensions 2 and
+    3, ``x`` is one point.
+    """
     if params.n_dim == 1:
         if not isinstance(u, ScalarField):
             raise DomainError("dimension 1 requires a ScalarField")
-        return frac_apply_1d(u, float(np.asarray(x).reshape(())), params, quad)
+        xs = np.asarray(x, dtype=float)
+        out = frac_apply_1d(u, xs.reshape(-1), params, quad)
+        return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
     if not isinstance(u, RadialField):
         raise DomainError("dimensions 2 and 3 require a RadialField")
     return frac_apply_radial(u, x, params, quad)
 
 
-def mixed_apply(u: Field, x, params: OperatorParams, quad: QuadratureSpec) -> float:
-    """-+ Delta u(x) + (-Delta)^s u(x), sign set by ``params.local_sign``."""
+def mixed_apply(u: Field, x, params: OperatorParams, quad: QuadratureSpec):
+    """-+ Delta u(x) + (-Delta)^s u(x), sign set by ``params.local_sign``.
+
+    Accepts an array of points in dimension 1, as :func:`frac_apply` does.
+    """
     if params.n_dim == 1:
         if not isinstance(u, ScalarField) or u.second_derivative is None:
             raise DomainError("mixed operator needs a second derivative")
-        lap = float(u.second_derivative(float(np.asarray(x).reshape(()))))
+        xs = np.asarray(x, dtype=float)
+        lap = np.reshape([float(u.second_derivative(t)) for t in xs.reshape(-1).tolist()],
+                         xs.shape)
+        if xs.ndim == 0:
+            lap = float(lap)
     else:
         if not isinstance(u, RadialField):
             raise DomainError("dimensions 2 and 3 require a RadialField")

@@ -115,7 +115,7 @@ def check_strong_mp_contact(u, params: OperatorParams, quad: QuadratureSpec,
         )
     interior = np.linspace(a, b, 41)[1:-1]
     try:
-        lu = [mixed_apply(u, float(x), params, quad) for x in interior]
+        lu = mixed_apply(u, interior, params, quad)
     except DomainError:
         return VerificationReport(
             "strong_maximum_principle", True, 0.0, 0.0, digest,
@@ -241,7 +241,7 @@ def counterexample_ces(s: float, quad: QuadratureSpec) -> VerificationReport:
     f_eps = scaled(parabola_cap(), eps0)
     grid = np.linspace(-eps0, eps0, 101)[1:-1]
     fvals = f_eps.evaluate(grid)
-    lvals = np.array([mixed_apply(f_eps, float(x), params_plus, quad) for x in grid])
+    lvals = mixed_apply(f_eps, grid, params_plus, quad)
     violation = min(float(np.min(lvals)), float(np.min(-fvals)))
 
     # positive side: same positive data under the true-sign operator
@@ -287,7 +287,7 @@ def _radial_counterexample_profile(n_dim: int):
             kinks=(-2.0, -1.0, 1.0, 2.0),
             tail=TailExpansion(2.0),
             name="capped paraboloid",
-            tame_kinks=True,
+            graded_kinks=(),
         )
     return RadialField(
         profile=prof, d_profile=d1, dd_profile=d2, support_radius=2.0,
@@ -302,15 +302,13 @@ def counterexample_general(s: float, n_dim: int, quad: QuadratureSpec) -> Verifi
     params_plus = OperatorParams(n_dim, s, LocalSign.PLUS)
     u = _radial_counterexample_profile(n_dim)
 
-    def frac_at(radius: float) -> float:
-        if n_dim == 1:
-            return frac_apply(u, radius, params_plus, quad)
-        x = np.zeros(n_dim)
-        x[0] = radius
-        return frac_apply(u, x, params_plus, quad)
-
     radii = np.concatenate((np.linspace(0.0, 2.5, 41), np.geomspace(2.5, 8.0, 8)))
-    sup_frac = max(abs(frac_at(float(r))) for r in radii if u.c2_distance(float(r)) > 1e-9)
+    radii = radii[[u.c2_distance(float(r)) > 1e-9 for r in radii]]
+    if n_dim == 1:
+        frac = frac_apply(u, radii, params_plus, quad)
+    else:
+        frac = [frac_apply(u, r * np.eye(n_dim)[0], params_plus, quad) for r in radii]
+    sup_frac = float(np.max(np.abs(frac)))
     eps0 = 0.5
     while 2.0 * n_dim - eps0 ** (2.0 - 2.0 * s) * sup_frac <= 0.0:
         eps0 *= 0.5
@@ -321,9 +319,7 @@ def counterexample_general(s: float, n_dim: int, quad: QuadratureSpec) -> Verifi
         u_eps = scaled(u, eps0)
         test_pts = np.linspace(-0.95 * eps0, 0.95 * eps0, 41)
         uvals = u_eps.evaluate(test_pts)
-        lvals = np.array(
-            [mixed_apply(u_eps, float(x), params_plus, quad) for x in test_pts]
-        )
+        lvals = mixed_apply(u_eps, test_pts, params_plus, quad)
     else:
         u_eps = RadialField(
             profile=lambda r: u.profile(np.asarray(r, dtype=float) / eps0),
@@ -378,7 +374,7 @@ def _ring_well(r: float) -> ScalarField:
         kinks=tuple(-k for k in kink_radii[::-1]) + kink_radii,
         tail=TailExpansion(r + 4.0),
         name=f"ring well(r={r})",
-        tame_kinks=True,
+        graded_kinks=(),
     )
 
 

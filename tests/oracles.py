@@ -3,10 +3,11 @@
 These deliberately avoid the library's own quadrature machinery: the
 normalization constants come from high-precision quadrature of the defining
 integrals, with the oscillatory tail in closed form through the incomplete
-gamma function in 1D and on a contour turned into the upper half-plane in
-2D (and the classical closed form), the power-function
+gamma function in 1D and 3D and on a contour turned into the upper
+half-plane in 2D (and the classical closed form), the power-function
 kernel constants from a brute-force regularized integral with Richardson
-extrapolation, and the stiffness entries from iterated adaptive quadrature
+extrapolation, the images of powers and truncated powers from mpmath
+quadrature split at their kink offsets, and the stiffness entries from iterated adaptive quadrature
 of the double integral, folded onto the triangle y < x by the symmetry of
 its integrand so that the diagonal singularity is an endpoint of the inner
 integral.
@@ -27,6 +28,17 @@ def closed_form_constant(n_dim: int, s: float) -> float:
             / (math.pi ** (n_dim / 2.0) * _gamma(1.0 - s)))
 
 
+def _body_quad(f, k: int = 8):
+    """int_0^1 f(t) dt through t = u^k.
+
+    The bodies below carry the weight's t^{1-2s} at t = 0; as s -> 1 it
+    nears t^{-1}, and tanh-sinh quadrature of it stalled at 1.4e-7 relative
+    at s = 0.9.  After the substitution the integrand is u^{k(2-2s)-1} times
+    a smooth factor, bounded for every s <= 1 - 1/(2k).
+    """
+    return mp.quad(lambda u: f(u**k) * k * u ** (k - 1), [0, 1])
+
+
 def norm_const_oracle_1d(s: float, dps: int = 40) -> float:
     """c_{1,s} by high-order quadrature of the defining integral on [0, 1].
 
@@ -38,7 +50,7 @@ def norm_const_oracle_1d(s: float, dps: int = 40) -> float:
     """
     with mp.workdps(dps):
         s_ = mp.mpf(s)
-        body = mp.quad(lambda t: 2 * mp.sin(t / 2) ** 2 / t ** (1 + 2 * s_), [0, 1])
+        body = _body_quad(lambda t: 2 * mp.sin(t / 2) ** 2 / t ** (1 + 2 * s_))
         osc = mp.re(mp.expjpi(-s_) * mp.gammainc(-2 * s_, -1j))
         integral = 2 * (body + 1 / (2 * s_) - osc)
         return float(1 / integral)
@@ -55,12 +67,29 @@ def norm_const_oracle_2d(s: float, dps: int = 30) -> float:
     """
     with mp.workdps(dps):
         s_ = mp.mpf(s)
-        body = mp.quad(lambda r: mp.hyp1f2(1, 2, 2, -r * r / 4) / (4 * r ** (2 * s_ - 1)),
-                       [0, 1])
+        body = _body_quad(lambda r: mp.hyp1f2(1, 2, 2, -r * r / 4) / (4 * r ** (2 * s_ - 1)))
         osc = mp.re(1j * mp.quad(
             lambda t: mp.hankel1(0, 1 + 1j * t) * (1 + 1j * t) ** (-1 - 2 * s_),
             [0, mp.inf]))
         integral = 2 * mp.pi * (body + 1 / (2 * s_) - osc)
+        return float(1 / integral)
+
+
+def norm_const_oracle_3d(s: float, dps: int = 30) -> float:
+    """c_{3,s} through the spherical reduction
+    1 / (4 pi int_0^inf (1 - sin r / r) r^{-1-2s} dr).
+
+    The body writes 1 - sin r / r as (r^2/6) 1F2(1; 2, 5/2; -r^2/4), which
+    does not cancel near r = 0.  The tail int_1^inf sin(r) r^{a-1} dr,
+    a = -1 - 2s, is Im of int_1^inf e^{ir} r^{a-1} dr = e^{i pi a/2} Gamma(a, -i).
+    """
+    with mp.workdps(dps):
+        s_ = mp.mpf(s)
+        body = _body_quad(lambda r: mp.hyp1f2(1, 2, mp.mpf(5) / 2, -r * r / 4)
+                          * r ** (1 - 2 * s_) / 6)
+        a = -1 - 2 * s_
+        osc = mp.im(mp.expjpi(a / 2) * mp.gammainc(a, -1j))
+        integral = 4 * mp.pi * (body + 1 / (2 * s_) - osc)
         return float(1 / integral)
 
 
@@ -266,3 +295,40 @@ def ring_image_oracle(r: float, s: float, x: float, dps: int = 30) -> float:
             return phi(y) * ((y - x_) ** (-1 - 2 * s_) + (y + x_) ** (-1 - 2 * s_))
 
         return float(c * mp.quad(integrand, [r_ + 1, r_ + 2, r_ + 3, r_ + 4]))
+
+
+def mp_frac_truncated_power(alpha: float, L: float, s: float, x: float,
+                            dps: int = 30) -> float:
+    """(-Delta)^s of x_+^alpha capped at (2L)^alpha from 2L on, at 0 < x < L.
+
+    In the second-difference form the integrand in z is split where x - z
+    meets the kink at 0 and x + z the cap at 2L: at z = x and z = 2L - x.
+    Below delta = x / 100 the binomial series of the second difference is
+    integrated term by term; past 2L - x both shifted values are constant,
+    so the tail is exact.  The constant is the classical closed form.
+    """
+    with mp.workdps(dps):
+        a, L_, s_, x_ = mp.mpf(alpha), mp.mpf(L), mp.mpf(s), mp.mpf(x)
+        c = s_ * 4**s_ * mp.gamma(mp.mpf(1) / 2 + s_) / (mp.sqrt(mp.pi) * mp.gamma(1 - s_))
+        cap = (2 * L_) ** a
+
+        def u(t):
+            if t <= 0:
+                return mp.mpf(0)
+            return t**a if t < 2 * L_ else cap
+
+        def f(z):
+            return (u(x_ + z) + u(x_ - z) - 2 * u(x_)) * z ** (-1 - 2 * s_)
+
+        delta = x_ / 100
+        core = mp.mpf(0)
+        for k in range(1, 60):
+            term = (2 * mp.binomial(a, 2 * k) * x_ ** (a - 2 * k)
+                    * delta ** (2 * k - 2 * s_) / (2 * k - 2 * s_))
+            core += term
+            if abs(term) < mp.mpf(10) ** (-dps - 5) * max(abs(core), 1):
+                break
+        T = 2 * L_ - x_
+        body = mp.quad(f, [delta, x_, T])
+        tail = (cap - 2 * u(x_)) * T ** (-2 * s_) / (2 * s_)
+        return float(-c * (core + body + tail))

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from mixlap import fields
+from mixlap.assembly import build_mesh, grid_interpolant
 from mixlap.barrier import (_beta_star, _corrector_for, _log_potential,
                             beta, beta_field, beta_sharp_field,
                             build_barrier, build_ladder, coefficients, gamma,
                             gamma_field, kappa, radial_cutoff, theta)
 from mixlap.errors import DomainError
-from mixlap.kernel import (OperatorParams, frac_apply, mixed_apply,
+from mixlap.kernel import (LocalSign, OperatorParams, frac_apply, mixed_apply,
                            tail_integral, tail_kappa)
 
 import oracles
+from helpers import pure_power
 
 # brute-force Richardson oracle output, frozen from tests/oracles.py
 _KAPPA_12_09_ORACLE = -0.42253461123528113
@@ -67,7 +69,7 @@ def test_ladder_high_case_invariants():
 def test_kappa_negative_and_homogeneous(quad):
     k = kappa(1.0, 0.75)
     assert k < 0.0
-    u = fields.pure_power(1.0)
+    u = pure_power(1.0)
     p = OperatorParams(1, 0.75)
     v2 = frac_apply(u, 2.0, p, quad)
     assert abs(k * 2.0 ** (1.0 - 1.5) - v2) <= 10.0 * quad.tolerance * (1.0 + abs(k))
@@ -299,6 +301,54 @@ def test_support_evaluators_match_whole_array_formulas(which, request):
         want = ref(x)
         assert new(x).tobytes() == want.tobytes()
         assert np.array([new(float(t)) for t in x]).tobytes() == want.tobytes()
+
+
+def test_barrier_fields_grade_only_the_origin(p075):
+    assert beta_sharp_field(p075).graded_kinks == (0.0,)
+    assert beta_field(p075).graded_kinks == (0.0,)
+    assert gamma_field(p075).graded_kinks == (0.0,)
+
+
+def _grid_cases(p):
+    """(field, grid clear of its kinks, a kink) for the array-path tests."""
+    mesh = build_mesh(-1.0, 1.0, 15)
+    hat = grid_interpolant(mesh, 1.0 - mesh.nodes**2)
+    return {
+        "beta": (beta_field(p), np.geomspace(p.d * 1e-3, 1.5 * p.d, 9), p.d),
+        "gamma": (gamma_field(p), np.geomspace(p.ell * 1e-3, 0.9 * p.ell, 9), p.ell),
+        "truncated power": (fields.truncated_power(1.4, 1.0),
+                            np.array([-0.5, 0.01, 0.3, 1.2, 2.5]), 2.0),
+        "hat": (hat, mesh.nodes[:-1] + 0.3 * mesh.h, mesh.nodes[3]),
+    }
+
+
+@pytest.mark.parametrize("name", ["beta", "gamma", "truncated power", "hat"])
+def test_frac_apply_grid_matches_points(name, p075, quad):
+    u, xs, kink = _grid_cases(p075)[name]
+    params = OperatorParams(1, 0.75)
+    one = [frac_apply(u, float(x), params, quad) for x in xs]
+    assert all(type(v) is float for v in one)
+    grid = frac_apply(u, xs, params, quad)
+    assert isinstance(grid, np.ndarray) and grid.shape == xs.shape
+    # not bitwise: SIMD power may round 0-d and 1-d arrays differently
+    np.testing.assert_allclose(grid, one, rtol=1e-14, atol=0.0)
+    square = xs[:4].reshape(2, 2)
+    assert frac_apply(u, square, params, quad).shape == (2, 2)
+    with pytest.raises(DomainError):
+        frac_apply(u, np.append(xs, kink + 1e-13), params, quad)
+
+
+@pytest.mark.parametrize("name", ["beta", "gamma", "truncated power"])
+@pytest.mark.parametrize("sign", [LocalSign.MINUS, LocalSign.PLUS])
+def test_mixed_apply_grid_adds_pointwise_local_part(name, sign, p075, quad):
+    u, xs, _ = _grid_cases(p075)[name]
+    params = OperatorParams(1, 0.75, sign)
+    lap = np.array([u.second_derivative(float(x)) for x in xs])
+    local = -lap if sign is LocalSign.MINUS else lap
+    mixed = mixed_apply(u, xs, params, quad)
+    assert mixed.shape == xs.shape
+    assert mixed.tobytes() == (local + frac_apply(u, xs, params, quad)).tobytes()
+    assert type(mixed_apply(u, float(xs[0]), params, quad)) is float
 
 
 def test_build_barrier_rejects_bad_order(quad):

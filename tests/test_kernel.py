@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from mixlap import fields
+from mixlap.assembly import build_mesh, grid_interpolant
+from mixlap.cli import _load_field
 from mixlap.errors import DomainError, TailDivergenceError
 from mixlap.kernel import (LocalSign, OperatorParams, frac_apply,
                            mixed_apply, normalization_constant,
                            tail_integral)
+from mixlap.verify import _radial_counterexample_profile, _ring_well
 
 import oracles
+from helpers import pure_power
 
 
 # ---------------------------------------------------------------------------
@@ -28,11 +32,16 @@ def test_constant_known_values():
     assert normalization_constant(2, 0.5) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-10)
 
 
+_CONSTANT_ORACLES = {1: oracles.norm_const_oracle_1d, 2: oracles.norm_const_oracle_2d,
+                     3: oracles.norm_const_oracle_3d}
+
+
 @pytest.mark.parametrize("n_dim", [1, 2, 3])
 @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
 def test_constant_vs_closed_form(n_dim, s):
+    # the closed form against quadrature of the defining integral
     c = normalization_constant(n_dim, s)
-    ref = oracles.closed_form_constant(n_dim, s)
+    ref = _CONSTANT_ORACLES[n_dim](s)
     assert c == pytest.approx(ref, rel=1e-10)
 
 
@@ -125,22 +134,32 @@ def test_truncated_power_log_growth_at_order(quad):
 def test_tail_divergence_rejected(quad):
     p = OperatorParams(1, 0.4)
     with pytest.raises(TailDivergenceError):
-        frac_apply(fields.pure_power(0.8), 1.0, p, quad)  # exponent == 2s
+        frac_apply(pure_power(0.8), 1.0, p, quad)  # exponent == 2s
 
 
 def test_kink_evaluation_rejected(quad):
     p = OperatorParams(1, 0.5)
     with pytest.raises(DomainError):
-        frac_apply(fields.pure_power(1.0), 0.0, p, quad)
+        frac_apply(pure_power(1.0), 0.0, p, quad)
 
 
 @pytest.mark.parametrize("alpha,s", [(1.0, 0.75), (1.2, 0.9), (1.0, 0.6),
                                      (1.3, 0.7), (1.0, 0.51)])
 def test_power_values_match_high_precision_oracle(alpha, s, quad):
     p = OperatorParams(1, s)
-    mine = frac_apply(fields.pure_power(alpha), 1.0, p, quad)
+    mine = frac_apply(pure_power(alpha), 1.0, p, quad)
     ref = oracles.mp_frac_power(alpha, s)
     assert mine == pytest.approx(ref, rel=1e-7, abs=1e-9)
+
+
+@pytest.mark.parametrize("alpha,s", [(1.0, 0.3), (1.8, 0.9), (1.2, 0.6)])
+def test_truncated_power_matches_mpmath_oracle(alpha, s, quad):
+    # the cap at 2L is an ungraded kink: plain panels end there
+    xs = np.array([0.01, 0.2, 0.5])
+    mine = frac_apply(fields.truncated_power(alpha, 1.0), xs, OperatorParams(1, s), quad)
+    for x, v in zip(xs, mine):
+        ref = oracles.mp_frac_truncated_power(alpha, 1.0, s, float(x))
+        assert v == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +207,41 @@ def test_tail_integral_zero_and_compact(quad):
 
 def test_tail_integral_divergent_sentinel():
     p = OperatorParams(1, 0.5)
-    assert tail_integral(fields.pure_power(1.0), p) == math.inf  # exponent = 2s
+    assert tail_integral(pure_power(1.0), p) == math.inf  # exponent = 2s
+
+
+# ---------------------------------------------------------------------------
+# graded kinks
+# ---------------------------------------------------------------------------
+
+
+def test_constructors_declare_graded_kinks(tmp_path):
+    assert fields.truncated_power(1.5, 1.0).graded_kinks == (0.0,)
+    assert pure_power(1.5).graded_kinks == (0.0,)
+    assert fields.parabola_cap().graded_kinks == ()
+    assert fields.mollifier_bump(0.0, 1.0).graded_kinks is None
+    assert grid_interpolant(build_mesh(-1.0, 1.0, 7), np.ones(7)).graded_kinks == ()
+    sample = tmp_path / "load.csv"
+    sample.write_text("x,u\n-0.5,1\n0.5,2\n")
+    assert _load_field(f"csv:{sample}", (-1.0, 1.0)).graded_kinks == ()
+    assert _radial_counterexample_profile(1).graded_kinks == ()
+    assert _ring_well(2.0).graded_kinks == ()
+
+
+def test_graded_kinks_follow_scaling_translation_and_sums():
+    w = fields.truncated_power(1.5, 1.0)
+    bump = fields.mollifier_bump(0.0, 1.0)
+    cap = fields.parabola_cap()
+    assert fields.scaled(w, 0.5).graded_kinks == (0.0,)
+    assert fields.scaled(fields.translated(w, 0.5), 0.5).graded_kinks == (0.25,)
+    assert fields.scaled(bump, 0.5).graded_kinks is None
+    assert fields.translated(cap, 0.3).graded_kinks == ()
+    assert fields.translated(w, 0.25).graded_kinks == (0.25,)
+    assert fields.translated(bump, 0.3).graded_kinks is None
+    # None grades every kink of its field, so a sum with one takes them all
+    assert fields.linear_combination([1.0, 2.0], [w, cap]).graded_kinks == (0.0,)
+    assert fields.linear_combination([1.0, 1.0], [w, bump]).graded_kinks == (-1.0, 0.0, 1.0)
+    assert fields.linear_combination([1.0, 1.0], [bump, bump]).graded_kinks is None
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +252,7 @@ def test_tail_integral_divergent_sentinel():
 def test_homogeneity(quad):
     for (alpha, s) in [(0.5, 0.6), (1.0, 0.75), (1.3, 0.8)]:
         p = OperatorParams(1, s)
-        u = fields.pure_power(alpha)
+        u = pure_power(alpha)
         base = frac_apply(u, 1.0, p, quad)
         for x in (0.5, 2.0):
             v = frac_apply(u, x, p, quad)
@@ -211,7 +264,7 @@ def test_s_harmonic_power_annihilated(quad):
     # x_+^s is in the kernel of the operator on the half line
     for s in (0.3, 0.5, 0.75, 0.9):
         p = OperatorParams(1, s)
-        u = fields.pure_power(s)
+        u = pure_power(s)
         for x in (0.7, 1.0, 1.9):
             assert abs(frac_apply(u, x, p, quad)) < 1e-8
 
@@ -219,7 +272,7 @@ def test_s_harmonic_power_annihilated(quad):
 def test_sign_of_convex_powers(quad):
     for (alpha, s) in [(1.0, 0.6), (1.0, 0.9), (1.4, 0.8)]:
         p = OperatorParams(1, s)
-        u = fields.pure_power(alpha)
+        u = pure_power(alpha)
         for x in (0.25, 1.0, 3.0):
             assert frac_apply(u, x, p, quad) < 0.0
 
