@@ -248,8 +248,7 @@ def _run_counterexample(cfg: RunConfig, outdir: Path) -> int:
     elif variant == "general":
         rep = verify.counterexample_general(cfg.s, cfg.dimension, cfg.quad)
     elif variant == "boundary":
-        rep = verify.counterexample_boundary_only(cfg.annulus_radius, cfg.s,
-                                                  cfg.n, cfg.quad)
+        rep = verify.counterexample_boundary_only(cfg.annulus_radius, cfg.s, cfg.n)
     else:  # pragma: no cover - guarded by parse_config
         raise ConfigError(f"variant: unknown {variant!r}")
     summary = rep.line() + "\n"

@@ -1,11 +1,11 @@
 """Solution of the discrete zero-exterior Dirichlet problem.
 
 The matrix is symmetric positive definite Toeplitz.  It is solved by
-conjugate gradients with an FFT matvec, preconditioned by Strang's circulant
-(Chan & Strang, SIAM J. Sci. Stat. Comput. 10, 1989), or by T. Chan's optimal
-circulant (SIAM J. Sci. Stat. Comput. 9, 1988) where Strang's is singular, as
-on the local-only system.  A solution is accepted when its normwise backward
-error ||Au - b|| / (||A|| ||u|| + ||b||), infinity norm, is at most n eps
+conjugate gradients with an FFT matvec, preconditioned by its natural tau
+matrix T - H(T), which the DST-I diagonalises (Bini & Di Benedetto, SPAA
+1990; Chan & Ng, SIAM Review 38, 1996); the tridiagonal local row is its own
+tau matrix.  A solution is accepted when its normwise backward error
+||Au - b|| / (||A|| ||u|| + ||b||), infinity norm, is at most n eps
 (Rigal-Gaches; Higham, Accuracy and Stability, sec. 7.1).  Reports carry the
 energy, gradient norm and load norm to monitor stability constants.
 """
@@ -67,17 +67,20 @@ class SolveReport:
         }
 
 
-def _circulant_eigenvalues(row: np.ndarray) -> np.ndarray:
-    """Spectrum of Strang's circulant for the Toeplitz row, or of T. Chan's
-    optimal circulant if Strang's is not positive beyond its rounding."""
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """DST-I (scipy's type 1) by one rfft of the odd extension; squared, 2(n+1) I."""
+    return -np.fft.rfft(np.concatenate([[0.0], x, [0.0], -x[::-1]])).imag[1:x.size + 1]
+
+
+def _tau_eigenvalues(row: np.ndarray) -> np.ndarray:
+    """Spectrum of T - H(T), first column t - [t_2, ..., t_{n-1}, 0, 0]; must be > 0."""
     n = row.size
-    k = np.arange(n)
-    mirror = row[-k]  # t_{n-k}, and t_0 at k = 0
-    strang = np.where(k <= n // 2, row, mirror)
-    lam = np.fft.rfft(strang).real
-    if lam.min() > _EPS * np.abs(strang).sum():
-        return lam
-    return np.fft.rfft(((n - k) * row + k * mirror) / n).real
+    col = row - np.concatenate([row[2:], np.zeros(min(n, 2))])
+    lam = _dst1(col) / (2.0 * np.sin(np.pi * np.arange(1, n + 1) / (n + 1)))
+    if not lam.min() > 0.0:
+        raise NumericalError("the tau spectrum of the Toeplitz row is not positive",
+                             eigenvalue_estimate=float(lam.min()))
+    return lam
 
 
 def _backward_error(row: np.ndarray, b: np.ndarray, r: np.ndarray, u: np.ndarray) -> float:
@@ -95,7 +98,7 @@ def _pcg(sys: StiffnessSystem, b: np.ndarray):
     or MAX_ITERATIONS.  The recursive residual proposes convergence and the
     one recomputed from u confirms it, or CG goes on from the recomputed one."""
     row, n = sys.row, b.size
-    lam = _circulant_eigenvalues(row)
+    lam = 2.0 * (n + 1) * _tau_eigenvalues(row)
     u, r, p, rz = np.zeros(n), b.copy(), None, 0.0
     for iterations in range(MAX_ITERATIONS):
         if _backward_error(row, b, r, u) <= n * _EPS:
@@ -104,7 +107,7 @@ def _pcg(sys: StiffnessSystem, b: np.ndarray):
             if _backward_error(row, b, r, u) <= n * _EPS:
                 return u, au, iterations
             p = None
-        z = np.fft.irfft(np.fft.rfft(r) / lam, n)
+        z = _dst1(_dst1(r) / lam)
         rz_old, rz = rz, float(r @ z)
         p = z if p is None else z + (rz / rz_old) * p
         q = sys.apply(p)

@@ -404,14 +404,12 @@ def _ring_load(r: float, params: OperatorParams) -> ScalarField:
     return ScalarField(evaluate=ev, name="transferred ring load")
 
 
-def counterexample_boundary_only(r: float, s: float, n: int,
-                                 quad: QuadratureSpec) -> VerificationReport:
+def counterexample_boundary_only(r: float, s: float, n: int) -> VerificationReport:
     """Sign conditions on the topological boundary alone admit no principle.
 
     Builds the ring well, transfers it to a zero-exterior solve through its
     own mixed image, and exhibits v with L v = 0 inside, v > 0 on the
-    boundary and on the surrounding annulus, yet v < 0 inside.  ``quad`` is
-    not read: the image is exact on the domain (see ``_ring_load``).
+    boundary and on the surrounding annulus, yet v < 0 inside.
     """
     if r <= 1.0:
         raise DomainError("the annulus radius must exceed 1")
@@ -574,7 +572,7 @@ def run_suite(s: float, n: int, seed: int, quad: QuadratureSpec,
         out.append(counterexample_ces(s, quad))
     else:
         out.append(counterexample_general(s, 1, quad))
-    out.append(counterexample_boundary_only(2.0, s, 255, quad))
+    out.append(counterexample_boundary_only(2.0, s, 255))
     return out
 
 

@@ -163,7 +163,7 @@ def test_criterion_07_wrong_sign_counterexample(s):
 
 
 def test_criterion_08_boundary_only_counterexample():
-    rep = counterexample_boundary_only(2.0, 0.5, 511, QUAD)
+    rep = counterexample_boundary_only(2.0, 0.5, 511)
     _line(8, rep.passed, rep.notes)
 
 

@@ -35,16 +35,17 @@ def test_public_names_snapshot():
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # the constants are closed forms; importing mixlap and building the
-    # first operator pulls in no quadrature package
+    # the constants are closed forms and the preconditioner's DST-I is a
+    # numpy rfft; importing mixlap and building the first operator pulls in
+    # neither scipy's quadrature nor its FFT package
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run(
         [sys.executable, "-c", "import sys, mixlap; mixlap.OperatorParams(1, 0.25); "
-         "print('scipy.integrate' in sys.modules)"],
+         "print('scipy.integrate' in sys.modules, 'scipy.fft' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_operator_constant_is_derived_not_passed():

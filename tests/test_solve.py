@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -230,3 +231,42 @@ def test_report_json_fields(tmp_path, sys_05_255):
     for key in ("energy", "x_norm", "l2_f_norm", "ratio_energy", "residual_norm"):
         assert key in doc
     assert doc["n"] == 255
+
+
+@pytest.mark.parametrize("n", [2047, 65535, 262143])
+def test_local_only_system_is_its_own_tau_preconditioner(n):
+    sys_ = build_system(build_mesh(-1.0, 1.0, n), OperatorParams(1, 0.5),
+                        include_nonlocal=False)
+    rep = solve_dirichlet(sys_, _smooth_load())
+    assert rep.iterations <= 2
+    assert rep.backward_error <= n * EPS
+
+
+@pytest.mark.parametrize("parts", [{}, {"include_local": False}])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 0.99])
+def test_iteration_count_stays_small_at_65535(s, parts):
+    sys_ = build_system(build_mesh(-1.0, 1.0, 65535), OperatorParams(1, s), **parts)
+    rep = solve_dirichlet(sys_, fields.constant(1.0))
+    assert rep.iterations <= 10
+    assert rep.backward_error <= 65535 * EPS
+
+
+def test_every_small_system_solves():
+    parts = ({}, {"include_nonlocal": False}, {"include_local": False})
+    for n in range(1, 65):
+        mesh = build_mesh(-1.0, 1.0, n)
+        for s in (0.05, 0.5, 0.99):
+            for part in parts:
+                rep = solve_dirichlet(build_system(mesh, OperatorParams(1, s), **part),
+                                      _smooth_load())
+                assert rep.backward_error <= n * EPS, (n, s, part)
+
+
+def test_indefinite_row_raises_on_the_tau_spectrum():
+    sys_ = build_system(build_mesh(-1.0, 1.0, 31), OperatorParams(1, 0.5))
+    row = np.zeros(31)
+    row[:2] = 1.0
+    bad = dataclasses.replace(sys_, local_row=row, nonlocal_row=np.zeros(31))
+    with pytest.raises(NumericalError, match="tau spectrum") as info:
+        solve_dirichlet(bad, fields.constant(1.0))
+    assert info.value.eigenvalue_estimate < 0.0

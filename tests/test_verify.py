@@ -9,8 +9,8 @@ from mixlap.solve import solve_dirichlet
 from mixlap.verify import (check_boundary_lipschitz, check_linf_bound,
                            check_strong_mp_contact, check_weak_mp,
                            counterexample_boundary_only, counterexample_ces,
-                           counterexample_general, residual_check, run_suite,
-                           sobolev_index)
+                           counterexample_general, fit_boundary_exponent,
+                           residual_check, run_suite, sobolev_index)
 
 import oracles
 
@@ -132,6 +132,19 @@ def test_boundary_lipschitz_band_guard():
         check_boundary_lipschitz(fam, band=1.0)
 
 
+@pytest.mark.parametrize("s", [0.25, 0.75])
+def test_boundary_exponents_at_32767(s):
+    # mixed solutions grow like dist^1 at the boundary, fractional-only ones
+    # like dist^s (Ros-Oton & Serra, J. Math. Pures Appl. 101, 2014)
+    mesh = build_mesh(-1.0, 1.0, 32767)
+    params = OperatorParams(1, s)
+    f = fields.constant(1.0)
+    mixed = solve_dirichlet(build_system(mesh, params), f)
+    frac = solve_dirichlet(build_system(mesh, params, include_local=False), f)
+    assert abs(fit_boundary_exponent(mixed, 0.01) - 1.0) <= 0.03
+    assert abs(fit_boundary_exponent(frac, 0.01) - s) <= 0.01
+
+
 # ---------------------------------------------------------------------------
 # counterexamples
 # ---------------------------------------------------------------------------
@@ -171,8 +184,8 @@ def test_general_counterexample_2d(quad):
     assert r.passed
 
 
-def test_boundary_only_counterexample(quad):
-    r = counterexample_boundary_only(2.0, 0.5, 255, quad)
+def test_boundary_only_counterexample():
+    r = counterexample_boundary_only(2.0, 0.5, 255)
     assert r.passed
     assert r.measured < -1e-6  # the interior minimum is genuinely negative
     assert "v(+-1)=" in r.notes
@@ -185,18 +198,18 @@ def test_boundary_only_value_on_annulus(quad):
     assert np.all(phi.evaluate(ys) == 0.0)
 
 
-def test_boundary_only_rejects_bad_radius(quad):
+def test_boundary_only_rejects_bad_radius():
     with pytest.raises(DomainError):
-        counterexample_boundary_only(0.5, 0.5, 63, quad)
+        counterexample_boundary_only(0.5, 0.5, 63)
 
 
 @pytest.mark.parametrize("n", [1023, 4095])
-def test_boundary_only_passes_at_large_n_without_the_dense_matrix(quad, monkeypatch, n):
+def test_boundary_only_passes_at_large_n_without_the_dense_matrix(monkeypatch, n):
     def refuse(self):
         raise AssertionError("the dense matrix was built")
 
     monkeypatch.setattr(assembly.StiffnessSystem, "combined", refuse)
-    r = counterexample_boundary_only(2.0, 0.5, n, quad)
+    r = counterexample_boundary_only(2.0, 0.5, n)
     assert r.passed, r.notes
     assert "backward error=" in r.notes
 
