@@ -331,8 +331,7 @@ class _AttemptFailed(Exception):
     pass
 
 
-def build_barrier(s: float, quad: QuadratureSpec,
-                  rho_omega: float = 1.0) -> BarrierParams:
+def build_barrier(s: float, rho_omega: float = 1.0) -> BarrierParams:
     """Assemble and certify the full barrier parameter set for the order s.
 
     The window d is halved (at most 12 times) until all shrink conditions
@@ -356,7 +355,7 @@ def build_barrier(s: float, quad: QuadratureSpec,
     for _attempt in range(13):
         try:
             p = _attempt_build(
-                s, quad, params_op, ladder, kappas, cs, w_top, c_top, d, rho_omega
+                s, params_op, ladder, kappas, cs, w_top, c_top, d, rho_omega
             )
             return p
         except _AttemptFailed as exc:
@@ -367,13 +366,11 @@ def build_barrier(s: float, quad: QuadratureSpec,
     )
 
 
-def _attempt_build(s, quad, params_op, ladder, kappas, cs, w_top, c_top, d,
+def _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d,
                    rho_omega) -> BarrierParams:
-    tol = quad.tolerance
-
     # C_sharp: log-normalized bound of the capped power's nonlocal output
     grid = np.geomspace(d * 1e-6, d * 0.999, 64)
-    top_vals = frac_apply(w_top, grid, params_op, quad)
+    top_vals = frac_apply(w_top, grid, params_op)
     ratios = np.abs(c_top * top_vals) / (1.0 + np.abs(np.log(grid)))
     c_sharp = 1.25 * float(np.max(ratios))
 
@@ -421,7 +418,7 @@ def _attempt_build(s, quad, params_op, ladder, kappas, cs, w_top, c_top, d,
 
     # C2: measured lower bound of the mixed operator on the window
     lgrid = np.geomspace(d * 1e-6, d * 0.999, 400)
-    lbeta = mixed_apply(bf, lgrid, params_op, quad)
+    lbeta = mixed_apply(bf, lgrid, params_op)
     c2 = max(1.25 * float(np.max(np.maximum(-lbeta, 0.0))), 0.05)
 
     ell = min(d / 4.0, 0.999 / (2.0 * c1 * c2))
@@ -445,7 +442,7 @@ def _attempt_build(s, quad, params_op, ladder, kappas, cs, w_top, c_top, d,
     # certification grids
     gf = gamma_field(p)
     ggrid = np.geomspace(ell * 1e-3, ell * 0.99, 200)
-    lgamma = mixed_apply(gf, ggrid, params_op, quad)
+    lgamma = mixed_apply(gf, ggrid, params_op)
     lgamma_min = float(np.min(lgamma))
     if lgamma_min < 1.0 - 1e-6:
         raise _AttemptFailed(f"mixed operator on gamma dipped to {lgamma_min:.6g}")
@@ -478,7 +475,7 @@ def _attempt_build(s, quad, params_op, ladder, kappas, cs, w_top, c_top, d,
         "sandwich_hi": sandwich_hi,
         "gamma_floor_past_ell": gamma_floor,
         "grid_sizes": {"c_sharp": 64, "c1": 128, "c2": 400, "lgamma": 200},
-        "quad_tolerance": tol,
+        "quad_tolerance": QuadratureSpec.tolerance,  # the default every image uses
     }
     return dataclasses.replace(p, certificate=cert)
 

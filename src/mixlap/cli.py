@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +19,11 @@ import numpy as np
 from . import assembly, barrier, solve, verify
 from .errors import ConfigError, MixlapError
 from .fields import ScalarField, TailExpansion, constant
-from .kernel import OperatorParams, QuadratureSpec, mixed_apply
+from .kernel import OperatorParams, mixed_apply
 
 _COMMANDS = ("solve", "barrier", "verify", "counterexample")
 _CONFIG_KEYS = {
-    "command", "s", "domain", "n", "f", "quad", "output_dir", "seed",
+    "command", "s", "domain", "n", "f", "output_dir", "seed",
     "variant", "dimension", "annulus_radius",
 }
 
@@ -35,7 +35,6 @@ class RunConfig:
     domain: tuple = (-1.0, 1.0)
     n: int = 127
     f: str = "constant:1"
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
     output_dir: str = "out"
     seed: int = 0
     variant: str = "auto"       # counterexample selector: ces|general|boundary|auto
@@ -98,16 +97,6 @@ def _validated(doc: dict) -> RunConfig:
         spec = str(doc["f"])
         _load_field(spec, cfg.domain)  # validates eagerly
         cfg = replace(cfg, f=spec)
-    if "quad" in doc:
-        q = doc["quad"]
-        _require(isinstance(q, dict), "quad", "must be an object")
-        bad = set(q) - {"inner_radius", "outer_radius", "panels", "tolerance"}
-        _require(not bad, "quad", f"unknown sub-key {sorted(bad)[:1]}")
-        q = {k: _typed(q, k, int if k == "panels" else float, f"quad.{k}") for k in q}
-        try:
-            cfg = replace(cfg, quad=QuadratureSpec(**q))
-        except MixlapError as exc:
-            raise ConfigError(f"quad: {exc}") from exc
     if "output_dir" in doc:
         cfg = replace(cfg, output_dir=str(doc["output_dir"]))
     if "seed" in doc:
@@ -207,14 +196,14 @@ def _run_solve(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _run_barrier(cfg: RunConfig, outdir: Path) -> int:
-    p = barrier.build_barrier(cfg.s, cfg.quad)
+    p = barrier.build_barrier(cfg.s)
     params = OperatorParams(1, cfg.s)
     bf = barrier.beta_field(p)
     gf = barrier.gamma_field(p)
     xs = np.geomspace(p.ell * 1e-3, p.ell * 0.99, 50)
     with open(outdir / "barrier.csv", "w") as fh:
         fh.write("x,beta,gamma,Lgamma\n")
-        for x, lg in zip(xs, mixed_apply(gf, xs, params, cfg.quad)):
+        for x, lg in zip(xs, mixed_apply(gf, xs, params)):
             fh.write(f"{x:.17g},{float(bf(x)):.17g},{float(gf(x)):.17g},{lg:.17g}\n")
     with open(outdir / "certificate.txt", "w") as fh:
         fh.write(f"s = {cfg.s:.17g}\n")
@@ -230,7 +219,7 @@ def _run_barrier(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _run_verify(cfg: RunConfig, outdir: Path) -> int:
-    reports = verify.run_suite(cfg.s, cfg.n, cfg.seed, cfg.quad, domain=cfg.domain)
+    reports = verify.run_suite(cfg.s, cfg.n, cfg.seed, domain=cfg.domain)
     lines = [r.line() for r in reports]
     ok = all(r.passed for r in reports)
     summary = "\n".join(lines) + f"\nsuite: {'all passed' if ok else 'FAILURES'}\n"
@@ -244,9 +233,9 @@ def _run_counterexample(cfg: RunConfig, outdir: Path) -> int:
     if variant == "auto":
         variant = "ces" if cfg.s < 0.5 else "general"
     if variant == "ces":
-        rep = verify.counterexample_ces(cfg.s, cfg.quad)
+        rep = verify.counterexample_ces(cfg.s)
     elif variant == "general":
-        rep = verify.counterexample_general(cfg.s, cfg.dimension, cfg.quad)
+        rep = verify.counterexample_general(cfg.s, cfg.dimension)
     elif variant == "boundary":
         rep = verify.counterexample_boundary_only(cfg.annulus_radius, cfg.s, cfg.n)
     else:  # pragma: no cover - guarded by parse_config
@@ -293,7 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="constant:V | poly:c0,c1,... | csv:path")
         p.add_argument("--output-dir", type=str, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tolerance", type=float, default=None)
         if name == "counterexample":
             p.add_argument("--variant", choices=("auto", "ces", "general", "boundary"),
                            default=None)
@@ -311,24 +299,12 @@ def _config_from_args(args) -> RunConfig:
             raise ConfigError(f"config: cannot read {args.config!r} ({exc})") from exc
         doc = _json_object(text)
     doc["command"] = args.command
-    for key in ("s", "n", "f", "seed"):
+    for key in _CONFIG_KEYS - {"command"}:
         val = getattr(args, key, None)
         if val is not None:
             doc[key] = val
-    if args.domain is not None:
-        doc["domain"] = list(args.domain)
-    if args.output_dir is not None:
-        doc["output_dir"] = args.output_dir
-    elif "output_dir" not in doc and os.environ.get("MIXLAP_OUTPUT_DIR"):
+    if "output_dir" not in doc and os.environ.get("MIXLAP_OUTPUT_DIR"):
         doc["output_dir"] = os.environ["MIXLAP_OUTPUT_DIR"]
-    if args.tolerance is not None:
-        doc.setdefault("quad", {})["tolerance"] = args.tolerance
-    for key in ("variant", "dimension"):
-        val = getattr(args, key, None)
-        if val is not None:
-            doc[key] = val
-    if getattr(args, "annulus_radius", None) is not None:
-        doc["annulus_radius"] = args.annulus_radius
     return _validated(doc)
 
 

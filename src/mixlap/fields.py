@@ -231,21 +231,20 @@ def linear_combination(coeffs, fields) -> ScalarField:
     )
 
 
-def pointwise(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """Array evaluator that applies the scalar ``fn`` point by point and
-    computes each distinct point once: loads built from pointwise operator
-    images are sampled at the same quadrature nodes by every solve."""
+def pointwise(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """Array evaluator that computes each distinct point once, passing the
+    points it has not seen to the array function ``fn`` in one call: loads
+    built from operator images are sampled at the same quadrature nodes by
+    every solve."""
     cache: dict = {}
 
     def ev(x):
         arr = np.asarray(x, dtype=float)
-        out = np.empty(arr.size)
-        for i, t in enumerate(arr.ravel()):
-            t = float(t)
-            if t not in cache:
-                cache[t] = fn(t)
-            out[i] = cache[t]
-        return out.reshape(arr.shape)
+        points = arr.ravel().tolist()
+        new = [t for t in dict.fromkeys(points) if t not in cache]
+        if new:
+            cache.update(zip(new, np.asarray(fn(np.array(new))).tolist()))
+        return np.array([cache[t] for t in points]).reshape(arr.shape)
 
     return ev
 

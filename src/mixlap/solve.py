@@ -22,7 +22,7 @@ import numpy as np
 from .assembly import GridFunction, StiffnessSystem, load_vector
 from .errors import DomainError, NumericalError
 from .fields import ScalarField, pointwise
-from .kernel import QuadratureSpec, mixed_apply, tail_integral
+from .kernel import mixed_apply, tail_integral
 
 MAX_ITERATIONS = 500
 _EPS = np.finfo(float).eps
@@ -153,8 +153,8 @@ def solve_dirichlet(sys: StiffnessSystem, f: ScalarField) -> SolveReport:
     )
 
 
-def lift_nonhomogeneous(sys: StiffnessSystem, f: ScalarField, g: ScalarField,
-                        quad: QuadratureSpec) -> SolveReport:
+def lift_nonhomogeneous(sys: StiffnessSystem, f: ScalarField,
+                        g: ScalarField) -> SolveReport:
     """Nonhomogeneous exterior data: solve for v with load f - L g, return v + g.
 
     ``g`` must be twice differentiable near the closed interval and have a
@@ -166,7 +166,7 @@ def lift_nonhomogeneous(sys: StiffnessSystem, f: ScalarField, g: ScalarField,
     if not math.isfinite(tail_integral(g, sys.params)):
         raise DomainError("exterior datum fails the membership integral")
     mesh = sys.mesh
-    lg = pointwise(lambda t: mixed_apply(g, t, sys.params, quad))
+    lg = pointwise(lambda t: mixed_apply(g, t, sys.params))
     rhs_field = ScalarField(evaluate=lambda x: f.evaluate(x) - lg(x), name="f - L g")
     report = solve_dirichlet(sys, rhs_field)
     u_vals = report.solution.coeffs + g.evaluate(mesh.nodes)

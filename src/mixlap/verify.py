@@ -26,6 +26,9 @@ from .kernel import (LocalSign, OperatorParams, QuadratureSpec, _panel_nodes,
 from .solve import SolveReport, lp_norm, solve_dirichlet
 
 MP_TOL = 1e-8
+# a supersolution's image may dip this far below zero, 100 times the
+# quadrature tolerance, before the strong-principle check calls it inconclusive
+CONTACT_SIGN_TOL = 100.0 * QuadratureSpec.tolerance
 _EPS = np.finfo(float).eps
 _RING_LOAD_CHUNK = 512  # points per product: 512 x 36 doubles, 147 kB a temporary
 
@@ -73,13 +76,13 @@ def check_weak_mp(report: SolveReport, exterior_min: float = 0.0) -> Verificatio
         measured=measured,
         threshold=threshold,
         inputs_digest=_digest(n=report.solution.mesh.n, ext=exterior_min,
-                              f=report.l2_f_norm, u0=u[0] if u.size else 0.0),
+                              f=report.l2_f_norm),
         notes=f"min nodal value vs -{MP_TOL}*(1+max|u|)",
     )
 
 
-def check_strong_mp_contact(u, params: OperatorParams, quad: QuadratureSpec,
-                            x0: float, omega=(-1.0, 1.0)) -> VerificationReport:
+def check_strong_mp_contact(u, params: OperatorParams, x0: float,
+                            omega=(-1.0, 1.0)) -> VerificationReport:
     """Interior contact point of a supersolution forces global vanishing.
 
     Exact contact points do not arise in floating point, so the check is
@@ -115,13 +118,13 @@ def check_strong_mp_contact(u, params: OperatorParams, quad: QuadratureSpec,
         )
     interior = np.linspace(a, b, 41)[1:-1]
     try:
-        lu = mixed_apply(u, interior, params, quad)
+        lu = mixed_apply(u, interior, params)
     except DomainError:
         return VerificationReport(
             "strong_maximum_principle", True, 0.0, 0.0, digest,
             notes="inconclusive: operator not evaluable on the domain grid",
         )
-    if min(lu) < -100.0 * quad.tolerance:
+    if min(lu) < -CONTACT_SIGN_TOL:
         return VerificationReport(
             "strong_maximum_principle", True, 0.0, 0.0, digest,
             notes=(f"inconclusive: supersolution sign fails "
@@ -220,7 +223,7 @@ def check_boundary_lipschitz(reports: Sequence[SolveReport],
 # ---------------------------------------------------------------------------
 
 
-def counterexample_ces(s: float, quad: QuadratureSpec) -> VerificationReport:
+def counterexample_ces(s: float) -> VerificationReport:
     """Zero exterior data, sign-reversed local part, s below 1/2.
 
     Scales the capped parabola until its wrong-sign image is strictly
@@ -241,14 +244,14 @@ def counterexample_ces(s: float, quad: QuadratureSpec) -> VerificationReport:
     f_eps = scaled(parabola_cap(), eps0)
     grid = np.linspace(-eps0, eps0, 101)[1:-1]
     fvals = f_eps.evaluate(grid)
-    lvals = mixed_apply(f_eps, grid, params_plus, quad)
+    lvals = mixed_apply(f_eps, grid, params_plus)
     violation = min(float(np.min(lvals)), float(np.min(-fvals)))
 
     # positive side: same positive data under the true-sign operator
     mesh = build_mesh(-eps0, eps0, 127)
     params_minus = OperatorParams(1, s, LocalSign.MINUS)
     sys_ = build_system(mesh, params_minus)
-    pos_load = pointwise(lambda t: max(mixed_apply(f_eps, t, params_plus, quad), 0.0))
+    pos_load = pointwise(lambda t: np.maximum(mixed_apply(f_eps, t, params_plus), 0.0))
     rep = solve_dirichlet(sys_, ScalarField(evaluate=pos_load, name="wrong-sign image"))
     mp = check_weak_mp(rep)
     passed = violation > 0.0 and mp.passed
@@ -295,7 +298,7 @@ def _radial_counterexample_profile(n_dim: int):
     )
 
 
-def counterexample_general(s: float, n_dim: int, quad: QuadratureSpec) -> VerificationReport:
+def counterexample_general(s: float, n_dim: int) -> VerificationReport:
     """Nonnegative exterior data, wrong-sign local part, any s in (0, 1)."""
     if n_dim not in (1, 2, 3):
         raise DomainError("dimensions 1, 2 and 3 only")
@@ -305,9 +308,9 @@ def counterexample_general(s: float, n_dim: int, quad: QuadratureSpec) -> Verifi
     radii = np.concatenate((np.linspace(0.0, 2.5, 41), np.geomspace(2.5, 8.0, 8)))
     radii = radii[[u.c2_distance(float(r)) > 1e-9 for r in radii]]
     if n_dim == 1:
-        frac = frac_apply(u, radii, params_plus, quad)
+        frac = frac_apply(u, radii, params_plus)
     else:
-        frac = [frac_apply(u, r * np.eye(n_dim)[0], params_plus, quad) for r in radii]
+        frac = [frac_apply(u, r * np.eye(n_dim)[0], params_plus) for r in radii]
     sup_frac = float(np.max(np.abs(frac)))
     eps0 = 0.5
     while 2.0 * n_dim - eps0 ** (2.0 - 2.0 * s) * sup_frac <= 0.0:
@@ -319,7 +322,7 @@ def counterexample_general(s: float, n_dim: int, quad: QuadratureSpec) -> Verifi
         u_eps = scaled(u, eps0)
         test_pts = np.linspace(-0.95 * eps0, 0.95 * eps0, 41)
         uvals = u_eps.evaluate(test_pts)
-        lvals = mixed_apply(u_eps, test_pts, params_plus, quad)
+        lvals = mixed_apply(u_eps, test_pts, params_plus)
     else:
         u_eps = RadialField(
             profile=lambda r: u.profile(np.asarray(r, dtype=float) / eps0),
@@ -335,7 +338,7 @@ def counterexample_general(s: float, n_dim: int, quad: QuadratureSpec) -> Verifi
         for r in rr:
             x = np.zeros(n_dim)
             x[0] = float(r)
-            lvals.append(mixed_apply(u_eps, x, params_plus, quad))
+            lvals.append(mixed_apply(u_eps, x, params_plus))
         lvals = np.array(lvals)
     violation = min(float(np.min(lvals)), float(np.min(-uvals)))
 
@@ -461,8 +464,7 @@ def counterexample_boundary_only(r: float, s: float, n: int) -> VerificationRepo
 # ---------------------------------------------------------------------------
 
 
-def _pointwise_mixed_image(report: SolveReport, x: float,
-                           params: OperatorParams, quad: QuadratureSpec) -> float:
+def _pointwise_mixed_image(report: SolveReport, x: float, params: OperatorParams) -> float:
     """L u_h at x: quintic-fit curvature plus the nonlocal image of the
     zero-extended interpolant."""
     mesh = report.solution.mesh
@@ -476,11 +478,11 @@ def _pointwise_mixed_image(report: SolveReport, x: float,
     coeffs = np.polyfit(loc, vals[stencil], 5)
     upp = 2.0 * coeffs[-3] / mesh.h**2
     field = report.solution.as_field()
-    return -upp + frac_apply(field, x, params, quad)
+    return -upp + frac_apply(field, x, params)
 
 
 def residual_check(reports: Sequence[SolveReport], f: ScalarField,
-                   params: OperatorParams, quad: QuadratureSpec,
+                   params: OperatorParams,
                    halfwidth: Optional[float] = None) -> VerificationReport:
     """Interior max |L u_h - f| must decrease across successive refinements."""
     if len(reports) < 3:
@@ -498,7 +500,7 @@ def residual_check(reports: Sequence[SolveReport], f: ScalarField,
             k = int(np.floor((t - mesh.a) / mesh.h))
             x = mesh.a + (k + 0.5) * mesh.h  # snap to the element midpoint
             try:
-                image = _pointwise_mixed_image(rep, float(x), params, quad)
+                image = _pointwise_mixed_image(rep, float(x), params)
             except DomainError:
                 skipped += 1
                 continue
@@ -529,8 +531,7 @@ def _random_nonneg_load(mesh, rng) -> ScalarField:
     return assembly.grid_interpolant(mesh, vals)
 
 
-def run_suite(s: float, n: int, seed: int, quad: QuadratureSpec,
-              domain=(-1.0, 1.0)) -> list:
+def run_suite(s: float, n: int, seed: int, domain=(-1.0, 1.0)) -> list:
     """A deterministic battery of checks at one fractional order.
 
     Returns the list of reports; the caller decides how to render them.
@@ -559,7 +560,7 @@ def run_suite(s: float, n: int, seed: int, quad: QuadratureSpec,
     interior_min = float(np.min(one.solution.coeffs))
     x_star = float(one.solution.mesh.nodes[int(np.argmin(one.solution.coeffs))])
     out.append(
-        check_strong_mp_contact(interp, params, quad, x_star, omega=(a, b))
+        check_strong_mp_contact(interp, params, x_star, omega=(a, b))
         if interior_min <= 1e-12
         else VerificationReport(
             "strong_maximum_principle", True, interior_min, 1e-12,
@@ -569,9 +570,9 @@ def run_suite(s: float, n: int, seed: int, quad: QuadratureSpec,
     )
 
     if s < 0.5:
-        out.append(counterexample_ces(s, quad))
+        out.append(counterexample_ces(s))
     else:
-        out.append(counterexample_general(s, 1, quad))
+        out.append(counterexample_general(s, 1))
     out.append(counterexample_boundary_only(2.0, s, 255))
     return out
 

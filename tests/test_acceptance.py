@@ -106,7 +106,7 @@ def test_criterion_04_energy_ratio_stability():
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.6, 0.75, 0.9])
 def test_criterion_05_barrier_certificates(s):
     t0 = time.time()
-    p = barrier.build_barrier(s, QUAD)
+    p = barrier.build_barrier(s)
     params = OperatorParams(1, s)
     gf = barrier.gamma_field(p)
     # fresh 200-point grid, independent of the builder's certification grid
@@ -157,7 +157,7 @@ def test_criterion_06_boundary_growth_contrast():
 
 @pytest.mark.parametrize("s", [0.1, 0.25, 0.4])
 def test_criterion_07_wrong_sign_counterexample(s):
-    rep = counterexample_ces(s, QUAD)
+    rep = counterexample_ces(s)
     ok = rep.passed and "weak principle passed" in rep.notes
     _line(7, ok, f"s={s}: {rep.notes}")
 
@@ -205,5 +205,5 @@ def test_criterion_10_manufactured_residual_decay():
     f = fields.ScalarField(evaluate=f_eval, name="manufactured image")
     reps = [solve_dirichlet(build_system(build_mesh(-1.0, 1.0, n), params), f)
             for n in (63, 127, 255)]
-    rep = residual_check(reps, f, params, QUAD, halfwidth=0.5)
+    rep = residual_check(reps, f, params, halfwidth=0.5)
     _line(10, rep.passed, f"interior residual on |x|<=1/2: {rep.notes}")

@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -27,11 +28,29 @@ PUBLIC_NAMES = {
     "solve_dirichlet", "tail_integral", "tail_kappa", "theta",
 }
 
+# the parameters of the public drivers; a knob added to one shows up here as a
+# reviewed diff (each driver evaluates at the default QuadratureSpec)
+DRIVER_PARAMETERS = {
+    "build_barrier": ["s", "rho_omega"],
+    "check_strong_mp_contact": ["u", "params", "x0", "omega"],
+    "counterexample_ces": ["s"],
+    "counterexample_general": ["s", "n_dim"],
+    "lift_nonhomogeneous": ["sys", "f", "g"],
+    "residual_check": ["reports", "f", "params", "halfwidth"],
+    "run_suite": ["s", "n", "seed", "domain"],
+}
+
 
 def test_public_names_snapshot():
     names = {n for n, v in vars(mixlap).items()
              if not n.startswith("_") and not isinstance(v, types.ModuleType)}
     assert names == PUBLIC_NAMES
+
+
+def test_driver_parameters_snapshot():
+    params = {name: list(inspect.signature(getattr(mixlap, name)).parameters)
+              for name in DRIVER_PARAMETERS}
+    assert params == DRIVER_PARAMETERS
 
 
 def test_import_leaves_scipy_integrate_unloaded():

@@ -150,18 +150,18 @@ def test_smoothstep_scalar_path_matches_array_path(ramp):
 
 
 @pytest.fixture(scope="module")
-def p075(quad):
-    return build_barrier(0.75, quad)
+def p075():
+    return build_barrier(0.75)
 
 
 @pytest.fixture(scope="module")
-def p03(quad):
-    return build_barrier(0.3, quad)
+def p03():
+    return build_barrier(0.3)
 
 
 @pytest.fixture(scope="module")
-def p09(quad):
-    return build_barrier(0.9, quad)
+def p09():
+    return build_barrier(0.9)
 
 
 def test_barrier_type_invariants(p075):

@@ -156,11 +156,22 @@ def test_cli_reports_malformed_csv_load(tmp_path, capsys, text, message):
     ({"dimension": None}, "dimension"),
     ({"annulus_radius": "wide"}, "annulus_radius"),
     ({"domain": ["a", 1]}, "domain"),
-    ({"quad": {"panels": "x"}}, "quad.panels"),
-    ({"quad": {"tolerance": [1e-8]}}, "quad.tolerance"),
+    ({"quad": {"panels": "x"}}, "quad"),
+    ({"quad": {"tolerance": [1e-8]}}, "quad"),
 ])
 def test_cli_reports_wrongly_typed_config_value(tmp_path, capsys, doc, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     assert main(["verify", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
     assert f"error: {key}:" in capsys.readouterr().err
+
+
+def test_cli_has_no_quadrature_settings(tmp_path, capsys):
+    # every driver evaluates at the default QuadratureSpec
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"quad": {"tolerance": 1e-9}}))
+    assert main(["verify", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+    assert "error: quad: unknown key" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--tolerance", "1e-9", "--output-dir", str(tmp_path)])
+    assert info.value.code == 2

@@ -165,48 +165,48 @@ def test_backward_error_stays_out_of_the_report_dict(sys_05_255):
 
 
 def test_pointwise_load_is_sampled_once_per_gauss_point():
-    calls = []
+    points = []
 
     def load(t):
-        calls.append(t)
+        points.extend(t.tolist())
         return 1.0 + t * t
 
     n = 31
     sys_ = build_system(build_mesh(-1.0, 1.0, n), OperatorParams(1, 0.5))
     f = fields.ScalarField(evaluate=fields.pointwise(load), name="pointwise")
     rep = solve_dirichlet(sys_, f)
-    assert len(calls) == 6 * (n + 1)
+    assert len(points) == 6 * (n + 1)
     assert rep.l2_f_norm == solve.lp_norm(f, sys_.mesh, 2.0)
-    assert len(calls) == 6 * (n + 1)
+    assert len(points) == 6 * (n + 1)
 
 
-def test_lift_with_zero_datum_matches_plain_solve(quad):
+def test_lift_with_zero_datum_matches_plain_solve():
     sys_ = build_system(build_mesh(-1.0, 1.0, 63), OperatorParams(1, 0.5))
     plain = solve_dirichlet(sys_, fields.constant(1.0))
-    lifted = lift_nonhomogeneous(sys_, fields.constant(1.0), fields.zero(), quad)
+    lifted = lift_nonhomogeneous(sys_, fields.constant(1.0), fields.zero())
     assert np.allclose(lifted.solution.coeffs, plain.solution.coeffs, atol=1e-12)
 
 
-def test_lift_exterior_bump_nonnegative(quad):
+def test_lift_exterior_bump_nonnegative():
     sys_ = build_system(build_mesh(-1.0, 1.0, 63), OperatorParams(1, 0.5))
     g = fields.mollifier_bump(2.0, 0.5, 1.0)  # supported outside the closure
-    rep = lift_nonhomogeneous(sys_, fields.zero(), g, quad)
+    rep = lift_nonhomogeneous(sys_, fields.zero(), g)
     assert float(np.min(rep.solution.coeffs)) >= -1e-10
     assert rep.exterior is g
 
 
-def test_lift_far_plateau_is_nearly_constant(quad):
+def test_lift_far_plateau_is_nearly_constant():
     sys_ = build_system(build_mesh(-1.0, 1.0, 63), OperatorParams(1, 0.5))
     g = fields.plateau(-60.0, -50.0, 50.0, 60.0, depth=1.0)
-    rep = lift_nonhomogeneous(sys_, fields.zero(), g, quad)
+    rep = lift_nonhomogeneous(sys_, fields.zero(), g)
     assert np.all(np.abs(rep.solution.coeffs - 1.0) < 5e-3)
 
 
-def test_lift_rejects_datum_without_curvature(quad):
+def test_lift_rejects_datum_without_curvature():
     sys_ = build_system(build_mesh(-1.0, 1.0, 15), OperatorParams(1, 0.5))
     bare = fields.ScalarField(evaluate=lambda x: np.zeros_like(np.asarray(x, float)))
     with pytest.raises(DomainError):
-        lift_nonhomogeneous(sys_, fields.zero(), bare, quad)
+        lift_nonhomogeneous(sys_, fields.zero(), bare)
 
 
 # ---------------------------------------------------------------------------
