@@ -277,16 +277,12 @@ def bilinear_eval(u: GridFunction, v: GridFunction, sys: StiffnessSystem) -> flo
 
 
 def export_matrix(path, row: np.ndarray, comment: str = "") -> None:
-    """Plain-text triplet dump of the symmetric Toeplitz matrix with first row
-    ``row``: header line, then `i j value` rows (1-based) for all n^2 entries,
-    each of the n values formatted once and written one matrix row at a time."""
-    vals = [f" {v:.17g}\n" for v in np.asarray(row, dtype=float)]
-    n = len(vals)
-    cols = [f" {j + 1}" for j in range(n)]
+    """Symmetric Toeplitz matrix with first row ``row`` as plain text: the
+    banner ``%%matrix toeplitz symmetric real  <comment>``, the line ``n n n^2``
+    (shape and entry count of the matrix), then one line ``k value`` for each
+    offset k = |i - j| = 0..n-1, the entry to 17 significant digits."""
+    row = np.asarray(row, dtype=float)
+    n = len(row)
     with open(path, "w") as fh:
-        fh.write(f"%%matrix coordinate real general  {comment}\n")
-        fh.write(f"{n} {n} {n * n}\n")
-        for i in range(n):
-            label = f"{i + 1}"
-            offsets = vals[i:0:-1] + vals[: n - i]  # |i - j| for j = 0..n-1
-            fh.write(label + label.join(map(str.__add__, cols, offsets)))
+        fh.write(f"%%matrix toeplitz symmetric real  {comment}\n{n} {n} {n * n}\n")
+        fh.writelines(f"{k} {v:.17g}\n" for k, v in enumerate(row.tolist()))

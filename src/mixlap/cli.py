@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -191,7 +192,7 @@ def _run_solve(cfg: RunConfig, outdir: Path) -> int:
     solve.export_solution_csv(outdir / "solution.csv", report)
     solve.export_report(outdir / "report.json", report)
     assembly.export_matrix(outdir / "stiffness.txt", sys_.row,
-                           comment=f"s={cfg.s} n={cfg.n}")
+                           comment=f"s={cfg.s} n={cfg.n} h={mesh.h:.17g}")
     return 0
 
 
@@ -272,6 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
+        # argparse < 3.13 takes "-1e6" for an option; no option here starts with a digit
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         p.add_argument("--config", type=str, default=None,
                        help="JSON config file; flags override its keys")
         p.add_argument("--s", type=float, default=None)

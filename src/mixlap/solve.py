@@ -185,8 +185,8 @@ def export_solution_csv(path, report: SolveReport) -> None:
     mesh = report.solution.mesh
     with open(path, "w") as fh:
         fh.write("x,u\n")
-        for x, u in zip(mesh.nodes, report.solution.coeffs):
-            fh.write(f"{x:.17g},{u:.17g}\n")
+        fh.writelines(f"{x:.17g},{u:.17g}\n" for x, u in
+                      zip(mesh.nodes.tolist(), report.solution.coeffs.tolist()))
 
 
 def export_report(path, report: SolveReport) -> None:

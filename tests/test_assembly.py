@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from mixlap import fields
 from mixlap.assembly import (GridFunction, bilinear_eval, build_mesh,
@@ -292,35 +293,38 @@ def test_refinement_consistency_of_energy():
     assert diffs[-1] < diffs[-2] < diffs[-3]
 
 
+def _read_row(path):
+    """Header tokens and the first row of a Toeplitz dump, parsed by offset."""
+    lines = path.read_text().splitlines()
+    pairs = [ln.split() for ln in lines[2:]]
+    assert [int(k) for k, _ in pairs] == list(range(len(pairs)))
+    return lines, np.array([float(v) for _, v in pairs])
+
+
 def test_export_matrix_roundtrip(tmp_path):
     mesh = build_mesh(-1.0, 1.0, 3)
     A = nonlocal_stiffness(mesh, OperatorParams(1, 0.5))
     path = tmp_path / "mat.txt"
     export_matrix(path, A[0], comment="test")
-    lines = path.read_text().splitlines()
+    lines, row = _read_row(path)
+    assert lines[0] == "%%matrix toeplitz symmetric real  test"
     assert lines[1].split() == ["3", "3", "9"]
-    i, j, v = lines[2].split()
-    assert (int(i), int(j)) == (1, 1)
-    assert float(v) == pytest.approx(A[0, 0], rel=1e-15)
-
-
-def _entrywise_dump(path, mat, comment):
-    """Reference writer: one formatted write per entry of the dense matrix."""
-    with open(path, "w") as fh:
-        fh.write(f"%%matrix coordinate real general  {comment}\n")
-        fh.write(f"{mat.shape[0]} {mat.shape[1]} {mat.size}\n")
-        for i in range(mat.shape[0]):
-            for j in range(mat.shape[1]):
-                fh.write(f"{i + 1} {j + 1} {mat[i, j]:.17g}\n")
+    assert toeplitz(row).tobytes() == A.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17])
 @pytest.mark.parametrize("s", [0.25, 0.5])
 def test_export_matrix_matches_entrywise_writer(tmp_path, n, s):
+    # one line per offset, each entry formatted on its own to 17 digits
     sys_ = build_system(build_mesh(-1.0, 1.0, n), OperatorParams(1, s))
-    export_matrix(tmp_path / "row.txt", sys_.row, comment=f"s={s} n={n}")
-    _entrywise_dump(tmp_path / "ref.txt", sys_.combined(), f"s={s} n={n}")
-    assert (tmp_path / "row.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+    path = tmp_path / "row.txt"
+    export_matrix(path, sys_.row, comment=f"s={s} n={n}")
+    lines, row = _read_row(path)
+    assert len(lines) == n + 2
+    assert lines[1] == f"{n} {n} {n * n}"
+    for k in range(n):
+        assert lines[k + 2] == f"{k} {sys_.row[k]:.17g}"
+    assert toeplitz(row).tobytes() == sys_.combined().tobytes()
 
 
 def test_grid_interpolant_zero_extension():

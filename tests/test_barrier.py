@@ -351,7 +351,7 @@ def test_mixed_apply_grid_adds_pointwise_local_part(name, sign, p075, quad):
     assert type(mixed_apply(u, float(xs[0]), params, quad)) is float
 
 
-def test_build_barrier_rejects_bad_order(quad):
+def test_build_barrier_rejects_bad_order():
     with pytest.raises(DomainError):
         build_ladder(1.2)
 

@@ -72,6 +72,27 @@ def test_rerun_reproduces_artifacts(tmp_path):
     assert (tmp_path / "solution.csv").read_bytes() == first
 
 
+def test_solve_at_n_65535_writes_the_stiffness_row(tmp_path):
+    n = 65535
+    for out in ("a", "b"):
+        assert main(["solve", "--n", str(n), "--output-dir", str(tmp_path / out)]) == 0
+    a = tmp_path / "a"
+    assert len((a / "solution.csv").read_text().splitlines()) == n + 1
+    stiffness = (a / "stiffness.txt").read_bytes()
+    assert len(stiffness) < 3_000_000
+    lines = stiffness.decode().splitlines()
+    assert len(lines) == n + 2
+    assert lines[1] == "65535 65535 4294836225"
+    assert (tmp_path / "b" / "stiffness.txt").read_bytes() == stiffness
+
+
+def test_domain_accepts_negative_numbers_in_exponent_form(tmp_path):
+    assert main(["solve", "--domain", "-1e6", "1e6", "--n", "15",
+                 "--output-dir", str(tmp_path)]) == 0
+    first = (tmp_path / "solution.csv").read_text().splitlines()[1]
+    assert first.startswith("-875000,")
+
+
 def test_verify_summaries_byte_identical(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

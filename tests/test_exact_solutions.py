@@ -86,7 +86,7 @@ def test_profile_image_is_constant_radial(n_dim, s, quad):
         assert val == pytest.approx(lam, rel=1e-8)
 
 
-def test_pure_fractional_solve_converges_to_profile(quad):
+def test_pure_fractional_solve_converges_to_profile():
     # zero-exterior solve of the pure fractional operator with unit load:
     # the exact solution is the cap profile over its image constant
     s = 0.5

@@ -198,7 +198,7 @@ def test_wrong_sign_scaled_parabola_lower_bound(quad):
 # ---------------------------------------------------------------------------
 
 
-def test_tail_integral_zero_and_compact(quad):
+def test_tail_integral_zero_and_compact():
     p = OperatorParams(1, 0.5)
     assert tail_integral(fields.zero(), p) == 0.0
     val = tail_integral(fields.parabola_cap(), p)

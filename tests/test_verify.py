@@ -209,7 +209,7 @@ def test_boundary_only_counterexample():
     assert "v(+-1)=" in r.notes
 
 
-def test_boundary_only_value_on_annulus(quad):
+def test_boundary_only_value_on_annulus():
     # where the ring well vanishes, v equals the reflected minimum exactly
     phi = verify._ring_well(2.0)
     ys = np.linspace(1.1, 2.0, 7)
