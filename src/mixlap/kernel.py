@@ -247,22 +247,18 @@ def _noise_floor(s: float, tolerance: float, scale: float) -> float:
 
 
 def _second_derivative_estimate(u: ScalarField, x: float, h: float):
-    """(upp, u4): second derivative and a fourth-derivative estimate at x."""
+    """(upp, u4): second derivative and a fourth-derivative estimate at x.
+
+    frac_apply_1d refuses points within _MIN_C2_ZONE of a kink, so d > 0."""
     if u.second_derivative is not None:
         upp = float(u.second_derivative(x))
         d = max(h, 1e-5)
         d = min(d, u.c2_distance(x) / 4.0) if u.kinks else d
-        if d > 0:
-            try:
-                u4 = (
-                    float(u.second_derivative(x + d))
-                    + float(u.second_derivative(x - d))
-                    - 2.0 * upp
-                ) / d**2
-            except Exception:
-                u4 = 0.0
-        else:
-            u4 = 0.0
+        u4 = (
+            float(u.second_derivative(x + d))
+            + float(u.second_derivative(x - d))
+            - 2.0 * upp
+        ) / d**2
         return upp, u4
     pts = np.array([x - h, x, x + h])
     vals = u.evaluate(pts)
@@ -348,9 +344,6 @@ def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams",
 # ---------------------------------------------------------------------------
 # fractional Laplacian, radial fields in dimension 2 and 3
 # ---------------------------------------------------------------------------
-
-
-_ANGULAR_GX, _ANGULAR_GW = leggauss(24)
 
 
 def _angular_mean(u: RadialField, r: float, rho: np.ndarray, n_dim: int) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,7 +20,7 @@ from .assembly import build_mesh, build_system
 from .barrier import radial_cutoff
 from .errors import DomainError, ResolutionError
 from .fields import (RadialField, ScalarField, TailExpansion, constant,
-                     parabola_cap, plateau, pointwise, scaled)
+                     parabola_cap, plateau, pointwise)
 from .kernel import (LocalSign, OperatorParams, QuadratureSpec, _panel_nodes,
                      frac_apply, mixed_apply)
 from .solve import SolveReport, lp_norm, solve_dirichlet
@@ -223,6 +223,53 @@ def check_boundary_lipschitz(reports: Sequence[SolveReport],
 # ---------------------------------------------------------------------------
 
 
+def _scale_exponent(s: float, excess: float):
+    """k = -log2 eps0, the least k >= 1 with w excess < 1, w = 2^(-k(2-2s)):
+    eps0^2 (Delta + (-Delta)^s) u(./eps0) at eps0 y is Delta u(y) + w (-Delta)^s u(y).
+    k is log2(excess)/(2-2s) rounded up; rounded to nearest it is k or k - 1,
+    and the inequality at that one k decides, rounding ties included."""
+    a = 2.0 - 2.0 * s
+    k = max(1, round(math.log2(excess) / a))
+    if 1.0 - 2.0 ** (-k * a) * excess <= 0.0:
+        k += 1
+    return k, 2.0 ** (-k * a)
+
+
+def _frac_at(u, y: np.ndarray, params: OperatorParams) -> np.ndarray:
+    """(-Delta)^s u at the points y, or at the radii y of a radial u."""
+    if params.n_dim == 1:
+        return frac_apply(u, y, params)
+    return np.array([frac_apply(u, r * np.eye(params.n_dim)[0], params) for r in y.tolist()])
+
+
+def _wrong_sign_image(u, y: np.ndarray, params: OperatorParams, w: float) -> np.ndarray:
+    """Delta u + w (-Delta)^s u at the points y, or at the radii y of a radial u."""
+    lap = [float(u.second_derivative(r)) if params.n_dim == 1
+           else u.laplacian(r, params.n_dim) for r in y.tolist()]
+    return np.array(lap) + w * _frac_at(u, y, params)
+
+
+def _certify_sign(k: int, lvals, uvals):
+    """min(L u_eps, -u_eps), eps0 and the least image L u_eps = 4^k lvals:
+    absolute while that is finite, and eps0 = 2^-k while it is normal."""
+    lmin = float(np.min(lvals))
+    eps0 = 2.0 ** -k if k <= 1022 else f"2^-{k}"
+    try:
+        image = math.ldexp(lmin, 2 * k)
+    except OverflowError:  # past the double range lmin keeps the sign
+        return min(lmin, float(np.min(-uvals))), eps0, f"{lmin:.4g}*4^{k}"
+    return min(image, float(np.min(-uvals))), eps0, f"{image:.4g}"
+
+
+def _true_sign_weak_mp(s: float, w: float, load_on) -> VerificationReport:
+    """The true-sign solve on (-eps0, eps0) at n = 127, as -Delta + w (-Delta)^s
+    on (-1, 1): its system and load vector are eps0 times the original ones."""
+    mesh = build_mesh(-1.0, 1.0, 127)
+    sys_ = build_system(mesh, OperatorParams(1, s))
+    return check_weak_mp(solve_dirichlet(
+        replace(sys_, nonlocal_row=w * sys_.nonlocal_row), load_on(mesh)))
+
+
 def counterexample_ces(s: float) -> VerificationReport:
     """Zero exterior data, sign-reversed local part, s below 1/2.
 
@@ -233,32 +280,22 @@ def counterexample_ces(s: float) -> VerificationReport:
     """
     if not (0.0 < s < 0.5):
         raise DomainError("this construction needs s in (0, 1/2)")
-    params_plus = OperatorParams(1, s, LocalSign.PLUS)
-    c1s = params_plus.c_ns
-    coeff = 2.0 ** (1.0 - 2.0 * s) * c1s * (1.0 - s) / (s * (1.0 - 2.0 * s))
-    eps0 = 0.5
-    while 1.0 - eps0 ** (2.0 - 2.0 * s) * coeff <= 0.0:
-        eps0 *= 0.5
-        if eps0 < 2.0**-40:
-            raise ResolutionError("no admissible scaling found")
-    f_eps = scaled(parabola_cap(), eps0)
-    grid = np.linspace(-eps0, eps0, 101)[1:-1]
-    fvals = f_eps.evaluate(grid)
-    lvals = mixed_apply(f_eps, grid, params_plus)
-    violation = min(float(np.min(lvals)), float(np.min(-fvals)))
+    params = OperatorParams(1, s)
+    coeff = 2.0 ** (1.0 - 2.0 * s) * params.c_ns * (1.0 - s) / (s * (1.0 - 2.0 * s))
+    k, w = _scale_exponent(s, coeff)
+    f = parabola_cap()
+    grid = np.linspace(-1.0, 1.0, 101)[1:-1]
+    fvals = f.evaluate(grid)
+    violation, eps0, image = _certify_sign(k, _wrong_sign_image(f, grid, params, w), fvals)
 
     # positive side: same positive data under the true-sign operator
-    mesh = build_mesh(-eps0, eps0, 127)
-    params_minus = OperatorParams(1, s, LocalSign.MINUS)
-    sys_ = build_system(mesh, params_minus)
-    pos_load = pointwise(lambda t: np.maximum(mixed_apply(f_eps, t, params_plus), 0.0))
-    rep = solve_dirichlet(sys_, ScalarField(evaluate=pos_load, name="wrong-sign image"))
-    mp = check_weak_mp(rep)
-    passed = violation > 0.0 and mp.passed
+    pos_load = pointwise(lambda t: np.maximum(_wrong_sign_image(f, t, params, w), 0.0))
+    mp = _true_sign_weak_mp(
+        s, w, lambda mesh: ScalarField(evaluate=pos_load, name="wrong-sign image"))
     return VerificationReport(
-        "counterexample_zero_exterior", passed, violation, 0.0,
+        "counterexample_zero_exterior", violation > 0.0 and mp.passed, violation, 0.0,
         _digest(s=s, eps0=eps0),
-        notes=(f"eps0={eps0}; min wrong-sign image={np.min(lvals):.4g}; "
+        notes=(f"eps0={eps0}; min wrong-sign image={image}; "
                f"max f={np.max(fvals):.4g}; true-sign weak principle "
                f"{'passed' if mp.passed else 'FAILED'} (min u={mp.measured:.3g})"),
     )
@@ -302,67 +339,30 @@ def counterexample_general(s: float, n_dim: int) -> VerificationReport:
     """Nonnegative exterior data, wrong-sign local part, any s in (0, 1)."""
     if n_dim not in (1, 2, 3):
         raise DomainError("dimensions 1, 2 and 3 only")
-    params_plus = OperatorParams(n_dim, s, LocalSign.PLUS)
+    params = OperatorParams(n_dim, s)
     u = _radial_counterexample_profile(n_dim)
 
     radii = np.concatenate((np.linspace(0.0, 2.5, 41), np.geomspace(2.5, 8.0, 8)))
     radii = radii[[u.c2_distance(float(r)) > 1e-9 for r in radii]]
-    if n_dim == 1:
-        frac = frac_apply(u, radii, params_plus)
-    else:
-        frac = [frac_apply(u, r * np.eye(n_dim)[0], params_plus) for r in radii]
-    sup_frac = float(np.max(np.abs(frac)))
-    eps0 = 0.5
-    while 2.0 * n_dim - eps0 ** (2.0 - 2.0 * s) * sup_frac <= 0.0:
-        eps0 *= 0.5
-        if eps0 < 2.0**-40:
-            raise ResolutionError("no admissible scaling found")
+    sup_frac = float(np.max(np.abs(_frac_at(u, radii, params))))
+    k, w = _scale_exponent(s, sup_frac / (2.0 * n_dim))
+    pts = np.linspace(-0.95, 0.95, 41) if n_dim == 1 else np.linspace(0.0, 0.95, 21)
+    uvals, lvals = u(pts), _wrong_sign_image(u, pts, params, w)
+    violation, eps0, image = _certify_sign(k, lvals, uvals)
 
+    # positive side: the true-sign weak principle, in dimension 1 (the solver's)
+    mp_ok, mp_note = True, "true-sign side certified in dimension 1 (solver is 1D)"
     if n_dim == 1:
-        u_eps = scaled(u, eps0)
-        test_pts = np.linspace(-0.95 * eps0, 0.95 * eps0, 41)
-        uvals = u_eps.evaluate(test_pts)
-        lvals = mixed_apply(u_eps, test_pts, params_plus)
-    else:
-        u_eps = RadialField(
-            profile=lambda r: u.profile(np.asarray(r, dtype=float) / eps0),
-            d_profile=lambda r: u.d_profile(r / eps0) / eps0,
-            dd_profile=lambda r: u.dd_profile(r / eps0) / eps0**2,
-            support_radius=2.0 * eps0,
-            kinks=tuple(k * eps0 for k in u.kinks),
-            name="scaled capped paraboloid",
-        )
-        rr = np.linspace(0.0, 0.95 * eps0, 21)
-        uvals = u_eps.profile(rr)
-        lvals = []
-        for r in rr:
-            x = np.zeros(n_dim)
-            x[0] = float(r)
-            lvals.append(mixed_apply(u_eps, x, params_plus))
-        lvals = np.array(lvals)
-    violation = min(float(np.min(lvals)), float(np.min(-uvals)))
-
-    # positive side: the true-sign operator with the same positive data obeys
-    # the weak principle (the discrete solver is one-dimensional)
-    if n_dim == 1:
-        mesh = build_mesh(-eps0, eps0, 127)
-        sys_ = build_system(mesh, OperatorParams(1, s, LocalSign.MINUS))
-        pos = np.maximum(np.interp(mesh.nodes, test_pts, lvals), 0.0)
-        mp_rep = check_weak_mp(
-            solve_dirichlet(sys_, assembly.grid_interpolant(mesh, pos)))
-        positive_note = ("true-sign weak principle "
-                         f"{'passed' if mp_rep.passed else 'FAILED'}")
-        positive_ok = mp_rep.passed
-    else:
-        positive_note = "true-sign side certified in dimension 1 (solver is 1D)"
-        positive_ok = True
+        mp_ok = _true_sign_weak_mp(s, w, lambda mesh: assembly.grid_interpolant(
+            mesh, np.maximum(np.interp(mesh.nodes, pts, lvals), 0.0))).passed
+        mp_note = f"true-sign weak principle {'passed' if mp_ok else 'FAILED'}"
     return VerificationReport(
         "counterexample_nonnegative_exterior",
-        violation > 0.0 and positive_ok, violation, 0.0,
+        violation > 0.0 and mp_ok, violation, 0.0,
         _digest(s=s, N=n_dim, eps0=eps0),
         notes=(f"N={n_dim}, eps0={eps0}; sup |(-D)^s u| = {sup_frac:.4g}; "
-               f"min wrong-sign image={np.min(lvals):.4g}; "
-               f"max u={np.max(uvals):.4g}; {positive_note}"),
+               f"min wrong-sign image={image}; "
+               f"max u={np.max(uvals):.4g}; {mp_note}"),
     )
 
 

@@ -120,6 +120,15 @@ def test_boundary_counterexample_passes_at_n_1023(tmp_path):
     assert text.startswith("counterexample_boundary_only: passed")
 
 
+@pytest.mark.parametrize("s", ["0.01", "0.5", "0.99"])
+def test_subcommands_run_across_the_order_range(tmp_path, s):
+    jobs = [["solve", "--n", "31"], ["verify", "--n", "31"], ["counterexample"]]
+    if s != "0.99":  # the barrier is certified up to s = 0.91
+        jobs.append(["barrier"])
+    for job in jobs:
+        assert main(job + ["--s", s, "--output-dir", str(tmp_path / job[0])]) == 0, job
+
+
 def test_barrier_dump(tmp_path):
     code = main(["barrier", "--s", "0.6", "--output-dir", str(tmp_path)])
     assert code == 0

@@ -6,7 +6,7 @@ import pytest
 from mixlap import assembly, barrier, fields, verify
 from mixlap.assembly import build_mesh, build_system
 from mixlap.errors import DomainError
-from mixlap.kernel import OperatorParams, mixed_apply
+from mixlap.kernel import OperatorParams, frac_apply, mixed_apply
 from mixlap.solve import solve_dirichlet
 from mixlap.verify import (check_boundary_lipschitz, check_linf_bound,
                            check_strong_mp_contact, check_weak_mp,
@@ -164,9 +164,13 @@ def test_ces_counterexample(monkeypatch):
 
     def counted(u, x, params):
         calls.append(np.size(x))
-        return mixed_apply(u, x, params)
+        return frac_apply(u, x, params)
 
-    monkeypatch.setattr(verify, "mixed_apply", counted)
+    def refused(*args):
+        raise AssertionError("the scaled image needs no mixed_apply")
+
+    monkeypatch.setattr(verify, "frac_apply", counted)
+    monkeypatch.setattr(verify, "mixed_apply", refused)
     r = counterexample_ces(0.25)
     # the certification grid, then the positive load at all 6 (127+1) Gauss points
     assert calls == [99, 768]
@@ -190,6 +194,50 @@ def test_ces_rejects_large_order():
 def test_general_counterexample_1d():
     r = counterexample_general(0.75, 1)
     assert r.passed
+
+
+def _halving_exponent(s, excess):
+    """The halving loop the closed form replaced, without its 2^-40 cap."""
+    eps0, k = 0.5, 1
+    while 1.0 - eps0 ** (2.0 - 2.0 * s) * excess <= 0.0:
+        eps0 *= 0.5
+        k += 1
+    return k
+
+
+def test_scale_exponent_matches_the_halving_loop():
+    for s in np.linspace(0.0, 0.5, 502)[1:-1]:
+        c1s = OperatorParams(1, s).c_ns
+        coeff = 2.0 ** (1.0 - 2.0 * s) * c1s * (1.0 - s) / (s * (1.0 - 2.0 * s))
+        assert verify._scale_exponent(s, coeff)[0] == _halving_exponent(s, coeff), s
+    for excess in (0.5, 1.0, 2.6, 5.5):
+        for s in np.linspace(0.0, 1.0, 502)[1:-1]:
+            k, w = verify._scale_exponent(s, excess)
+            assert k == _halving_exponent(s, excess), (s, excess)
+            assert w == 2.0 ** (-k * (2.0 - 2.0 * s))
+
+
+@pytest.mark.parametrize("s, k", [(0.75, 3), (0.9, 11), (0.96, 29)])
+def test_general_counterexample_keeps_its_scale(s, k):
+    r = counterexample_general(s, 1)
+    assert r.passed
+    assert f"eps0={2.0 ** -k};" in r.notes
+    assert r.inputs_digest == verify._digest(s=s, N=1, eps0=2.0 ** -k)
+
+
+def test_ces_counterexample_keeps_its_scale():
+    r = counterexample_ces(0.49)
+    assert r.passed
+    assert "eps0=0.0625;" in r.notes
+    assert r.inputs_digest == verify._digest(s=0.49, eps0=0.0625)
+
+
+@pytest.mark.parametrize("s", [0.97, 0.99, 0.999])
+def test_general_counterexample_near_order_one(s):
+    r = counterexample_general(s, 1)
+    assert r.passed
+    assert "weak principle passed" in r.notes
+    assert ("eps0=2^-" in r.notes) == (s == 0.999)
 
 
 def test_general_counterexample_center_value():
