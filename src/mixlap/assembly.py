@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as sla
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, InputError
@@ -184,6 +184,11 @@ def _local_row(mesh: Mesh) -> np.ndarray:
     return row
 
 
+def _toeplitz(row: np.ndarray) -> np.ndarray:
+    """Dense symmetric Toeplitz matrix with first row ``row``, as a fresh array."""
+    return sliding_window_view(np.concatenate((row[:0:-1], row)), row.size)[::-1].copy()
+
+
 def nonlocal_stiffness(mesh: Mesh, params: OperatorParams) -> np.ndarray:
     """Dense symmetric matrix of the full-plane Gagliardo form on the hats.
 
@@ -191,12 +196,12 @@ def nonlocal_stiffness(mesh: Mesh, params: OperatorParams) -> np.ndarray:
     product against |x-y|^{-1-2s}, exterior strips included; the matrix is
     the Toeplitz expansion of the closed-form row.
     """
-    return sla.toeplitz(_nonlocal_row(mesh, params))
+    return _toeplitz(_nonlocal_row(mesh, params))
 
 
 def local_stiffness(mesh: Mesh) -> np.ndarray:
     """Tridiagonal gradient Gram matrix: 2/h on the diagonal, -1/h off it."""
-    return sla.toeplitz(_local_row(mesh))
+    return _toeplitz(_local_row(mesh))
 
 
 def load_vector(f: ScalarField, mesh: Mesh) -> np.ndarray:
@@ -230,18 +235,18 @@ class StiffnessSystem:
 
     @property
     def local(self) -> np.ndarray:
-        return sla.toeplitz(self.local_row)
+        return _toeplitz(self.local_row)
 
     @property
     def nonlocal_(self) -> np.ndarray:
-        return sla.toeplitz(self.nonlocal_row)
+        return _toeplitz(self.nonlocal_row)
 
     @cached_property
     def row(self) -> np.ndarray:  # first row of local + nonlocal
         return self.local_row + self.nonlocal_row
 
     def combined(self) -> np.ndarray:
-        return sla.toeplitz(self.row)
+        return _toeplitz(self.row)
 
     @cached_property
     def _embedding(self):

@@ -12,6 +12,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -158,7 +159,9 @@ def _load_field(spec: str, domain) -> ScalarField:
         if not path.exists():
             raise ConfigError(f"f: sample file {rest!r} not found")
         try:
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            with warnings.catch_warnings():  # a header-only file is reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         except ValueError as exc:
             raise ConfigError(f"f: sample file {rest!r} is not numeric CSV ({exc})") from exc
         if data.shape[0] == 0 or data.shape[1] < 2:

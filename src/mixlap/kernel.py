@@ -241,9 +241,11 @@ def _noise_floor(s: float, tolerance: float, scale: float) -> float:
     """Smallest offset at which raw second differences beat roundoff.
 
     Integrating machine noise eps*scale against z^(-1-2s) from z0 outward
-    contributes ~ eps*scale*z0^(-2s)/(2s); keep that below tolerance/10.
+    contributes ~ eps*scale*z0^(-2s)/(2s); keep that below tolerance/10
+    (inf past e^700: the caller clamps z0 to the core radius anyway).
     """
-    return (10.0 * _EPS * scale / (2.0 * s * tolerance)) ** (1.0 / (2.0 * s))
+    base, power = 10.0 * _EPS * scale / (2.0 * s * tolerance), 1.0 / (2.0 * s)
+    return base ** power if power * math.log(base) < 700.0 else math.inf
 
 
 def _second_derivative_estimate(u: ScalarField, x: float, h: float):

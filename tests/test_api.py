@@ -67,6 +67,25 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert out.stdout.split() == ["False", "False"]
 
 
+def test_import_and_dense_builders_leave_scipy_unloaded():
+    # the dense Toeplitz matrices are built with numpy: no scipy module at all
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "import sys, mixlap, mixlap.cli\n"
+        "p = mixlap.OperatorParams(1, 0.25)\n"
+        "mesh = mixlap.build_mesh(-1.0, 1.0, 7)\n"
+        "mixlap.build_system(mesh, p).combined()\n"
+        "mixlap.local_stiffness(mesh)\n"
+        "mixlap.nonlocal_stiffness(mesh, p)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_operator_constant_is_derived_not_passed():
     with pytest.raises(TypeError):
         mixlap.OperatorParams(1, 0.5, c_ns=1.0)

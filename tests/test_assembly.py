@@ -173,6 +173,31 @@ def test_dense_matrices_expand_the_rows():
         (sys_.nonlocal_row[3:0:-1], sys_.nonlocal_row[:6])))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 1023])
+@pytest.mark.parametrize("s", [0.25, 0.5])
+def test_dense_builders_match_scipy_toeplitz(n, s):
+    mesh = build_mesh(-1.0, 1.0, n)
+    params = OperatorParams(1, s)
+    sys_ = build_system(mesh, params)
+    rows = (sys_.local_row, sys_.nonlocal_row, sys_.row)
+    saved = [r.copy() for r in rows]
+    built = {
+        "local_stiffness": (local_stiffness(mesh), sys_.local_row),
+        "nonlocal_stiffness": (nonlocal_stiffness(mesh, params), sys_.nonlocal_row),
+        "local": (sys_.local, sys_.local_row),
+        "nonlocal_": (sys_.nonlocal_, sys_.nonlocal_row),
+        "combined": (sys_.combined(), sys_.row),
+    }
+    for name, (mat, row) in built.items():
+        ref = toeplitz(row)
+        assert (mat.shape, mat.dtype) == (ref.shape, ref.dtype), name
+        assert mat.tobytes() == ref.tobytes(), name  # bit for bit, signed zeros too
+        assert mat.flags.c_contiguous and mat.flags.writeable, name
+        mat[...] = np.nan  # a fresh array: the rows it came from stay put
+    for r, before in zip(rows, saved):
+        assert np.array_equal(r, before)
+
+
 def test_nonlocal_offdiagonal_signs_reported():
     # sign structure is observed, not asserted as an invariant: record that
     # the first row is positive on the diagonal for the orders tested

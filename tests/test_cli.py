@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -174,7 +175,9 @@ def test_cli_reports_missing_config_file(tmp_path, capsys):
 def test_cli_reports_malformed_csv_load(tmp_path, capsys, text, message):
     sample = tmp_path / "bad.csv"
     sample.write_text(text)
-    assert main(["solve", "--f", f"csv:{sample}", "--output-dir", str(tmp_path)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # only the typed error reaches the user
+        assert main(["solve", "--f", f"csv:{sample}", "--output-dir", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
 
 

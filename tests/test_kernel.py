@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from mixlap import fields
+from mixlap import fields, kernel
 from mixlap.assembly import build_mesh, grid_interpolant
 from mixlap.cli import _load_field
 from mixlap.errors import DomainError, TailDivergenceError
@@ -141,6 +142,15 @@ def test_kink_evaluation_rejected(quad):
     p = OperatorParams(1, 0.5)
     with pytest.raises(DomainError):
         frac_apply(pure_power(1.0), 0.0, p, quad)
+
+
+@pytest.mark.parametrize("s", [1e-7, 5e-8, 1e-8, 1e-9])
+def test_noise_floor_at_tiny_order_does_not_overflow(s):
+    # the base 10 eps scale / (2 s tol) passes 1 below s ~ 1.1e-7, and its
+    # power 1/(2s) then overflows; the floor is infinite, and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernel._noise_floor(s, 1e-8, 1.0) == math.inf
 
 
 @pytest.mark.parametrize("alpha,s", [(1.0, 0.75), (1.2, 0.9), (1.0, 0.6),

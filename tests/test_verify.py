@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -223,6 +224,16 @@ def test_general_counterexample_keeps_its_scale(s, k):
     assert r.passed
     assert f"eps0={2.0 ** -k};" in r.notes
     assert r.inputs_digest == verify._digest(s=s, N=1, eps0=2.0 ** -k)
+
+
+def test_general_counterexample_at_tiny_order_keeps_its_scale_silently():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = counterexample_general(1e-9, 1)
+    assert r.passed
+    assert "eps0=0.5;" in r.notes
+    assert r.inputs_digest == verify._digest(s=1e-9, N=1, eps0=0.5)
+    assert r.inputs_digest == "faccdb54594e9f4af061c922ef0cd04c773d63c0ad94b07fe3ae69973c7240c6"
 
 
 def test_ces_counterexample_keeps_its_scale():
