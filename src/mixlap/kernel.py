@@ -27,7 +27,7 @@ from typing import Union
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError, TailDivergenceError
+from .errors import AccuracyError, DomainError, TailDivergenceError
 from .fields import RadialField, ScalarField
 
 _EPS = np.finfo(float).eps
@@ -35,9 +35,16 @@ _MIN_C2_ZONE = 1e-12
 
 _GAUSS_ORDER = 12
 _GX, _GW = leggauss(_GAUSS_ORDER)
-# 1D evaluation gathers the panel nodes of consecutive points into one field
-# call; a bound on the block keeps its temporaries small and in cache
+# 1D evaluation lays out the panels of up to _CHUNK_POINTS points at once and
+# evaluates the field on up to _BLOCK_NODES Gauss nodes a call.  On barrier
+# fields (up to 150 panels a point: 75 KB of panel ends a chunk, 32 KB of
+# field values a call) every temporary so stays under glibc's 128 KB mmap
+# threshold and is reused from the heap, not mapped and faulted in anew.
+_CHUNK_POINTS = 64
 _BLOCK_NODES = 2**12
+_MAX_HALVINGS = 48
+_TAIL_TERMS = 120
+_TAIL_BLOCK = 16
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
@@ -140,7 +147,7 @@ def _dyadic_into(lo: float, hi: float, toward: float, floor: float):
     gap = hi - lo
     pts = []
     d = gap / 2.0
-    while d > floor and len(pts) < 48:
+    while d > floor and len(pts) < _MAX_HALVINGS:
         pts.append(d)
         d /= 2.0
     if toward == lo:
@@ -150,31 +157,81 @@ def _dyadic_into(lo: float, hi: float, toward: float, floor: float):
     return [lo] + inner + [hi]
 
 
-def _assemble_breaks(z0, r_in, offsets, r_out, panels, graded):
-    """Full breakpoint list: graded core zone, kink offsets, outer growth.
+def _halvings(gap: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """How many of gap/2, gap/4, ... exceed floor, at most _MAX_HALVINGS:
+    the points :func:`_dyadic_into` puts into a panel of length gap.  The
+    log2 estimate is corrected by exact power-of-two comparisons."""
+    n = np.maximum(np.ceil(np.log2(gap / floor)).astype(int) - 1, 0)
+    n -= (n > 0) & (np.ldexp(gap, -n) <= floor)
+    n += np.ldexp(gap, -n - 1) > floor
+    return np.minimum(n, _MAX_HALVINGS)
 
-    Every kink offset is a panel break; the offsets in ``graded`` also get
-    dyadic accumulation from both sides.
-    """
-    pts = [z0, r_in]
-    for b in offsets:
-        if b > pts[-1] * (1.0 + 1e-13):
-            pts.append(b)
-    if r_out > pts[-1] * (1.0 + 1e-13):
-        pts.append(r_out)
-    else:
-        pts[-1] = r_out
-    breaks = [pts[0]]
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        seg = _geometric_refine([lo, hi], panels)
-        if lo in graded and len(seg) >= 2:
-            floor = 1e-12 * max(1.0, lo)
-            seg = _dyadic_into(seg[0], seg[1], seg[0], floor) + seg[2:]
-        if hi in graded and len(seg) >= 2:
-            floor = 1e-12 * max(1.0, hi)
-            seg = seg[:-2] + _dyadic_into(seg[-2], seg[-1], seg[-1], floor)
-        breaks.extend(seg[1:])
-    return breaks
+
+def _ramp(n: np.ndarray):
+    """Each index i repeated n[i] times, alongside the counter 1..n[i]."""
+    i = np.repeat(np.arange(n.size), n)
+    return i, np.arange(1, i.size + 1) - np.repeat(np.cumsum(n) - n, n)
+
+
+def _panel_layout(z0, r_in, offsets, graded, r_out, panels: int):
+    """Gauss panels (lo, hi) of a chunk of points, in point order, and the
+    panel count of each point.  Row i holds one point's core radius z0, core
+    zone end r_in, kink offsets, graded kink offsets and tail radius r_out.
+    Its breaks are z0, r_in, each offset in (z0, r_out) over 1e-13 relative
+    past the last break kept, and r_out, which replaces that break when it
+    does not clear it.  Gaps are split geometrically, ratio at most
+    2^(1/panels); the panel next to a break equal to a graded offset is
+    graded dyadically into it."""
+    m, n_off = offsets.shape
+    rows = np.arange(m)
+    pts = np.column_stack((z0, r_in, np.sort(offsets, axis=1), r_out))
+    keep = np.ones(pts.shape, bool)
+    last = np.ones(m, int)  # column of the last breakpoint kept
+    for j in range(2, n_off + 2):
+        b = pts[:, j]
+        keep[:, j] = (z0 < b) & (b < r_out) & (b > pts[rows, last] * (1.0 + 1e-13))
+        last = np.where(keep[:, j], j, last)
+    keep[:, -1] = r_out > pts[rows, last] * (1.0 + 1e-13)
+    last = np.where(keep[:, -1], n_off + 2, last)  # or r_out replaces that break
+    pts[rows, last] = r_out
+    grd = np.zeros(pts.shape, bool)
+    for g in graded.T:
+        grd |= pts == g[:, None]
+
+    # one segment per pair of consecutive breakpoints of a point
+    owner = np.nonzero(keep)[0]
+    pts, grd = pts[keep], grd[keep]
+    same = owner[1:] == owner[:-1]
+    lo, hi = pts[:-1][same], pts[1:][same]
+    ratio = 2.0 ** (1.0 / panels)
+    q = hi / lo
+    k = np.where(q > ratio, np.ceil(np.log(q) / math.log(ratio)), 1.0)
+    # libm's pow, not numpy's: a last-bit change in the step grows j-fold in
+    # the point lo step^j
+    step = np.array(list(map(math.pow, q.tolist(), (1.0 / k).tolist())))
+    gap_lo = np.where(k > 1.0, lo * step, hi) - lo
+    n_lo = np.where(grd[:-1][same], _halvings(gap_lo, 1e-12 * np.maximum(1.0, lo)), 0)
+    gap_hi = hi - np.where(k > 1.0, lo * step ** (k - 1.0),
+                           np.where(n_lo > 0, lo + 0.5 * gap_lo, lo))
+    n_hi = np.where(grd[1:][same], _halvings(gap_hi, 1e-12 * np.maximum(1.0, hi)), 0)
+
+    # a segment's panel ends: lo + gap_lo 2^-j (j = n_lo..1), lo step^j
+    # (j = 1..k-1), hi - gap_hi 2^-j (j = 1..n_hi), hi
+    k = k.astype(int)
+    sizes = n_lo + k + n_hi
+    base = np.cumsum(sizes) - sizes + n_lo  # where the geometric ends start
+    ends = np.empty(sizes.sum())
+    i, j = _ramp(n_lo)
+    ends[base[i] - j] = lo[i] + np.ldexp(gap_lo[i], -j)
+    i, j = _ramp(k - 1)
+    ends[base[i] + j - 1] = lo[i] * step[i] ** j
+    i, j = _ramp(n_hi)
+    ends[base[i] + k[i] - 2 + j] = hi[i] - np.ldexp(gap_hi[i], -j)
+    ends[base + k - 1 + n_hi] = hi
+    starts = np.empty_like(ends)
+    starts[1:] = ends[:-1]
+    starts[base - n_lo] = lo
+    return starts, ends, np.bincount(owner[1:][same], sizes, m).astype(int)
 
 
 def _panel_nodes(breaks):
@@ -193,43 +250,44 @@ def _gauss_nodes(lo, hi):
     return nodes.ravel(), weights.ravel()
 
 
-def _real_binomial(p: float, k: int) -> float:
-    out = 1.0
-    for i in range(1, k + 1):
-        out *= (p - i + 1) / i
-    return out
-
-
-def _tail_power_moment(p: float, shift: float, radius: float, s: float) -> float:
-    """int_R^inf (t + shift)^p t^(-1-2s) dt for |shift| < R and p < 2s.
+def _tail_power_moments(p: float, shift: np.ndarray, radius: np.ndarray,
+                        s: float) -> np.ndarray:
+    """int_R^inf (t + shift)^p t^(-1-2s) dt at each shift, R = radius, for
+    |shift| < R and p < 2s.
 
     Expands (t + shift)^p = t^p sum_k C(p,k) (shift/t)^k; the series
-    converges geometrically since |shift| / R < 1.
+    converges geometrically since |shift| / R < 1.  Each point sums its
+    terms in order until one falls below 1e-18 of the sum (k > 2), over at
+    most _TAIL_TERMS terms, taken _TAIL_BLOCK at a time.
     """
-    if p >= 2.0 * s:
-        raise TailDivergenceError("tail power meets or exceeds 2s")
-    if abs(shift) >= radius:
-        raise DomainError("tail radius must exceed the evaluation offset")
-    total = 0.0
-    for k in range(0, 120):
-        denom = 2.0 * s + k - p
-        term = _real_binomial(p, k) * shift**k * radius ** (p - k - 2.0 * s) / denom
-        total += term
-        if k > 2 and abs(term) < 1e-18 * max(abs(total), 1e-300):
+    k = np.arange(float(_TAIL_TERMS))
+    binom = np.cumprod(np.concatenate(([1.0], (p - k[1:] + 1.0) / k[1:])))
+    total, todo = np.zeros(shift.size), np.arange(shift.size)
+    for k0 in range(0, _TAIL_TERMS, _TAIL_BLOCK):
+        kk = k[k0:k0 + _TAIL_BLOCK]
+        with np.errstate(over="ignore", invalid="ignore"):  # only past a stop
+            terms = (binom[k0:k0 + _TAIL_BLOCK] * shift[todo, None] ** kk
+                     * radius[todo, None] ** (p - kk - 2.0 * s) / (2.0 * s + kk - p))
+            sums = np.cumsum(np.column_stack((total[todo], terms)), axis=1)[:, 1:]
+        stop = (np.abs(terms) < 1e-18 * np.maximum(np.abs(sums), 1e-300)) & (kk > 2)
+        hit = stop.any(axis=1)
+        total[todo] = sums[np.arange(todo.size), np.where(hit, stop.argmax(axis=1), -1)]
+        todo = todo[~hit]
+        if not todo.size:
             break
+    if not np.isfinite(total).all():
+        raise AccuracyError("tail series overflows before it converges at offset "
+                            f"{float(shift[~np.isfinite(total)][0])}")
     return total
 
 
-def _tail_contribution(u: ScalarField, x: float, ux: float, radius: float,
-                       s: float) -> float:
-    """int_R^inf (u(x+t) + u(x-t) - 2 ux) t^(-1-2s) dt, ux = u(x), resummed exactly."""
-    plus = sum(
-        c * _tail_power_moment(p, x, radius, s) for c, p in u.tail.plus_terms
-    )
-    minus = sum(
-        c * _tail_power_moment(p, -x, radius, s) for c, p in u.tail.minus_terms
-    )
-    return plus + minus - 2.0 * ux * radius ** (-2.0 * s) / (2.0 * s)
+def _tail_contributions(u: ScalarField, xs: np.ndarray, uxs: np.ndarray,
+                        radius: np.ndarray, s: float) -> np.ndarray:
+    """int_R^inf (u(x+t) + u(x-t) - 2 u(x)) t^(-1-2s) dt at each x of xs,
+    R = radius, u(x) = uxs, resummed exactly."""
+    plus = sum(c * _tail_power_moments(p, xs, radius, s) for c, p in u.tail.plus_terms)
+    minus = sum(c * _tail_power_moments(p, -xs, radius, s) for c, p in u.tail.minus_terms)
+    return plus + minus - 2.0 * uxs * radius ** (-2.0 * s) / (2.0 * s)
 
 
 # ---------------------------------------------------------------------------
@@ -237,109 +295,109 @@ def _tail_contribution(u: ScalarField, x: float, ux: float, radius: float,
 # ---------------------------------------------------------------------------
 
 
-def _noise_floor(s: float, tolerance: float, scale: float) -> float:
+def _noise_floor(s: float, tolerance: float, scale):
     """Smallest offset at which raw second differences beat roundoff.
 
     Integrating machine noise eps*scale against z^(-1-2s) from z0 outward
     contributes ~ eps*scale*z0^(-2s)/(2s); keep that below tolerance/10
     (inf past e^700: the caller clamps z0 to the core radius anyway).
     """
-    base, power = 10.0 * _EPS * scale / (2.0 * s * tolerance), 1.0 / (2.0 * s)
-    return base ** power if power * math.log(base) < 700.0 else math.inf
+    base, power = 10.0 * _EPS * np.asarray(scale) / (2.0 * s * tolerance), 1.0 / (2.0 * s)
+    return np.power(base, power, out=np.full(base.shape, math.inf),
+                    where=power * np.log(base) < 700.0)
 
 
-def _second_derivative_estimate(u: ScalarField, x: float, h: float):
-    """(upp, u4): second derivative and a fourth-derivative estimate at x.
+def _second_derivative_estimates(u: ScalarField, xs: np.ndarray, h: np.ndarray,
+                                 r_c2: np.ndarray):
+    """(upp, u4): second derivative and a fourth-derivative estimate at each
+    point of xs, h its core radius, r_c2 its distance to the nearest kink.
 
     frac_apply_1d refuses points within _MIN_C2_ZONE of a kink, so d > 0."""
-    if u.second_derivative is not None:
-        upp = float(u.second_derivative(x))
-        d = max(h, 1e-5)
-        d = min(d, u.c2_distance(x) / 4.0) if u.kinks else d
-        u4 = (
-            float(u.second_derivative(x + d))
-            + float(u.second_derivative(x - d))
-            - 2.0 * upp
-        ) / d**2
-        return upp, u4
-    pts = np.array([x - h, x, x + h])
-    vals = u.evaluate(pts)
-    upp = (vals[0] + vals[2] - 2.0 * vals[1]) / h**2
-    return float(upp), 0.0
+    if u.second_derivative is None:
+        vals = u.evaluate(np.concatenate((xs - h, xs, xs + h))).reshape(3, -1)
+        return (vals[0] + vals[2] - 2.0 * vals[1]) / h**2, np.zeros(xs.size)
+    d2 = u.second_derivative
+    upp = [float(d2(x)) for x in xs.tolist()]
+    ds = np.minimum(np.maximum(h, 1e-5), r_c2 / 4.0).tolist()
+    u4 = [(float(d2(x + d)) + float(d2(x - d)) - 2.0 * v) / d**2
+          for x, d, v in zip(xs.tolist(), ds, upp)]
+    return np.array(upp), np.array(u4)
 
 
-def _middle_integrals(u: ScalarField, xs: np.ndarray, uxs, breaks, s: float):
+def _middle_integrals(u: ScalarField, xs: np.ndarray, uxs: np.ndarray, lo, hi,
+                      counts, s: float):
     """int_{z0}^{r_out} (u(x+z) + u(x-z) - 2 u(x)) z^(-1-2s) dz at each point
-    x of ``xs``, on its own panels ``breaks``, with one field evaluation."""
-    lo = [a for b in breaks for a in b[:-1]]
-    hi = [a for b in breaks for a in b[1:]]
-    z, w = _gauss_nodes(lo, hi)
-    counts = [(len(b) - 1) * _GAUSS_ORDER for b in breaks]
-    x = np.repeat(xs, counts)
-    vals = u.evaluate(np.concatenate((x + z, x - z)))
-    delta2 = vals[:z.size] + vals[z.size:] - 2.0 * np.repeat(uxs, counts)
-    panel_vals = w * delta2 * z ** (-1.0 - 2.0 * s)
+    x of ``xs``, on its ``counts`` panels [lo, hi], in blocks of at most
+    _BLOCK_NODES Gauss nodes."""
+    ends = np.cumsum(counts)
+    panel_sums = np.empty(lo.size)
+    step = _BLOCK_NODES // _GAUSS_ORDER
+    for i in range(0, lo.size, step):
+        z, w = _gauss_nodes(lo[i:i + step], hi[i:i + step])
+        at = np.searchsorted(ends, np.arange(i, i + z.size // _GAUSS_ORDER), side="right")
+        y = np.repeat(xs[at], _GAUSS_ORDER)
+        # (u(x+z) + u(x-z) - 2 u(x)) w z^(-1-2s), from two half-size field
+        # calls and in place, to keep the temporaries few and small
+        delta2 = u.evaluate(y + z) + u.evaluate(y - z)
+        delta2 -= 2.0 * np.repeat(uxs[at], _GAUSS_ORDER)
+        delta2 *= w
+        delta2 *= z ** (-1.0 - 2.0 * s)
+        panel_sums[i:i + step] = delta2.reshape(-1, _GAUSS_ORDER).sum(axis=1)
     # one fsum per point over its panel sums keeps the inner-to-outer
     # summation order explicit
-    panel_sums = panel_vals.reshape(-1, _GAUSS_ORDER).sum(axis=1).tolist()
-    out, first = [], 0
-    for b in breaks:
-        out.append(math.fsum(panel_sums[first:first + len(b) - 1]))
-        first += len(b) - 1
-    return out
+    ends = ends.tolist()
+    return [math.fsum(panel_sums[a:b].tolist()) for a, b in zip([0] + ends, ends)]
 
 
 def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams",
                   quad: QuadratureSpec) -> np.ndarray:
     """(-Delta)^s u at each point of the 1-D array ``xs``.
 
-    Each point gets its own core radius, panels and tail; the panels of
-    consecutive points are gathered into blocks of about ``_BLOCK_NODES``
-    nodes, and the field is evaluated once per block.
+    Each point gets its own core radius, panels and tail.  They are laid
+    out as arrays for a chunk of at most _CHUNK_POINTS points at a time, and
+    the field is evaluated on blocks of at most _BLOCK_NODES nodes.
     """
     s = params.s
     c = params.c_ns
-    points = xs.tolist()
-    r_c2 = [u.c2_distance(x) for x in points]
-    for x, r in zip(points, r_c2):
-        if r < _MIN_C2_ZONE:
-            raise DomainError(
-                f"evaluation point {x} is within {_MIN_C2_ZONE} of a smoothness break"
-            )
+    kinks = np.asarray(u.kinks, dtype=float)
+    graded = kinks if u.graded_kinks is None else np.asarray(u.graded_kinks, dtype=float)
+    r_c2 = np.full(xs.size, math.inf)  # distance to the nearest kink
+    for k in u.kinks:
+        np.minimum(r_c2, np.abs(xs - k), out=r_c2)
+    near = np.flatnonzero(r_c2 < _MIN_C2_ZONE)
+    if near.size:
+        raise DomainError(f"evaluation point {float(xs[near[0]])} is within "
+                          f"{_MIN_C2_ZONE} of a smoothness break")
     if u.tail.max_power() >= 2.0 * s:
         raise TailDivergenceError(
             "field grows at least like |x|^(2s); the defining integral diverges"
         )
 
-    uxs = u.evaluate(xs).tolist()
-    graded_kinks = u.kinks if u.graded_kinks is None else u.graded_kinks
-    out = np.empty(len(points))
-    start, cores, tails, breaks, nodes = 0, [], [], [], 0
-    for i, (x, ux, r) in enumerate(zip(points, uxs, r_c2)):
-        r_in = min(quad.inner_radius, 0.5 * r)
-        z0 = _noise_floor(s, quad.tolerance, 1.0 + abs(ux))
-        z0 = min(max(z0, 1e-8 * r_in), r_in / 8.0)
+    uxs = u.evaluate(xs)
+    out = np.empty(xs.size)
+    for i in range(0, xs.size, _CHUNK_POINTS):
+        chunk = slice(i, i + _CHUNK_POINTS)
+        x, ux, r = xs[chunk], uxs[chunk], r_c2[chunk]
+        r_in = np.minimum(quad.inner_radius, 0.5 * r)
+        z0 = _noise_floor(s, quad.tolerance, 1.0 + np.abs(ux))
+        z0 = np.minimum(np.maximum(z0, 1e-8 * r_in), r_in / 8.0)
 
         # analytic core on (0, z0]: delta2(z) ~ upp z^2 + u4 z^4 / 12
-        upp, u4 = _second_derivative_estimate(u, x, z0)
-        cores.append(-c * (
+        upp, u4 = _second_derivative_estimates(u, x, z0, r)
+        cores = -c * (
             upp * z0 ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
             + u4 * z0 ** (4.0 - 2.0 * s) / (12.0 * (4.0 - 2.0 * s))
-        ))
+        )
 
-        # breakpoints: graded [z0, r_in], then kink offsets out to the tail radius
-        r_out = max(quad.outer_radius, 2.0 * abs(x) + 2.0, u.tail.cutoff + abs(x) + 1.0)
-        offsets = sorted({abs(k - x) for k in u.kinks if z0 < abs(k - x) < r_out})
-        graded = {abs(k - x) for k in graded_kinks}
-        breaks.append(_assemble_breaks(z0, r_in, offsets, r_out, quad.panels, graded))
-        nodes += (len(breaks[-1]) - 1) * _GAUSS_ORDER
-        tails.append(-c * _tail_contribution(u, x, ux, r_out, s))
-
-        if nodes >= _BLOCK_NODES or i == len(points) - 1:
-            middles = _middle_integrals(u, xs[start:i + 1], uxs[start:i + 1], breaks, s)
-            out[start:i + 1] = [math.fsum((core, -c * middle, tail))
-                                for core, middle, tail in zip(cores, middles, tails)]
-            start, cores, tails, breaks, nodes = i + 1, [], [], [], 0
+        # panels: graded [z0, r_in], then kink offsets out to the tail radius
+        r_out = np.maximum(np.maximum(quad.outer_radius, 2.0 * np.abs(x) + 2.0),
+                           u.tail.cutoff + np.abs(x) + 1.0)
+        lo, hi, counts = _panel_layout(z0, r_in, np.abs(kinks - x[:, None]),
+                                       np.abs(graded - x[:, None]), r_out, quad.panels)
+        middles = _middle_integrals(u, x, ux, lo, hi, counts, s)
+        tails = -c * _tail_contributions(u, x, ux, r_out, s)
+        out[chunk] = [math.fsum((core, -c * middle, tail)) for core, middle, tail
+                      in zip(cores.tolist(), middles, tails.tolist())]
     return out
 
 
@@ -416,27 +474,23 @@ def frac_apply_radial(u: RadialField, x, params: "OperatorParams",
     omega = _SPHERE_AREA[n]
     ur = float(u(r))
 
-    def sphere_defect(rho: np.ndarray) -> np.ndarray:
-        """int_S (u(x + rho theta) - u(x)) d sigma(theta)."""
-        return _angular_mean(u, r, rho, n) - omega * ur
-
-    r_c2 = u.c2_distance(r)
-    r_in = min(quad.inner_radius, 0.5 * r_c2) if math.isfinite(r_c2) else quad.inner_radius
-    z0 = _noise_floor(s, quad.tolerance, 1.0 + abs(ur))
+    r_in = min(quad.inner_radius, 0.5 * u.c2_distance(r))
+    z0 = float(_noise_floor(s, quad.tolerance, 1.0 + abs(ur)))
     z0 = min(max(z0, 1e-8 * r_in), r_in / 8.0)
 
     lap = u.laplacian(r, n)
     core = -(c / 2.0) * (omega * lap / n) * z0 ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
 
+    # every kink offset |k - r| and k + r is graded
     r_out = max(quad.outer_radius, u.support_radius + r + 1.0)
-    offsets = sorted(
-        {abs(k - r) for k in u.kinks if z0 < abs(k - r) < r_out}
-        | {k + r for k in u.kinks if z0 < k + r < r_out}
-    )
-    breaks = _assemble_breaks(z0, r_in, offsets, r_out, quad.panels, set(offsets))
+    kinks = np.asarray(u.kinks, dtype=float)
+    offsets = np.concatenate((np.abs(kinks - r), kinks + r))[None, :]
+    lo, hi, _ = _panel_layout(np.array([z0]), np.array([r_in]), offsets, offsets,
+                              np.array([r_out]), quad.panels)
 
-    rho, w = _panel_nodes(breaks)
-    defect = sphere_defect(rho)
+    rho, w = _gauss_nodes(lo, hi)
+    # int_S (u(x + rho theta) - u(x)) d sigma(theta)
+    defect = _angular_mean(u, r, rho, n) - omega * ur
     panel_vals = w * defect * rho ** (-1.0 - 2.0 * s)
     panel_sums = panel_vals.reshape(-1, _GAUSS_ORDER).sum(axis=1)
     # the sphere integral of (u(x + rho theta) - u(x)) already pairs +/- rho,

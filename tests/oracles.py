@@ -332,3 +332,77 @@ def mp_frac_truncated_power(alpha: float, L: float, s: float, x: float,
         body = mp.quad(f, [delta, x_, T])
         tail = (cap - 2 * u(x_)) * T ** (-2 * s_) / (2 * s_)
         return float(-c * (core + body + tail))
+
+
+def _geometric_refine(breaks, panels_per_octave: int):
+    """Insert points so consecutive breakpoints have ratio <= 2^(1/panels)."""
+    ratio = 2.0 ** (1.0 / panels_per_octave)
+    out = [breaks[0]]
+    for b in breaks[1:]:
+        a = out[-1]
+        if a > 0 and b / a > ratio:
+            k = int(math.ceil(math.log(b / a) / math.log(ratio)))
+            step = (b / a) ** (1.0 / k)
+            for j in range(1, k):
+                out.append(a * step**j)
+        out.append(b)
+    return out
+
+
+def _dyadic_into(lo: float, hi: float, toward: float, floor: float):
+    """Breakpoints on [lo, hi] accumulating dyadically toward one endpoint."""
+    gap = hi - lo
+    pts = []
+    d = gap / 2.0
+    while d > floor and len(pts) < 48:
+        pts.append(d)
+        d /= 2.0
+    if toward == lo:
+        inner = [lo + t for t in reversed(pts)]
+    else:
+        inner = [hi - t for t in pts]
+    return [lo] + inner + [hi]
+
+
+def assemble_breaks(z0, r_in, offsets, r_out, panels, graded):
+    """Scalar reference for one point's panel breakpoints, as the kernel laid
+    them out one point at a time with Python lists.
+
+    ``offsets`` are the sorted kink offsets in (z0, r_out) and ``graded`` the
+    set of graded offsets.  Every offset is a panel break (dropped within
+    1e-13 relative of the last one kept, r_out replacing the last one kept
+    likewise); the graded ones also get dyadic accumulation from both sides.
+    """
+    pts = [z0, r_in]
+    for b in offsets:
+        if b > pts[-1] * (1.0 + 1e-13):
+            pts.append(b)
+    if r_out > pts[-1] * (1.0 + 1e-13):
+        pts.append(r_out)
+    else:
+        pts[-1] = r_out
+    breaks = [pts[0]]
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        seg = _geometric_refine([lo, hi], panels)
+        if lo in graded and len(seg) >= 2:
+            floor = 1e-12 * max(1.0, lo)
+            seg = _dyadic_into(seg[0], seg[1], seg[0], floor) + seg[2:]
+        if hi in graded and len(seg) >= 2:
+            floor = 1e-12 * max(1.0, hi)
+            seg = seg[:-2] + _dyadic_into(seg[-2], seg[-1], seg[-1], floor)
+        breaks.extend(seg[1:])
+    return breaks
+
+
+def tail_power_moment(p: float, shift: float, radius: float, s: float) -> float:
+    """Scalar reference for int_R^inf (t + shift)^p t^(-1-2s) dt, the
+    binomial series summed term by term as the kernel summed it per point."""
+    total, binom = 0.0, 1.0
+    for k in range(0, 120):
+        if k:
+            binom *= (p - k + 1) / k
+        term = binom * shift**k * radius ** (p - k - 2.0 * s) / (2.0 * s + k - p)
+        total += term
+        if k > 2 and abs(term) < 1e-18 * max(abs(total), 1e-300):
+            break
+    return total

@@ -121,6 +121,23 @@ def test_boundary_counterexample_passes_at_n_1023(tmp_path):
     assert text.startswith("counterexample_boundary_only: passed")
 
 
+@pytest.mark.parametrize("s", ["1e-6", "1e-9"])
+def test_boundary_counterexample_gate_scales_with_the_order(tmp_path, s):
+    # the interior minimum scales with c_{1,s} ~ s (-3.2e-7 at s = 1e-6),
+    # so its gate is relative to the load, not an absolute -1e-6
+    jobs = {"verify_summary.txt": ["verify"],
+            "counterexample_summary.txt": ["counterexample", "--variant", "boundary"]}
+    for summary, job in jobs.items():
+        assert main(job + ["--s", s, "--n", "31", "--output-dir", str(tmp_path)]) == 0, job
+        line = next(t for t in (tmp_path / summary).read_text().splitlines()
+                    if t.startswith("counterexample_boundary_only: passed"))
+        values = dict(w.split("=") for w in line.split()
+                      if w.startswith(("measured=", "threshold=")))
+        measured, threshold = float(values["measured"]), float(values["threshold"])
+        assert measured < 10.0 * threshold < 0.0
+        assert -threshold < 10.0 * float(s)
+
+
 @pytest.mark.parametrize("s", ["0.01", "0.5", "0.99"])
 def test_subcommands_run_across_the_order_range(tmp_path, s):
     jobs = [["solve", "--n", "31"], ["verify", "--n", "31"], ["counterexample"]]

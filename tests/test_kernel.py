@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 
 from mixlap import fields, kernel
 from mixlap.assembly import build_mesh, grid_interpolant
+from mixlap.barrier import beta_field, build_barrier, gamma_field
 from mixlap.cli import _load_field
-from mixlap.errors import DomainError, TailDivergenceError
-from mixlap.kernel import (LocalSign, OperatorParams, frac_apply,
-                           mixed_apply, normalization_constant,
+from mixlap.errors import AccuracyError, DomainError, TailDivergenceError
+from mixlap.kernel import (LocalSign, OperatorParams, QuadratureSpec,
+                           frac_apply, mixed_apply, normalization_constant,
                            tail_integral)
 from mixlap.verify import _radial_counterexample_profile, _ring_well
 
@@ -142,6 +144,15 @@ def test_kink_evaluation_rejected(quad):
     p = OperatorParams(1, 0.5)
     with pytest.raises(DomainError):
         frac_apply(pure_power(1.0), 0.0, p, quad)
+
+
+def test_tail_series_far_out_converges_or_refuses(quad):
+    # the tail series of x_+^1.2 converges before shift^k overflows at
+    # x = 1e7, though later terms of its block do; at 1e9 it cannot
+    p = OperatorParams(1, 0.9)
+    assert math.isfinite(frac_apply(pure_power(1.2), 1e7, p, quad))
+    with pytest.raises(AccuracyError):
+        frac_apply(pure_power(1.2), 1e9, p, quad)
 
 
 @pytest.mark.parametrize("s", [1e-7, 5e-8, 1e-8, 1e-9])
@@ -367,3 +378,116 @@ def test_evaluation_is_bitwise_deterministic(quad):
     u = fields.parabola_cap()
     vals = {frac_apply(u, 0.37, p, quad) for _ in range(5)}
     assert len(vals) == 1
+
+
+# ---------------------------------------------------------------------------
+# panel layout
+# ---------------------------------------------------------------------------
+
+
+def _assert_layout_matches_scalar(z0, r_in, offsets, graded, r_out):
+    """The array layout of a chunk of points against the scalar reference:
+    the same number of panels per point, and breaks equal to 4 ulp."""
+    z0, r_in, r_out = (np.asarray(a, dtype=float) for a in (z0, r_in, r_out))
+    offsets, graded = (np.asarray(a, dtype=float).reshape(z0.size, -1)
+                       for a in (offsets, graded))
+    panels = QuadratureSpec().panels
+    lo, hi, counts = kernel._panel_layout(z0, r_in, offsets, graded, r_out, panels)
+    first = 0
+    for i in range(z0.size):
+        inside = sorted({b for b in offsets[i].tolist() if z0[i] < b < r_out[i]})
+        ref = oracles.assemble_breaks(float(z0[i]), float(r_in[i]), inside,
+                                      float(r_out[i]), panels, set(graded[i].tolist()))
+        assert counts[i] == len(ref) - 1, i
+        np.testing.assert_array_max_ulp(lo[first:first + counts[i]], ref[:-1], maxulp=4)
+        np.testing.assert_array_max_ulp(hi[first:first + counts[i]], ref[1:], maxulp=4)
+        first += counts[i]
+    assert first == lo.size
+
+
+def _field_layout_inputs(u, xs):
+    """Each point's layout inputs, as frac_apply_1d derives them."""
+    quad = QuadratureSpec()
+    kinks = np.asarray(u.kinks, dtype=float)
+    graded = kinks if u.graded_kinks is None else np.asarray(u.graded_kinks)
+    r_c2 = np.array([u.c2_distance(x) for x in xs])
+    r_in = np.minimum(quad.inner_radius, 0.5 * r_c2)
+    z0 = kernel._noise_floor(0.6, quad.tolerance, 1.0 + np.abs(u.evaluate(xs)))
+    z0 = np.minimum(np.maximum(z0, 1e-8 * r_in), r_in / 8.0)
+    r_out = np.maximum(np.maximum(quad.outer_radius, 2.0 * np.abs(xs) + 2.0),
+                       u.tail.cutoff + np.abs(xs) + 1.0)
+    return z0, r_in, np.abs(kinks - xs[:, None]), np.abs(graded - xs[:, None]), r_out
+
+
+@pytest.fixture(scope="module")
+def barrier_03():
+    return build_barrier(0.3)
+
+
+def test_layout_matches_scalar_on_barrier_fields(barrier_03):
+    p = barrier_03
+    for u, xs in ((beta_field(p), np.geomspace(p.d * 1e-6, 0.999 * p.d, 400)),
+                  (gamma_field(p), np.geomspace(p.ell * 1e-3, 0.99 * p.ell, 200)),
+                  (gamma_field(p), np.linspace(-1.5, 3.0, 91) + 1e-3)):
+        _assert_layout_matches_scalar(*_field_layout_inputs(u, xs))
+
+
+def test_layout_matches_scalar_on_truncated_power_and_hat():
+    xs = np.linspace(-3.0, 3.0, 301) + 1e-3
+    _assert_layout_matches_scalar(*_field_layout_inputs(fields.truncated_power(1.4, 1.0), xs))
+    mesh = build_mesh(-1.0, 1.0, 31)
+    hat = grid_interpolant(mesh, np.sin(np.arange(31.0)))
+    xs = np.linspace(-1.2, 1.2, 97) + 1e-4
+    _assert_layout_matches_scalar(*_field_layout_inputs(hat, xs))
+    # a hat whose every kink is graded
+    hat = fields.ScalarField(evaluate=hat.evaluate, kinks=hat.kinks, tail=hat.tail)
+    _assert_layout_matches_scalar(*_field_layout_inputs(hat, xs))
+
+
+@pytest.mark.parametrize("offsets,graded", [
+    # both ends of a gap narrower than one geometric step (k = 1) graded
+    ([1.0, 1.2], [1.0, 1.2]),
+    ([0.3, 0.33, 5.0], [0.3, 0.33]),
+    # symmetric kinks give equal offsets; grading either grades the break
+    ([0.5, 0.5, 2.0], [0.5]),
+    # offsets within 1e-13 relative of the last one kept are dropped, their
+    # grading with them; the third is kept against the first, not the second
+    ([1.0, 1.0 + 5e-14, 3.0], [1.0 + 5e-14]),
+    ([1.0, 1.0 + 6e-14, 1.0 + 1.2e-13], [1.0 + 6e-14, 1.0 + 1.2e-13]),
+    # r_out replaces an offset within 1e-13 relative below it
+    ([1.0, 64.0 * (1.0 - 5e-14)], [1.0, 64.0 * (1.0 - 5e-14)]),
+    # offsets outside (z0, r_out) are not breaks
+    ([1e-9, 0.7, 80.0], [1e-9, 0.7, 80.0]),
+])
+def test_layout_edge_cases_match_scalar(offsets, graded):
+    _assert_layout_matches_scalar([1e-4, 2e-5], [0.25, 0.2], [offsets, offsets],
+                                  [graded, graded], [64.0, 64.0])
+
+
+@pytest.mark.parametrize("s,p", [(0.3, 0.5), (0.6, 1.0), (0.9, 1.2), (0.99, 1.7)])
+def test_tail_series_matches_scalar(s, p):
+    # the chunk's tail series sums the scalar series' terms in its order;
+    # only numpy's pow may differ in the last bit
+    xs = np.linspace(-40.0, 40.0, 161)
+    radius = np.maximum(64.0, 2.0 * np.abs(xs) + 2.0)
+    ref = [oracles.tail_power_moment(p, x, r, s) for x, r in zip(xs.tolist(), radius.tolist())]
+    np.testing.assert_allclose(kernel._tail_power_moments(p, xs, radius, s), ref,
+                               rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def test_barrier_image_temporaries_stay_small(barrier_03):
+    # panels are laid out a chunk of points at a time and the field is
+    # evaluated on blocks of nodes, so every temporary stays small: 655 KiB
+    # at the peak here, against 2102 KiB with all 400 points in one chunk
+    p = barrier_03
+    bf = beta_field(p)
+    xs = np.geomspace(p.d * 1e-6, 0.999 * p.d, 400)
+    params = OperatorParams(1, 0.3)
+    mixed_apply(bf, xs, params)
+    tracemalloc.start()
+    try:
+        mixed_apply(bf, xs, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20

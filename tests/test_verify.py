@@ -268,6 +268,16 @@ def test_boundary_only_counterexample():
     assert "v(+-1)=" in r.notes
 
 
+@pytest.mark.parametrize("s", [1e-4, 0.01, 0.5, 0.99, 0.999])
+def test_boundary_only_gate_follows_the_load(s):
+    # the gate is 1% of the load's L^2 norm: no looser than the former
+    # absolute -1e-6 across these orders, and well clear of the minimum
+    r = counterexample_boundary_only(2.0, s, 63)
+    assert r.passed
+    assert r.threshold <= -1e-6
+    assert r.measured < 10.0 * r.threshold
+
+
 def test_boundary_only_value_on_annulus():
     # where the ring well vanishes, v equals the reflected minimum exactly
     phi = verify._ring_well(2.0)
