@@ -23,7 +23,8 @@ only on request; products go through an FFT of a circulant embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -75,6 +76,8 @@ def build_mesh(a: float, b: float, n: int) -> Mesh:
     if n < 1:
         raise DomainError("mesh requires at least one interior node")
     h = (b - a) / (n + 1)
+    if not (math.isfinite(a) and math.isfinite(b) and 0.0 < h < math.inf):
+        raise DomainError(f"mesh requires finite a, b and spacing h > 0, got h = {h!r}")
     nodes = a + h * np.arange(1, n + 1)
     return Mesh(a=float(a), b=float(b), n=int(n), h=h, nodes=nodes)
 
@@ -231,7 +234,6 @@ class StiffnessSystem:
     nonlocal_row: np.ndarray
     params: OperatorParams
     mesh: Mesh
-    meta: dict = field(default_factory=dict)
 
     @property
     def local(self) -> np.ndarray:
@@ -268,10 +270,7 @@ def build_system(mesh: Mesh, params: OperatorParams,
     """Assemble the discrete operator; parts can be dropped for contrast runs."""
     loc = _local_row(mesh) if include_local else np.zeros(mesh.n)
     non = _nonlocal_row(mesh, params) if include_nonlocal else np.zeros(mesh.n)
-    meta = {"method": "closed-form fourth-difference Toeplitz row",
-            "include_local": include_local, "include_nonlocal": include_nonlocal,
-            "c_ns": params.c_ns, "s": params.s}
-    return StiffnessSystem(loc, non, params, mesh, meta)
+    return StiffnessSystem(loc, non, params, mesh)
 
 
 def bilinear_eval(u: GridFunction, v: GridFunction, sys: StiffnessSystem) -> float:

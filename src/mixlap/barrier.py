@@ -141,12 +141,10 @@ def _log_potential(x):
     return np.where(pos, val, 0.0)
 
 
-def _log_potential_d1(x: float) -> float:
-    return x * (1.0 - math.log(x)) if 0.0 < x < math.exp(1.5) else 0.0
-
-
-def _log_potential_d2(x: float) -> float:
-    return -math.log(x) if 0.0 < x < math.exp(1.5) else 0.0
+def _monomial_derivative(mono, x, k: int):
+    """k-th derivative of sum coef x^a over the (coef, a) pairs, at x > 0."""
+    terms = (math.prod([c] + [a - j for j in range(k)]) * x ** (a - k) for c, a in mono)
+    return sum(terms, np.zeros_like(x))
 
 
 class _Corrector:
@@ -164,17 +162,12 @@ class _Corrector:
             out = out + coef * xp**a
         return out
 
-    def w_tilde_d1(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        return _log_potential_d1(x) + sum(c * a * x ** (a - 1.0) for c, a in self.mono)
-
-    def w_tilde_d2(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        return _log_potential_d2(x) + sum(
-            c * a * (a - 1.0) * x ** (a - 2.0) for c, a in self.mono
-        )
+    def w_tilde_d(self, x, k: int):
+        """k-th derivative (k = 1, 2) of W~ at each x > 0; the potential's,
+        x (1 - log x) or -log x, is active below e^1.5."""
+        x = np.asarray(x, dtype=float)
+        pot = x * (1.0 - np.log(x)) if k == 1 else -np.log(x)
+        return np.where(x < math.exp(1.5), pot, 0.0) + _monomial_derivative(self.mono, x, k)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -184,17 +177,20 @@ class _Corrector:
         out[live] = self.w_tilde(xl) * (1.0 - smoothstep((xl - self.d) / self.d))
         return out
 
-    def d2(self, x: float) -> float:
-        if x <= 0.0 or x >= 2.0 * self.d:
-            return 0.0
-        if x <= self.d:
-            return self.w_tilde_d2(x)
-        t = (x - self.d) / self.d
-        fade = 1.0 - float(smoothstep(t))
-        f1 = -float(_smoothstep_d1(t)) / self.d
-        f2 = -float(_smoothstep_d2(t)) / self.d**2
-        wt = float(self.w_tilde(np.asarray(x)))
-        return self.w_tilde_d2(x) * fade + 2.0 * self.w_tilde_d1(x) * f1 + wt * f2
+    def d2(self, x):
+        """W'' at each x: (W~ fade)'' on (0, 2d), 0 elsewhere.  On (0, d] the
+        fade is exactly 1 and its derivatives -0, which leaves W~''."""
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        live = (x > 0.0) & (x < 2.0 * self.d)
+        xl = x[live]
+        t = (xl - self.d) / self.d
+        fade = 1.0 - smoothstep(t)
+        f1 = -_smoothstep_d1(t) / self.d
+        f2 = -_smoothstep_d2(t) / self.d**2
+        out[live] = (self.w_tilde_d(xl, 2) * fade + 2.0 * self.w_tilde_d(xl, 1) * f1
+                     + self.w_tilde(xl) * f2)
+        return out
 
 
 def _barrier_monomials(p: BarrierParams) -> Tuple[Tuple[float, float], ...]:
@@ -229,12 +225,10 @@ def beta_sharp_field(p: BarrierParams) -> ScalarField:
         return out
 
     def d2(x):
-        if x <= 0.0:
-            return 0.0
-        out = sum(c * a * (a - 1.0) * x ** (a - 2.0) for c, a in mono)
-        if x < 2.0:
-            out += c_top * a_top * (a_top - 1.0) * x ** (a_top - 2.0)
-        return out
+        x = np.asarray(x, dtype=float)
+        xp = np.where(x > 0.0, x, 1.0)
+        top = np.where(xp < 2.0, c_top * a_top * (a_top - 1.0) * xp ** (a_top - 2.0), 0.0)
+        return np.where(x > 0.0, _monomial_derivative(mono, xp, 2) + top, 0.0)
 
     plus = tuple((c, a) for c, a in mono) + ((c_top * cap, 0.0),)
     return ScalarField(
@@ -299,10 +293,8 @@ def gamma_field(p: BarrierParams) -> ScalarField:
         return M * (bf.evaluate(x) - _beta_star(x, p))
 
     def d2(x):
-        base = bf.second_derivative(x)
-        if 0.0 < x < p.ell:
-            base -= 2.0 * p.C2
-        return M * base
+        x = np.asarray(x, dtype=float)
+        return M * (bf.second_derivative(x) - np.where((0.0 < x) & (x < p.ell), 2.0 * p.C2, 0.0))
 
     cutoff = max(2.0, 2.0 * p.d)
     mono = _barrier_monomials(p)
@@ -388,7 +380,7 @@ def _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d,
     if d >= 1.0:
         raise _AttemptFailed("window must sit below 1")
     s_d = float(corr.w_tilde(np.asarray(d)))
-    if corr.w_tilde_d1(d) <= 0.0:
+    if corr.w_tilde_d(d, 1) <= 0.0:
         raise _AttemptFailed("corrector potential not increasing at the window edge")
     if s_d > d / (4.0 * c_sharp):
         raise _AttemptFailed(
@@ -495,10 +487,10 @@ def radial_cutoff(R: float) -> RadialField:
         return 1.0 - smoothstep((r - R) / R)
 
     def d1(r):
-        return -float(_smoothstep_d1((r - R) / R)) / R
+        return -_smoothstep_d1((r - R) / R) / R
 
     def d2(r):
-        return -float(_smoothstep_d2((r - R) / R)) / R**2
+        return -_smoothstep_d2((r - R) / R) / R**2
 
     return RadialField(
         profile=prof, d_profile=d1, dd_profile=d2, support_radius=2.0 * R,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -51,10 +52,15 @@ def _require(cond: bool, key: str, msg: str):
 
 def _typed(doc, key, kind, name: str = ""):
     """kind(doc[key]), or a ConfigError on ``name`` (default: the key)."""
+    val = doc[key]
     try:
-        return kind(doc[key])
+        # a bool is no number, and an int keeps no fractional part
+        if isinstance(val, bool) or (kind is int and isinstance(val, float)
+                                     and not val.is_integer()):
+            raise ValueError
+        return kind(val)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name or key}: {doc[key]!r} is not a {kind.__name__}") from exc
+        raise ConfigError(f"{name or key}: {val!r} is not a {kind.__name__}") from exc
 
 
 def _json_object(text: str) -> dict:
@@ -89,6 +95,7 @@ def _validated(doc: dict) -> RunConfig:
         _require(isinstance(dom, (list, tuple)) and len(dom) == 2, "domain",
                  "must be a pair [a, b]")
         a, b = _typed(dom, 0, float, "domain"), _typed(dom, 1, float, "domain")
+        _require(math.isfinite(a) and math.isfinite(b), "domain", "must be finite")
         _require(a < b, "domain", "must satisfy a < b")
         cfg = replace(cfg, domain=(a, b))
     if "n" in doc:
@@ -137,20 +144,12 @@ def _load_field(spec: str, domain) -> ScalarField:
         if not coeffs:
             raise ConfigError("f: polynomial needs at least one coefficient")
 
-        def ev(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            for c in reversed(coeffs):
-                out = out * x + c
-            return out
-
+        poly = np.polynomial.polynomial
         plus = tuple((c, float(k)) for k, c in enumerate(coeffs) if c != 0.0)
         minus = tuple((c * (-1.0) ** k, float(k)) for k, c in enumerate(coeffs) if c != 0.0)
         return ScalarField(
-            evaluate=ev,
-            second_derivative=lambda x: sum(
-                k * (k - 1) * coeffs[k] * x ** (k - 2) for k in range(2, len(coeffs))
-            ),
+            evaluate=lambda x: poly.polyval(x, coeffs),
+            second_derivative=lambda x: poly.polyval(x, poly.polyder(coeffs, 2)),
             tail=TailExpansion(max(abs(domain[0]), abs(domain[1])), plus, minus),
             name=f"poly({rest})",
         )
@@ -276,8 +275,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        # argparse < 3.13 takes "-1e6" for an option; no option here starts with a digit
-        p._negative_number_matcher = re.compile(r"-\.?\d")
+        # argparse < 3.13 takes "-1e6" and "-inf" for options; no option here
+        # starts with a digit, "inf" or "nan"
+        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
         p.add_argument("--config", type=str, default=None,
                        help="JSON config file; flags override its keys")
         p.add_argument("--s", type=float, default=None)

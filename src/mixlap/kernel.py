@@ -307,23 +307,6 @@ def _noise_floor(s: float, tolerance: float, scale):
                     where=power * np.log(base) < 700.0)
 
 
-def _second_derivative_estimates(u: ScalarField, xs: np.ndarray, h: np.ndarray,
-                                 r_c2: np.ndarray):
-    """(upp, u4): second derivative and a fourth-derivative estimate at each
-    point of xs, h its core radius, r_c2 its distance to the nearest kink.
-
-    frac_apply_1d refuses points within _MIN_C2_ZONE of a kink, so d > 0."""
-    if u.second_derivative is None:
-        vals = u.evaluate(np.concatenate((xs - h, xs, xs + h))).reshape(3, -1)
-        return (vals[0] + vals[2] - 2.0 * vals[1]) / h**2, np.zeros(xs.size)
-    d2 = u.second_derivative
-    upp = [float(d2(x)) for x in xs.tolist()]
-    ds = np.minimum(np.maximum(h, 1e-5), r_c2 / 4.0).tolist()
-    u4 = [(float(d2(x + d)) + float(d2(x - d)) - 2.0 * v) / d**2
-          for x, d, v in zip(xs.tolist(), ds, upp)]
-    return np.array(upp), np.array(u4)
-
-
 def _middle_integrals(u: ScalarField, xs: np.ndarray, uxs: np.ndarray, lo, hi,
                       counts, s: float):
     """int_{z0}^{r_out} (u(x+z) + u(x-z) - 2 u(x)) z^(-1-2s) dz at each point
@@ -350,8 +333,10 @@ def _middle_integrals(u: ScalarField, xs: np.ndarray, uxs: np.ndarray, lo, hi,
 
 
 def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams",
-                  quad: QuadratureSpec) -> np.ndarray:
-    """(-Delta)^s u at each point of the 1-D array ``xs``.
+                  quad: QuadratureSpec):
+    """(-Delta)^s u and u'' at each point of the 1-D array ``xs``, as a pair
+    of arrays: u'' is the value the analytic core used, from the field's
+    second derivative or, lacking one, a second difference.
 
     Each point gets its own core radius, panels and tail.  They are laid
     out as arrays for a chunk of at most _CHUNK_POINTS points at a time, and
@@ -374,7 +359,7 @@ def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams",
         )
 
     uxs = u.evaluate(xs)
-    out = np.empty(xs.size)
+    out, upps = np.empty(xs.size), np.empty(xs.size)
     for i in range(0, xs.size, _CHUNK_POINTS):
         chunk = slice(i, i + _CHUNK_POINTS)
         x, ux, r = xs[chunk], uxs[chunk], r_c2[chunk]
@@ -382,8 +367,18 @@ def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams",
         z0 = _noise_floor(s, quad.tolerance, 1.0 + np.abs(ux))
         z0 = np.minimum(np.maximum(z0, 1e-8 * r_in), r_in / 8.0)
 
-        # analytic core on (0, z0]: delta2(z) ~ upp z^2 + u4 z^4 / 12
-        upp, u4 = _second_derivative_estimates(u, x, z0, r)
+        # analytic core on (0, z0]: delta2(z) ~ upp z^2 + u4 z^4 / 12, with
+        # u4 from u'' at x +- d in the same call (d > 0: r > _MIN_C2_ZONE),
+        # or upp a second difference of u on z0 if the field has no u''
+        if u.second_derivative is None:
+            vals = u.evaluate(np.concatenate((x - z0, x, x + z0))).reshape(3, -1)
+            upp, u4 = (vals[0] + vals[2] - 2.0 * vals[1]) / z0**2, 0.0
+        else:
+            d = np.minimum(np.maximum(z0, 1e-5), r / 4.0)
+            at = np.concatenate((x, x + d, x - d))
+            upp, right, left = u.second_derivative(at).reshape(3, -1)
+            u4 = (right + left - 2.0 * upp) / d**2
+        upps[chunk] = upp
         cores = -c * (
             upp * z0 ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
             + u4 * z0 ** (4.0 - 2.0 * s) / (12.0 * (4.0 - 2.0 * s))
@@ -398,7 +393,7 @@ def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams",
         tails = -c * _tail_contributions(u, x, ux, r_out, s)
         out[chunk] = [math.fsum((core, -c * middle, tail)) for core, middle, tail
                       in zip(cores.tolist(), middles, tails.tolist())]
-    return out
+    return out, upps
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +515,7 @@ def frac_apply(u: Field, x, params: OperatorParams, quad: QuadratureSpec = Quadr
         if not isinstance(u, ScalarField):
             raise DomainError("dimension 1 requires a ScalarField")
         xs = np.asarray(x, dtype=float)
-        out = frac_apply_1d(u, xs.reshape(-1), params, quad)
+        out = frac_apply_1d(u, xs.reshape(-1), params, quad)[0]
         return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
     if not isinstance(u, RadialField):
         raise DomainError("dimensions 2 and 3 require a RadialField")
@@ -530,22 +525,23 @@ def frac_apply(u: Field, x, params: OperatorParams, quad: QuadratureSpec = Quadr
 def mixed_apply(u: Field, x, params: OperatorParams, quad: QuadratureSpec = QuadratureSpec()):
     """-+ Delta u(x) + (-Delta)^s u(x), sign set by ``params.local_sign``.
 
-    Accepts an array of points in dimension 1, as :func:`frac_apply` does.
+    Accepts an array of points in dimension 1, as :func:`frac_apply` does;
+    there u'' is evaluated once, for the core of the fractional part and
+    the local part both.
     """
     if params.n_dim == 1:
         if not isinstance(u, ScalarField) or u.second_derivative is None:
             raise DomainError("mixed operator needs a second derivative")
         xs = np.asarray(x, dtype=float)
-        lap = np.reshape([float(u.second_derivative(t)) for t in xs.reshape(-1).tolist()],
-                         xs.shape)
-        if xs.ndim == 0:
-            lap = float(lap)
+        frac, lap = frac_apply_1d(u, xs.reshape(-1), params, quad)
+        frac, lap = frac.reshape(xs.shape), lap.reshape(xs.shape)
     else:
         if not isinstance(u, RadialField):
             raise DomainError("dimensions 2 and 3 require a RadialField")
-        lap = u.laplacian(float(np.linalg.norm(np.asarray(x, dtype=float))), params.n_dim)
-    local = -lap if params.local_sign is LocalSign.MINUS else lap
-    return local + frac_apply(u, x, params, quad)
+        frac = frac_apply(u, x, params, quad)
+        lap = u.laplacian(np.linalg.norm(np.asarray(x, dtype=float)), params.n_dim)
+    out = (-lap if params.local_sign is LocalSign.MINUS else lap) + frac
+    return float(out) if out.ndim == 0 else out
 
 
 def _radial_mass(u: RadialField, breaks, params: OperatorParams) -> float:

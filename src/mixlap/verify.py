@@ -247,9 +247,8 @@ def _frac_at(u, y: np.ndarray, params: OperatorParams) -> np.ndarray:
 
 def _wrong_sign_image(u, y: np.ndarray, params: OperatorParams, w: float) -> np.ndarray:
     """Delta u + w (-Delta)^s u at the points y, or at the radii y of a radial u."""
-    lap = [float(u.second_derivative(r)) if params.n_dim == 1
-           else u.laplacian(r, params.n_dim) for r in y.tolist()]
-    return np.array(lap) + w * _frac_at(u, y, params)
+    lap = u.second_derivative(y) if params.n_dim == 1 else u.laplacian(y, params.n_dim)
+    return lap + w * _frac_at(u, y, params)
 
 
 def _certify_sign(k: int, lvals, uvals):
@@ -314,19 +313,15 @@ def _radial_counterexample_profile(n_dim: int):
         return (r * r - 1.0) * phi(r)
 
     def d1(r):
-        return 2.0 * r * float(phi(r)) + (r * r - 1.0) * phi_d1(r)
+        return 2.0 * r * phi(r) + (r * r - 1.0) * phi_d1(r)
 
     def d2(r):
-        return (2.0 * float(phi(r)) + 4.0 * r * phi_d1(r)
-                + (r * r - 1.0) * phi_d2(r))
+        return 2.0 * phi(r) + 4.0 * r * phi_d1(r) + (r * r - 1.0) * phi_d2(r)
 
     if n_dim == 1:
-        def ev(x):
-            return prof(np.abs(np.asarray(x, dtype=float)))
-
         return ScalarField(
-            evaluate=ev,
-            second_derivative=lambda x: d2(abs(x)),
+            evaluate=lambda x: prof(np.abs(x)),
+            second_derivative=lambda x: d2(np.abs(x)),
             kinks=(-2.0, -1.0, 1.0, 2.0),
             tail=TailExpansion(2.0),
             name="capped paraboloid",
@@ -375,8 +370,8 @@ def _ring_well(r: float) -> ScalarField:
     kink_radii = (r + 1.0, r + 2.0, r + 3.0, r + 4.0)
     well = plateau(*kink_radii, depth=-1.0)
     return ScalarField(
-        evaluate=lambda x: well.evaluate(np.abs(np.asarray(x, dtype=float))),
-        second_derivative=lambda x: well.second_derivative(abs(x)),
+        evaluate=lambda x: well.evaluate(np.abs(x)),
+        second_derivative=lambda x: well.second_derivative(np.abs(x)),
         kinks=tuple(-k for k in kink_radii[::-1]) + kink_radii,
         tail=TailExpansion(r + 4.0),
         name=f"ring well(r={r})",

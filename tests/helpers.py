@@ -16,9 +16,9 @@ def pure_power(alpha: float) -> fields.ScalarField:
         return np.where(x > 0.0, np.maximum(x, 0.0) ** alpha, 0.0)
 
     def d2(x):
-        if x <= 0.0:
-            return 0.0
-        return alpha * (alpha - 1.0) * x ** (alpha - 2.0)
+        x = np.asarray(x, dtype=float)
+        xp = np.where(x > 0.0, x, 1.0)
+        return np.where(x > 0.0, alpha * (alpha - 1.0) * xp ** (alpha - 2.0), 0.0)
 
     return fields.ScalarField(
         evaluate=ev,

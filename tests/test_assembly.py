@@ -52,6 +52,15 @@ def test_build_mesh_errors():
         build_mesh(0.0, 1.0, 0)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 1.0), (-1e308, 1e308),
+                                  (0.0, 5e-324)])
+def test_build_mesh_refuses_non_finite_ends_and_spacing(a, b):
+    # (-1e308, 1e308) has finite ends but b - a overflows; (0, 5e-324)
+    # has a spacing that underflows to 0
+    with pytest.raises(DomainError, match="finite"):
+        build_mesh(a, b, 127)
+
+
 # ---------------------------------------------------------------------------
 # local stiffness
 # ---------------------------------------------------------------------------

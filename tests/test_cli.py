@@ -208,6 +208,13 @@ def test_cli_reports_malformed_csv_load(tmp_path, capsys, text, message):
     ({"domain": ["a", 1]}, "domain"),
     ({"quad": {"panels": "x"}}, "quad"),
     ({"quad": {"tolerance": [1e-8]}}, "quad"),
+    # a bool is no number, and an integer keeps no fractional part
+    ({"n": 7.9}, "n"),
+    ({"n": True}, "n"),
+    ({"seed": 2.5}, "seed"),
+    ({"dimension": 2.5}, "dimension"),
+    ({"s": True}, "s"),
+    ({"domain": [False, True]}, "domain"),
 ])
 def test_cli_reports_wrongly_typed_config_value(tmp_path, capsys, doc, key):
     cfg = tmp_path / "cfg.json"
@@ -225,3 +232,20 @@ def test_cli_has_no_quadrature_settings(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--tolerance", "1e-9", "--output-dir", str(tmp_path)])
     assert info.value.code == 2
+
+
+def test_parse_accepts_an_integral_float_for_an_integer():
+    cfg = parse_config(json.dumps({"command": "solve", "n": 7.0, "seed": 3.0}))
+    assert (cfg.n, cfg.seed) == (7, 3) and type(cfg.n) is int
+
+
+@pytest.mark.parametrize("domain, message", [
+    (["0", "inf"], "domain: must be finite"),
+    (["-inf", "1"], "domain: must be finite"),
+    (["-1e308", "1e308"], "mesh requires finite a, b and spacing h > 0"),
+])
+def test_cli_refuses_non_finite_domains(tmp_path, capsys, domain, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--domain", *domain, "--output-dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err

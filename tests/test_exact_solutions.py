@@ -23,20 +23,23 @@ def _image_constant(n_dim: int, s: float) -> float:
             / _gamma(n_dim / 2.0))
 
 
+def _cap_d2(s: float, x):
+    """Second derivative of (1 - x^2)^s_+ at each x, 0 off (-1, 1)."""
+    x = np.asarray(x, dtype=float)
+    inside = np.abs(x) < 1.0
+    g = np.where(inside, 1.0 - x * x, 1.0)
+    d2 = -2.0 * s * g ** (s - 1.0) + 4.0 * s * (s - 1.0) * x * x * g ** (s - 2.0)
+    return np.where(inside, d2, 0.0)
+
+
 def _cap_profile_1d(s: float) -> fields.ScalarField:
     def ev(x):
         x = np.asarray(x, dtype=float)
         g = np.maximum(1.0 - x * x, 0.0)
         return g**s
 
-    def d2(x):
-        g = 1.0 - x * x
-        if g <= 0.0:
-            return 0.0
-        return -2.0 * s * g ** (s - 1.0) + 4.0 * s * (s - 1.0) * x * x * g ** (s - 2.0)
-
     return fields.ScalarField(
-        evaluate=ev, second_derivative=d2, kinks=(-1.0, 1.0),
+        evaluate=ev, second_derivative=lambda x: _cap_d2(s, x), kinks=(-1.0, 1.0),
         tail=fields.TailExpansion(1.0), name=f"(1-x^2)^{s}",
     )
 
@@ -48,17 +51,13 @@ def _cap_profile_radial(s: float) -> fields.RadialField:
         return g**s
 
     def d1(r):
-        g = 1.0 - r * r
-        return -2.0 * s * r * g ** (s - 1.0) if g > 0.0 else 0.0
-
-    def d2(r):
-        g = 1.0 - r * r
-        if g <= 0.0:
-            return 0.0
-        return -2.0 * s * g ** (s - 1.0) + 4.0 * s * (s - 1.0) * r * r * g ** (s - 2.0)
+        r = np.asarray(r, dtype=float)
+        inside = np.abs(r) < 1.0
+        g = np.where(inside, 1.0 - r * r, 1.0)
+        return np.where(inside, -2.0 * s * r * g ** (s - 1.0), 0.0)
 
     return fields.RadialField(
-        profile=prof, d_profile=d1, dd_profile=d2, support_radius=1.0,
+        profile=prof, d_profile=d1, dd_profile=lambda r: _cap_d2(s, r), support_radius=1.0,
         kinks=(1.0,), name=f"(1-r^2)^{s}",
     )
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -331,7 +332,7 @@ def test_convex_tail_bound(quad):
 
     v = fields.ScalarField(
         evaluate=ev,
-        second_derivative=lambda x: 2.0 if anchor < x < anchor + 3.0 else 0.0,
+        second_derivative=lambda x: np.where((anchor < x) & (x < anchor + 3.0), 2.0, 0.0),
         kinks=(anchor, anchor + 3.0),
         tail=fields.TailExpansion(anchor + 3.0, ((9.0, 0.0),), ()),
     )
@@ -491,3 +492,23 @@ def test_barrier_image_temporaries_stay_small(barrier_03):
     finally:
         tracemalloc.stop()
     assert peak <= 2**20
+
+
+def test_mixed_image_evaluates_the_second_derivative_once(barrier_03):
+    # u''(x) serves the local part and the fractional core both; with x +- d
+    # for the core's fourth-derivative estimate that is 3 points a point, in
+    # one call per chunk of points
+    p = barrier_03
+    bf = beta_field(p)
+    sizes = []
+
+    def counted(x):
+        sizes.append(np.size(x))
+        return bf.second_derivative(x)
+
+    xs = np.geomspace(p.d * 1e-6, 0.999 * p.d, 400)
+    params = OperatorParams(1, 0.3)
+    image = mixed_apply(dataclasses.replace(bf, second_derivative=counted), xs, params)
+    assert image.tobytes() == mixed_apply(bf, xs, params).tobytes()
+    assert sum(sizes) == 3 * xs.size
+    assert len(sizes) == math.ceil(xs.size / kernel._CHUNK_POINTS)
