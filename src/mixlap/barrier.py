@@ -40,6 +40,9 @@ from .kernel import (OperatorParams, QuadratureSpec, frac_apply,
                      mixed_apply)
 
 _INTEGER_TOL = 1e-9
+# the window gates first read the top end of their grids, where every
+# failing window measured so far had its deciding maximum
+_PROBE_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -173,8 +176,9 @@ class _Corrector:
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         live = ~((x <= 0.0) | (x >= 2.0 * self.d))  # W vanishes off (0, 2d)
-        xl = x[live]  # the fade below is exactly 1 on (0, d]
-        out[live] = self.w_tilde(xl) * (1.0 - smoothstep((xl - self.d) / self.d))
+        out[live] = self.w_tilde(x[live])
+        fade = live & (x > self.d)  # the fade is exactly 1 on (0, d]
+        out[fade] *= 1.0 - smoothstep((x[fade] - self.d) / self.d)
         return out
 
     def d2(self, x):
@@ -236,6 +240,7 @@ def beta_sharp_field(p: BarrierParams) -> ScalarField:
         kinks=(0.0, 2.0), tail=TailExpansion(2.0, plus, ()),
         name="beta_sharp",
         graded_kinks=(0.0,),
+        support=(0.0, math.inf),
     )
 
 
@@ -260,6 +265,7 @@ def beta_field(p: BarrierParams) -> ScalarField:
         kinks=(0.0, p.d, 2.0 * p.d, 2.0), tail=TailExpansion(cutoff, plus, ()),
         name="beta",
         graded_kinks=(0.0,),
+        support=(0.0, math.inf),
     )
 
 
@@ -306,6 +312,7 @@ def gamma_field(p: BarrierParams) -> ScalarField:
         tail=TailExpansion(cutoff, plus, ()),
         name="gamma",
         graded_kinks=(0.0,),
+        support=(0.0, math.inf),
     )
 
 
@@ -358,13 +365,42 @@ def build_barrier(s: float, rho_omega: float = 1.0) -> BarrierParams:
     )
 
 
+def _top_first(apply, u, grid, params_op, gate):
+    """apply(u, grid, params_op), its top _PROBE_POINTS points first.
+
+    ``gate(top)`` sees the image there and raises _AttemptFailed if a bound
+    from it already fails; the rest of the grid is then never evaluated.  A
+    point's image does not depend on the points that share its call, so the
+    concatenation equals the image of the whole grid.
+    """
+    top = apply(u, grid[-_PROBE_POINTS:], params_op)
+    gate(top)
+    return np.concatenate((apply(u, grid[:-_PROBE_POINTS], params_op), top))
+
+
 def _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d,
                    rho_omega) -> BarrierParams:
     # C_sharp: log-normalized bound of the capped power's nonlocal output
     grid = np.geomspace(d * 1e-6, d * 0.999, 64)
-    top_vals = frac_apply(w_top, grid, params_op)
-    ratios = np.abs(c_top * top_vals) / (1.0 + np.abs(np.log(grid)))
-    c_sharp = 1.25 * float(np.max(ratios))
+
+    def c_sharp_of(vals, pts):
+        return 1.25 * float(np.max(np.abs(c_top * vals) / (1.0 + np.abs(np.log(pts)))))
+
+    def s_d_gate(vals):
+        # S(d) > d / (4 C#), with S(d) = logpot(d) + (2 / C#) sum_{j>=1} c_j d^alpha_j,
+        # reads C# logpot(d) + 2 sum_{j>=1} c_j d^alpha_j > d / 4: increasing
+        # in C#, so a lower bound that fails it by a margin decides the window
+        c_lb = c_sharp_of(vals, grid[-_PROBE_POINTS:])
+        lhs = c_lb * float(_log_potential(d)) + 2.0 * math.fsum(
+            c * d**a for c, a in zip(cs[1:], ladder.alphas[1:]))
+        if lhs > 0.25 * d * (1.0 + 1e-9):
+            raise _AttemptFailed(
+                f"C# ≥ {c_lb:.3g} on the top {_PROBE_POINTS} grid points puts "
+                f"C# S(d) ≥ {lhs:.3g} above d/4 = {0.25 * d:.3g}"
+            )
+
+    top_vals = _top_first(frac_apply, w_top, grid, params_op, s_d_gate)
+    c_sharp = c_sharp_of(top_vals, grid)
 
     # provisional parameter shell so the field builders can be reused;
     # beta_field reads none of the constants measured below
@@ -409,9 +445,21 @@ def _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d,
         raise _AttemptFailed("barrier dips below d/2 past the window")
 
     # C2: measured lower bound of the mixed operator on the window
+    def c2_of(vals):
+        return max(1.25 * float(np.max(np.maximum(-vals, 0.0))), 0.05)
+
+    def window_gate(vals):
+        # d > 1/(4 C1 C2) only gets truer as C2 grows
+        c2_lb = c2_of(vals)
+        if d > 1.0 / (4.0 * c1 * c2_lb):
+            raise _AttemptFailed(
+                f"C2 ≥ {c2_lb:.3g} on the top {_PROBE_POINTS} grid points puts "
+                f"1/(4 C1 C2) ≤ {1.0 / (4 * c1 * c2_lb):.3g} below the window {d:.3g}"
+            )
+
     lgrid = np.geomspace(d * 1e-6, d * 0.999, 400)
-    lbeta = mixed_apply(bf, lgrid, params_op)
-    c2 = max(1.25 * float(np.max(np.maximum(-lbeta, 0.0))), 0.05)
+    lbeta = _top_first(mixed_apply, bf, lgrid, params_op, window_gate)
+    c2 = c2_of(lbeta)
 
     ell = min(d / 4.0, 0.999 / (2.0 * c1 * c2))
     if d > 1.0 / (4.0 * c1 * c2):

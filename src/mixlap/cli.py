@@ -60,7 +60,8 @@ def _typed(doc, key, kind, name: str = ""):
             raise ValueError
         return kind(val)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name or key}: {val!r} is not a {kind.__name__}") from exc
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name or key}: {val!r} is not {noun}") from exc
 
 
 def _json_object(text: str) -> dict:
@@ -204,10 +205,11 @@ def _run_barrier(cfg: RunConfig, outdir: Path) -> int:
     bf = barrier.beta_field(p)
     gf = barrier.gamma_field(p)
     xs = np.geomspace(p.ell * 1e-3, p.ell * 0.99, 50)
+    columns = (xs, bf(xs), gf(xs), mixed_apply(gf, xs, params))
     with open(outdir / "barrier.csv", "w") as fh:
         fh.write("x,beta,gamma,Lgamma\n")
-        for x, lg in zip(xs, mixed_apply(gf, xs, params)):
-            fh.write(f"{x:.17g},{float(bf(x)):.17g},{float(gf(x)):.17g},{lg:.17g}\n")
+        fh.writelines(f"{x:.17g},{b:.17g},{g:.17g},{lg:.17g}\n"
+                      for x, b, g, lg in zip(*(c.tolist() for c in columns)))
     with open(outdir / "certificate.txt", "w") as fh:
         fh.write(f"s = {cfg.s:.17g}\n")
         fh.write(f"case = {p.ladder.case}\n")

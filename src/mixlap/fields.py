@@ -6,7 +6,9 @@ needs to evaluate nonlocal operators on an explicitly given function:
 * a vectorized evaluator, defined on all of R,
 * an optional second derivative, valid away from the listed kinks,
 * an exact far-field description (:class:`TailExpansion`) so that the
-  integral beyond any finite radius can be resummed in closed form.
+  integral beyond any finite radius can be resummed in closed form,
+* a ``support`` interval (lo, hi): the field is exactly 0 at and beyond
+  both ends, so the quadrature skips the nodes that fall there.
 
 Every callable a field carries (the evaluator, the second derivative, and a
 radial field's profile, its derivatives and its Laplacian) takes an array of
@@ -74,7 +76,13 @@ class TailExpansion:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A function on R with the metadata needed for nonlocal evaluation."""
+    """A function on R with the metadata needed for nonlocal evaluation.
+
+    ``support = (lo, hi)`` promises u(x) == 0.0 exactly for x <= lo and for
+    x >= hi; the default is the whole line.  The 1D operator evaluates the
+    field only at quadrature nodes strictly inside it and takes 0.0
+    elsewhere, so a wrong promise changes the image.
+    """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     second_derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -82,6 +90,7 @@ class ScalarField:
     tail: TailExpansion = field(default_factory=lambda: TailExpansion(0.0))
     name: str = ""
     graded_kinks: Optional[Tuple[float, ...]] = None
+    support: Tuple[float, float] = (-math.inf, math.inf)
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
@@ -148,6 +157,7 @@ def truncated_power(alpha: float, L: float) -> ScalarField:
         tail=TailExpansion(2.0 * L, ((cap, 0.0),), ()),
         name=f"w_alpha({alpha},L={L})",
         graded_kinks=(0.0,),
+        support=(0.0, math.inf),
     )
 
 

@@ -307,11 +307,25 @@ def _noise_floor(s: float, tolerance: float, scale):
                     where=power * np.log(base) < 700.0)
 
 
+def _on_support(u: ScalarField, y: np.ndarray) -> np.ndarray:
+    """u at each node of y, evaluated only strictly inside ``u.support``:
+    0.0 is the field's exact value at and beyond either end."""
+    lo, hi = u.support
+    inside = (lo < y) & (y < hi)
+    if inside.all():
+        return u.evaluate(y)
+    out = np.zeros_like(y)
+    out[inside] = u.evaluate(y[inside])
+    return out
+
+
 def _middle_integrals(u: ScalarField, xs: np.ndarray, uxs: np.ndarray, lo, hi,
                       counts, s: float):
     """int_{z0}^{r_out} (u(x+z) + u(x-z) - 2 u(x)) z^(-1-2s) dz at each point
     x of ``xs``, on its ``counts`` panels [lo, hi], in blocks of at most
-    _BLOCK_NODES Gauss nodes."""
+    _BLOCK_NODES Gauss nodes.  Nodes outside the field's support are not
+    evaluated: on a field supported on (0, inf), every node past z = x of a
+    point x > 0 has u(x - z) = 0."""
     ends = np.cumsum(counts)
     panel_sums = np.empty(lo.size)
     step = _BLOCK_NODES // _GAUSS_ORDER
@@ -321,7 +335,7 @@ def _middle_integrals(u: ScalarField, xs: np.ndarray, uxs: np.ndarray, lo, hi,
         y = np.repeat(xs[at], _GAUSS_ORDER)
         # (u(x+z) + u(x-z) - 2 u(x)) w z^(-1-2s), from two half-size field
         # calls and in place, to keep the temporaries few and small
-        delta2 = u.evaluate(y + z) + u.evaluate(y - z)
+        delta2 = _on_support(u, y + z) + _on_support(u, y - z)
         delta2 -= 2.0 * np.repeat(uxs[at], _GAUSS_ORDER)
         delta2 *= w
         delta2 *= z ** (-1.0 - 2.0 * s)

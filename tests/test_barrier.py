@@ -5,11 +5,12 @@ import pytest
 
 from mixlap import fields
 from mixlap.assembly import build_mesh, grid_interpolant
-from mixlap.barrier import (_beta_star, _corrector_for, _log_potential,
+from mixlap.barrier import (_AttemptFailed, _attempt_build, _beta_star,
+                            _corrector_for, _log_potential,
                             beta, beta_field, beta_sharp_field,
                             build_barrier, build_ladder, coefficients, gamma,
                             gamma_field, kappa, radial_cutoff, theta)
-from mixlap.errors import DomainError
+from mixlap.errors import ConstructionError, DomainError
 from mixlap.kernel import (LocalSign, OperatorParams, frac_apply, mixed_apply,
                            tail_integral, tail_kappa)
 
@@ -353,6 +354,27 @@ def test_mixed_apply_grid_adds_pointwise_local_part(name, sign, p075, quad):
 def test_build_barrier_rejects_bad_order():
     with pytest.raises(DomainError):
         build_ladder(1.2)
+
+
+def test_failed_construction_traces_every_window():
+    # every window at s = 0.95 fails the S(d) gate, which the top of the C#
+    # grid already decides: each trace line gives C# as a lower bound
+    with pytest.raises(ConstructionError) as info:
+        build_barrier(0.95)
+    trace = info.value.trace
+    assert [line.split(":")[0] for line in trace] == [
+        f"d={0.5 * 2.0**-k:.6g}" for k in range(13)]
+    assert all("C# ≥" in line for line in trace)
+
+
+def test_probe_rejects_the_window_from_the_top_of_the_c2_grid():
+    # at s = 0.3 the window d = 1/2 fails d <= 1/(4 C1 C2) on the top 8
+    # points of the 400-point beta image; build_barrier then halves d
+    s = 0.3
+    with pytest.raises(_AttemptFailed, match="C2 ≥ .* on the top 8 grid points"):
+        _attempt_build(s, OperatorParams(1, s), build_ladder(s), (), (1.0,),
+                       fields.truncated_power(1.0, 1.0), 1.0, 0.5, 1.0)
+    assert build_barrier(s).d == 0.25
 
 
 # ---------------------------------------------------------------------------

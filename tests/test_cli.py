@@ -223,6 +223,19 @@ def test_cli_reports_wrongly_typed_config_value(tmp_path, capsys, doc, key):
     assert f"error: {key}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"n": 7.9}, "error: n: 7.9 is not an integer"),
+    ({"seed": [3]}, "error: seed: [3] is not an integer"),
+    ({"s": "abc"}, "error: s: 'abc' is not a number"),
+    ({"domain": [0, True]}, "error: domain: True is not a number"),
+])
+def test_cli_words_a_wrongly_typed_value_by_its_kind(tmp_path, capsys, doc, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["solve", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_cli_has_no_quadrature_settings(tmp_path, capsys):
     # every driver evaluates at the default QuadratureSpec
     cfg = tmp_path / "cfg.json"

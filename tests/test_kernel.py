@@ -8,7 +8,7 @@ import pytest
 
 from mixlap import fields, kernel
 from mixlap.assembly import build_mesh, grid_interpolant
-from mixlap.barrier import beta_field, build_barrier, gamma_field
+from mixlap.barrier import beta_field, beta_sharp_field, build_barrier, gamma_field
 from mixlap.cli import _load_field
 from mixlap.errors import AccuracyError, DomainError, TailDivergenceError
 from mixlap.kernel import (LocalSign, OperatorParams, QuadratureSpec,
@@ -512,3 +512,60 @@ def test_mixed_image_evaluates_the_second_derivative_once(barrier_03):
     assert image.tobytes() == mixed_apply(bf, xs, params).tobytes()
     assert sum(sizes) == 3 * xs.size
     assert len(sizes) == math.ceil(xs.size / kernel._CHUNK_POINTS)
+
+
+@pytest.fixture(scope="module")
+def barrier_09():
+    return build_barrier(0.9)
+
+
+def _barrier_grid_cases(p):
+    """(field, grid) pairs on the grids the barrier builder measures."""
+    return {
+        "beta": (beta_field(p), np.geomspace(p.d * 1e-6, p.d * 0.999, 400)),
+        "gamma": (gamma_field(p), np.geomspace(p.ell * 1e-3, p.ell * 0.99, 200)),
+        "truncated power": (fields.truncated_power(p.ladder.alphas[-1], 1.0),
+                            np.geomspace(p.d * 1e-6, p.d * 0.999, 64)),
+    }
+
+
+@pytest.mark.parametrize("which", ["barrier_03", "barrier_09"])
+@pytest.mark.parametrize("name", ["beta", "gamma", "truncated power"])
+@pytest.mark.parametrize("apply", [frac_apply, mixed_apply])
+def test_grid_image_is_the_concatenation_of_its_slices(which, name, apply, request):
+    # a point's image does not depend on the points that share its call:
+    # the barrier builder probes the top of a grid first and relies on it
+    p = request.getfixturevalue(which)
+    u, xs = _barrier_grid_cases(p)[name]
+    params = OperatorParams(1, p.ladder.s)
+    whole = apply(u, xs, params)
+    for cut in (xs.size - 8, 37):
+        parts = np.concatenate((apply(u, xs[:cut], params), apply(u, xs[cut:], params)))
+        assert parts.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("which", ["barrier_03", "barrier_09"])
+@pytest.mark.parametrize("name", ["beta_sharp", "beta", "gamma", "truncated power"])
+def test_support_skip_is_exact(which, name, request):
+    p = request.getfixturevalue(which)
+    u = {"beta_sharp": beta_sharp_field(p), "beta": beta_field(p), "gamma": gamma_field(p),
+         "truncated power": fields.truncated_power(p.ladder.alphas[-1], 1.0)}[name]
+    assert u.support == (0.0, math.inf)
+    d = p.d
+    xs = np.array([-3.0 * d, -0.5 * d, -1e-3 * d, 1e-3 * d, 0.1 * d, 0.6 * d, 0.9 * d,
+                   1.5 * d, 3.0 * d, 1.0, 2.5])
+    params = OperatorParams(1, p.ladder.s)
+    seen = []
+
+    def spy(x):
+        seen.append(np.array(x, dtype=float).ravel())
+        return u.evaluate(x)
+
+    image = mixed_apply(dataclasses.replace(u, evaluate=spy), xs, params)
+    whole_line = dataclasses.replace(u, support=(-math.inf, math.inf))
+    assert image.tobytes() == mixed_apply(whole_line, xs, params).tobytes()
+    # besides the evaluation points themselves, every node the field sees
+    # lies inside its support
+    nodes = np.concatenate(seen)
+    nodes = nodes[~np.isin(nodes, xs)]
+    assert nodes.size and nodes.min() > 0.0
