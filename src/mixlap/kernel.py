@@ -37,7 +37,7 @@ _GAUSS_ORDER = 12
 _GX, _GW = leggauss(_GAUSS_ORDER)
 # 1D evaluation lays out the panels of up to _CHUNK_POINTS points at once and
 # evaluates the field on up to _BLOCK_NODES Gauss nodes a call.  On barrier
-# fields (up to 150 panels a point: 75 KB of panel ends a chunk, 32 KB of
+# fields (up to 96 panels a point: 45 KB of panel ends a chunk, 32 KB of
 # field values a call) every temporary so stays under glibc's 128 KB mmap
 # threshold and is reused from the heap, not mapped and faulted in anew.
 _CHUNK_POINTS = 64
@@ -61,18 +61,18 @@ class LocalSign(enum.Enum):
 class QuadratureSpec:
     """Node-placement parameters for the singular quadrature.
 
-    ``panels`` is the number of geometric panels per factor-2 span; higher
-    values tighten the Gauss error at proportional cost.  Every driver
-    evaluates at the default.  A smaller ``tolerance`` moves the core
-    radius z0 outward (see :func:`_noise_floor`) without making images more
-    accurate: the two-term Taylor core then carries the error, 4.3e-9
-    instead of 1.7e-14 on the truncated power x_+^1.8 at s = 0.9, x = 0.05,
-    with 1e-12 in place of 1e-8.
+    ``panels`` is the number of 12-point Gauss panels per factor-2 span,
+    one by default; higher values tighten the Gauss error at proportional
+    cost.  Every driver evaluates at the default.  ``tolerance`` reaches
+    only the core radius z0, through :func:`_noise_floor`, of 1D fields
+    without a second derivative (hat interpolants, CSV loads) and of radial
+    fields.  A 1D field with u'' takes z0 = r_in/64 at any tolerance (see
+    :func:`_core_radius`).
     """
 
     inner_radius: float = 0.25
     outer_radius: float = 64.0
-    panels: int = 2
+    panels: int = 1
     tolerance: float = 1e-8
 
     def __post_init__(self):
@@ -295,16 +295,33 @@ def _tail_contributions(u: ScalarField, xs: np.ndarray, uxs: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _noise_floor(s: float, tolerance: float, scale):
-    """Smallest offset at which raw second differences beat roundoff.
+def _noise_floor(s: float, tolerance: float, scale, core: bool = False):
+    """Smallest offset z0 at which raw second differences beat roundoff.
 
     Integrating machine noise eps*scale against z^(-1-2s) from z0 outward
-    contributes ~ eps*scale*z0^(-2s)/(2s); keep that below tolerance/10
-    (inf past e^700: the caller clamps z0 to the core radius anyway).
+    contributes ~ eps*scale*z0^(-2s)/(2s).  A ``core`` taken from the second
+    difference at z0 adds eps*scale*z0^(-2s)/(2-2s), which dominates as
+    s -> 1; the two together are 1/(1-s) times the first.  Keep the noise
+    below tolerance/10 (inf past e^700: the caller clamps z0 anyway).
     """
     base, power = 10.0 * _EPS * np.asarray(scale) / (2.0 * s * tolerance), 1.0 / (2.0 * s)
+    if core:
+        base = base / (1.0 - s)
     return np.power(base, power, out=np.full(base.shape, math.inf),
                     where=power * np.log(base) < 700.0)
+
+
+def _core_radius(u: ScalarField, s: float, tolerance: float, ux, r_in):
+    """The radius z0 of each point's analytic core, inside its C^2 zone of
+    radius r_in.  A field with u'' gets the two-term Taylor core, whose
+    error is truncation, not roundoff: z0 = r_in/64 at any tolerance.  A
+    field without one gets a second difference on z0, exact on linear
+    pieces and limited by roundoff: z0 is its noise floor, clamped to
+    [r_in/64, r_in/8]."""
+    if u.second_derivative is not None:
+        return r_in / 64.0
+    z0 = _noise_floor(s, tolerance, 1.0 + np.abs(ux), core=True)
+    return np.minimum(np.maximum(z0, r_in / 64.0), r_in / 8.0)
 
 
 def _on_support(u: ScalarField, y: np.ndarray) -> np.ndarray:
@@ -378,8 +395,7 @@ def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams",
         chunk = slice(i, i + _CHUNK_POINTS)
         x, ux, r = xs[chunk], uxs[chunk], r_c2[chunk]
         r_in = np.minimum(quad.inner_radius, 0.5 * r)
-        z0 = _noise_floor(s, quad.tolerance, 1.0 + np.abs(ux))
-        z0 = np.minimum(np.maximum(z0, 1e-8 * r_in), r_in / 8.0)
+        z0 = _core_radius(u, s, quad.tolerance, ux, r_in)
 
         # analytic core on (0, z0]: delta2(z) ~ upp z^2 + u4 z^4 / 12, with
         # u4 from u'' at x +- d in the same call (d > 0: r > _MIN_C2_ZONE),

@@ -406,3 +406,30 @@ def tail_power_moment(p: float, shift: float, radius: float, s: float) -> float:
         if k > 2 and abs(term) < 1e-18 * max(abs(total), 1e-300):
             break
     return total
+
+
+
+def mp_frac_hat(knots, values, s: float, xs, dps: int = 30) -> list:
+    """(-Delta)^s at each point of ``xs`` of the piecewise-linear field
+    through (knots, values), zero beyond the first and last knot, whose
+    values must be 0.
+
+    Such a field is (1/2) sum_j kappa_j |x - x_j| with kappa_j the slope
+    jump at x_j, and (-Delta)^s |x| = -2c |x|^(1-2s) for s != 1/2, so the
+    image is -c sum_j kappa_j |x - x_j|^(1-2s) with
+    c = Gamma(s - 1/2) / (4^(1-s) sqrt(pi) Gamma(1 - s)).  Knots and values
+    enter as the exact binary numbers they are.
+    """
+    if s == 0.5:
+        raise ValueError("s = 1/2 has a logarithmic kernel")
+    with mp.workdps(dps):
+        s_ = mp.mpf(s)
+        knots = [mp.mpf(t) for t in knots]
+        us = [mp.mpf(v) for v in values]
+        slopes = ([mp.mpf(0)] + [(u1 - u0) / (x1 - x0) for x0, x1, u0, u1
+                                 in zip(knots[:-1], knots[1:], us[:-1], us[1:])]
+                  + [mp.mpf(0)])
+        jumps = [right - left for left, right in zip(slopes[:-1], slopes[1:])]
+        c = mp.gamma(s_ - mp.mpf(1) / 2) / (4 ** (1 - s_) * mp.sqrt(mp.pi) * mp.gamma(1 - s_))
+        return [float(-c * mp.fsum(k * abs(mp.mpf(x) - xj) ** (1 - 2 * s_)
+                                   for xj, k in zip(knots, jumps))) for x in xs]

@@ -105,6 +105,14 @@ def test_verify_summaries_byte_identical(tmp_path):
         (out2 / "verify_summary.txt").read_bytes()
 
 
+@pytest.mark.parametrize("s", ["0.3", "0.9"])
+def test_barrier_artifacts_byte_identical(tmp_path, s):
+    for out in ("a", "b"):
+        assert main(["barrier", "--s", s, "--output-dir", str(tmp_path / out)]) == 0
+    for name in ("certificate.txt", "barrier.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_counterexample_summary_mentions_scale(tmp_path):
     code = main(["counterexample", "--s", "0.25", "--output-dir", str(tmp_path)])
     assert code == 0

@@ -184,6 +184,41 @@ def test_truncated_power_matches_mpmath_oracle(alpha, s, quad):
         assert v == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
+@pytest.mark.parametrize("s", [0.01, 0.3, 0.6, 0.9, 0.99])
+def test_truncated_power_meets_the_tolerance_near_its_kink(s):
+    # near the graded kink at 0, u^(k) grows like x^(alpha-k) and the Taylor
+    # core's truncation decides: a core radius that followed the noise floor
+    # out to r_in/8 missed by 6.7e-7 at (s, alpha, x) = (0.9, 1.2, 1e-6)
+    tol = QuadratureSpec.tolerance
+    for alpha in (1.0, 1.2, 1.5, 1.8):
+        for x in (1e-6, 1e-3, 0.5):
+            mine = frac_apply(fields.truncated_power(alpha, 1.0), x, OperatorParams(1, s))
+            ref = oracles.mp_frac_truncated_power(alpha, 1.0, s, x)
+            assert mine == pytest.approx(ref, rel=tol, abs=0.0), (alpha, x)
+
+
+def test_tolerance_does_not_move_a_taylor_core():
+    # with u'' the core radius is r_in/64 at any tolerance
+    u, p = fields.truncated_power(1.8, 1.0), OperatorParams(1, 0.9)
+    tight = frac_apply(u, 0.05, p, QuadratureSpec(tolerance=1e-12))
+    assert np.float64(tight).tobytes() == np.float64(frac_apply(u, 0.05, p)).tobytes()
+
+
+@pytest.mark.parametrize("n", [31, 255])
+@pytest.mark.parametrize("s", [0.25, 0.75, 0.99])
+def test_hat_interpolant_matches_closed_form(n, s):
+    # no u'': the core is a second difference, whose roundoff the noise
+    # floor keeps small up to s -> 1
+    mesh = build_mesh(-1.0, 1.0, n)
+    vals = np.sin(np.arange(1.0, n + 1.0)) + 1.5
+    knots = mesh.element_edges()
+    mids = 0.5 * (knots[:-1] + knots[1:])
+    image = frac_apply(grid_interpolant(mesh, vals), mids, OperatorParams(1, s))
+    ref = np.array(oracles.mp_frac_hat(knots, np.concatenate(([0.0], vals, [0.0])), s,
+                                       mids.tolist()))
+    assert np.max(np.abs(image - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 # ---------------------------------------------------------------------------
 # mixed_apply
 # ---------------------------------------------------------------------------
@@ -413,8 +448,7 @@ def _field_layout_inputs(u, xs):
     graded = kinks if u.graded_kinks is None else np.asarray(u.graded_kinks)
     r_c2 = np.array([u.c2_distance(x) for x in xs])
     r_in = np.minimum(quad.inner_radius, 0.5 * r_c2)
-    z0 = kernel._noise_floor(0.6, quad.tolerance, 1.0 + np.abs(u.evaluate(xs)))
-    z0 = np.minimum(np.maximum(z0, 1e-8 * r_in), r_in / 8.0)
+    z0 = kernel._core_radius(u, 0.6, quad.tolerance, u.evaluate(xs), r_in)
     r_out = np.maximum(np.maximum(quad.outer_radius, 2.0 * np.abs(xs) + 2.0),
                        u.tail.cutoff + np.abs(xs) + 1.0)
     return z0, r_in, np.abs(kinks - xs[:, None]), np.abs(graded - xs[:, None]), r_out
@@ -478,8 +512,8 @@ def test_tail_series_matches_scalar(s, p):
 
 def test_barrier_image_temporaries_stay_small(barrier_03):
     # panels are laid out a chunk of points at a time and the field is
-    # evaluated on blocks of nodes, so every temporary stays small: 655 KiB
-    # at the peak here, against 2102 KiB with all 400 points in one chunk
+    # evaluated on blocks of nodes, so every temporary stays small: 549 KiB
+    # at the peak here, against 1218 KiB with all 400 points in one chunk
     p = barrier_03
     bf = beta_field(p)
     xs = np.geomspace(p.d * 1e-6, 0.999 * p.d, 400)

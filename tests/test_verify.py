@@ -372,6 +372,31 @@ def test_residual_decay_constant_load():
     assert r.passed
 
 
+@pytest.mark.parametrize("s", [0.3, 0.75])
+def test_midpoint_residual_images_in_one_call_match_the_point_loop(s):
+    # the kept midpoints go through frac_apply in one call; point by point,
+    # with the same fitted curvature, gives the same bits and skips
+    params = OperatorParams(1, s)
+    f = fields.constant(1.0)
+    targets = np.linspace(-0.97, 0.97, 17)  # the outer ones touch the boundary
+    for n in (31, 63):
+        rep = solve_dirichlet(build_system(build_mesh(-1.0, 1.0, n), params), f)
+        mesh, field = rep.solution.mesh, rep.solution.as_field()
+        worst, skipped = 0.0, 0
+        for t in targets:
+            x = float(mesh.a + (int(np.floor((t - mesh.a) / mesh.h)) + 0.5) * mesh.h)
+            try:
+                image = -verify._fitted_curvature(rep, x) + frac_apply(field, x, params)
+            except DomainError:
+                skipped += 1
+                continue
+            worst = max(worst, abs(image - float(f(x))))
+        got = verify._midpoint_residual(rep, targets, f, params)
+        assert skipped > 0
+        assert np.float64(got[0]).tobytes() == np.float64(worst).tobytes()
+        assert got[1] == skipped
+
+
 def test_residual_needs_three_meshes():
     params = OperatorParams(1, 0.5)
     f = fields.constant(1.0)
