@@ -67,7 +67,7 @@ class QuadratureSpec:
     only the core radius z0, through :func:`_noise_floor`, of 1D fields
     without a second derivative (hat interpolants, CSV loads) and of radial
     fields.  A 1D field with u'' takes z0 = r_in/64 at any tolerance (see
-    :func:`_core_radius`).
+    :func:`_analytic_core`).
     """
 
     inner_radius: float = 0.25
@@ -295,33 +295,40 @@ def _tail_contributions(u: ScalarField, xs: np.ndarray, uxs: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _noise_floor(s: float, tolerance: float, scale, core: bool = False):
-    """Smallest offset z0 at which raw second differences beat roundoff.
+def _noise_floor(s: float, tolerance: float, scale):
+    """Smallest offset at which raw second differences beat roundoff.
 
     Integrating machine noise eps*scale against z^(-1-2s) from z0 outward
-    contributes ~ eps*scale*z0^(-2s)/(2s).  A ``core`` taken from the second
-    difference at z0 adds eps*scale*z0^(-2s)/(2-2s), which dominates as
-    s -> 1; the two together are 1/(1-s) times the first.  Keep the noise
-    below tolerance/10 (inf past e^700: the caller clamps z0 anyway).
+    contributes ~ eps*scale*z0^(-2s)/(2s); keep that below tolerance/10
+    (inf past e^700: the caller clamps z0 to the core radius anyway).
     """
     base, power = 10.0 * _EPS * np.asarray(scale) / (2.0 * s * tolerance), 1.0 / (2.0 * s)
-    if core:
-        base = base / (1.0 - s)
     return np.power(base, power, out=np.full(base.shape, math.inf),
                     where=power * np.log(base) < 700.0)
 
 
-def _core_radius(u: ScalarField, s: float, tolerance: float, ux, r_in):
-    """The radius z0 of each point's analytic core, inside its C^2 zone of
-    radius r_in.  A field with u'' gets the two-term Taylor core, whose
-    error is truncation, not roundoff: z0 = r_in/64 at any tolerance.  A
-    field without one gets a second difference on z0, exact on linear
-    pieces and limited by roundoff: z0 is its noise floor, clamped to
-    [r_in/64, r_in/8]."""
-    if u.second_derivative is not None:
-        return r_in / 64.0
-    z0 = _noise_floor(s, tolerance, 1.0 + np.abs(ux), core=True)
-    return np.minimum(np.maximum(z0, r_in / 64.0), r_in / 8.0)
+def _analytic_core(u: ScalarField, x, ux, r, r_in, s: float, tolerance: float):
+    """Each point's core radius z0, inside its C^2 zone of radius r_in (r to
+    the nearest kink), and the upp, u4 of delta2(z) ~ upp z^2 + u4 z^4 / 12
+    on (0, z0].
+
+    A field with u'' gets the two-term Taylor core, u4 from u'' at x +- d
+    (d > 0: r > _MIN_C2_ZONE).  Its error is truncation, not roundoff, so
+    z0 = r_in/64 at any tolerance.  A field without one gets upp from a
+    second difference on z0, exact on linear pieces and limited by roundoff.
+    The core weighs that roundoff by 1/(2-2s), on top of the 1/(2s) of the
+    panels outside it, so its noise floor takes 1/(1-s) times the scale;
+    z0 is clamped to [r_in/64, r_in/8].
+    """
+    if u.second_derivative is None:
+        z0 = _noise_floor(s, tolerance, (1.0 + np.abs(ux)) / (1.0 - s))
+        z0 = np.minimum(np.maximum(z0, r_in / 64.0), r_in / 8.0)
+        vals = u.evaluate(np.concatenate((x - z0, x, x + z0))).reshape(3, -1)
+        return z0, (vals[0] + vals[2] - 2.0 * vals[1]) / z0**2, 0.0
+    z0 = r_in / 64.0
+    d = np.minimum(np.maximum(z0, 1e-5), r / 4.0)
+    upp, right, left = u.second_derivative(np.concatenate((x, x + d, x - d))).reshape(3, -1)
+    return z0, upp, (right + left - 2.0 * upp) / d**2
 
 
 def _on_support(u: ScalarField, y: np.ndarray) -> np.ndarray:
@@ -395,19 +402,8 @@ def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams",
         chunk = slice(i, i + _CHUNK_POINTS)
         x, ux, r = xs[chunk], uxs[chunk], r_c2[chunk]
         r_in = np.minimum(quad.inner_radius, 0.5 * r)
-        z0 = _core_radius(u, s, quad.tolerance, ux, r_in)
-
-        # analytic core on (0, z0]: delta2(z) ~ upp z^2 + u4 z^4 / 12, with
-        # u4 from u'' at x +- d in the same call (d > 0: r > _MIN_C2_ZONE),
-        # or upp a second difference of u on z0 if the field has no u''
-        if u.second_derivative is None:
-            vals = u.evaluate(np.concatenate((x - z0, x, x + z0))).reshape(3, -1)
-            upp, u4 = (vals[0] + vals[2] - 2.0 * vals[1]) / z0**2, 0.0
-        else:
-            d = np.minimum(np.maximum(z0, 1e-5), r / 4.0)
-            at = np.concatenate((x, x + d, x - d))
-            upp, right, left = u.second_derivative(at).reshape(3, -1)
-            u4 = (right + left - 2.0 * upp) / d**2
+        # analytic core on (0, z0], then its share of the integral
+        z0, upp, u4 = _analytic_core(u, x, ux, r, r_in, s, quad.tolerance)
         upps[chunk] = upp
         cores = -c * (
             upp * z0 ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)

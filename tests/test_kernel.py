@@ -421,13 +421,13 @@ def test_evaluation_is_bitwise_deterministic(quad):
 # ---------------------------------------------------------------------------
 
 
-def _assert_layout_matches_scalar(z0, r_in, offsets, graded, r_out):
+def _assert_layout_matches_scalar(z0, r_in, offsets, graded, r_out,
+                                  panels=QuadratureSpec().panels):
     """The array layout of a chunk of points against the scalar reference:
     the same number of panels per point, and breaks equal to 4 ulp."""
     z0, r_in, r_out = (np.asarray(a, dtype=float) for a in (z0, r_in, r_out))
     offsets, graded = (np.asarray(a, dtype=float).reshape(z0.size, -1)
                        for a in (offsets, graded))
-    panels = QuadratureSpec().panels
     lo, hi, counts = kernel._panel_layout(z0, r_in, offsets, graded, r_out, panels)
     first = 0
     for i in range(z0.size):
@@ -448,7 +448,7 @@ def _field_layout_inputs(u, xs):
     graded = kinks if u.graded_kinks is None else np.asarray(u.graded_kinks)
     r_c2 = np.array([u.c2_distance(x) for x in xs])
     r_in = np.minimum(quad.inner_radius, 0.5 * r_c2)
-    z0 = kernel._core_radius(u, 0.6, quad.tolerance, u.evaluate(xs), r_in)
+    z0 = kernel._analytic_core(u, xs, u.evaluate(xs), r_c2, r_in, 0.6, quad.tolerance)[0]
     r_out = np.maximum(np.maximum(quad.outer_radius, 2.0 * np.abs(xs) + 2.0),
                        u.tail.cutoff + np.abs(xs) + 1.0)
     return z0, r_in, np.abs(kinks - xs[:, None]), np.abs(graded - xs[:, None]), r_out
@@ -477,6 +477,30 @@ def test_layout_matches_scalar_on_truncated_power_and_hat():
     # a hat whose every kink is graded
     hat = fields.ScalarField(evaluate=hat.evaluate, kinks=hat.kinks, tail=hat.tail)
     _assert_layout_matches_scalar(*_field_layout_inputs(hat, xs))
+
+
+@pytest.mark.parametrize("panels", [2, 3])
+def test_layout_matches_scalar_at_more_panels_per_octave(barrier_03, panels):
+    # panels > 1 splits each factor-2 span at ratio 2^(1/panels) < 2
+    p = barrier_03
+    hat = grid_interpolant(build_mesh(-1.0, 1.0, 31), np.sin(np.arange(31.0)))
+    for u, xs in ((beta_field(p), np.geomspace(p.d * 1e-6, 0.999 * p.d, 400)),
+                  (fields.truncated_power(1.4, 1.0), np.linspace(-3.0, 3.0, 301) + 1e-3),
+                  (hat, np.linspace(-1.2, 1.2, 97) + 1e-4)):
+        _assert_layout_matches_scalar(*_field_layout_inputs(u, xs), panels=panels)
+    _assert_layout_matches_scalar([1e-4, 2e-5], [0.25, 0.2], [[0.3, 0.33, 5.0]] * 2,
+                                  [[0.3, 0.33]] * 2, [64.0, 64.0], panels=panels)
+
+
+@pytest.mark.parametrize("panels", [2, 3])
+def test_more_panels_per_octave_match_the_oracles(panels):
+    quad = QuadratureSpec(panels=panels)
+    xs = np.array([0.01, 0.2, 0.5])
+    for alpha, s in ((1.0, 0.3), (1.8, 0.9)):
+        mine = frac_apply(fields.truncated_power(alpha, 1.0), xs, OperatorParams(1, s), quad)
+        for x, v in zip(xs, mine):
+            ref = oracles.mp_frac_truncated_power(alpha, 1.0, s, float(x))
+            assert v == pytest.approx(ref, rel=1e-10, abs=0.0), (alpha, s, x)
 
 
 @pytest.mark.parametrize("offsets,graded", [
