@@ -19,9 +19,8 @@ from .errors import (AccuracyError, ConfigError, ConstructionError,
                      DomainError, InputError, MixlapError, NumericalError,
                      ResolutionError, TailDivergenceError)
 from .fields import RadialField, ScalarField, TailExpansion
-from .kernel import (LocalSign, OperatorParams, QuadratureSpec, frac_apply,
-                     mixed_apply, normalization_constant, tail_integral,
-                     tail_kappa)
+from .kernel import (OperatorParams, QuadratureSpec, frac_apply, mixed_apply,
+                     normalization_constant, tail_integral, tail_kappa)
 from .solve import (SolveReport, lift_nonhomogeneous, solve_dirichlet)
 from .verify import (VerificationReport, check_boundary_lipschitz,
                      check_linf_bound, check_strong_mp_contact, check_weak_mp,

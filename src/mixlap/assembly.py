@@ -75,6 +75,8 @@ def build_mesh(a: float, b: float, n: int) -> Mesh:
         raise DomainError("mesh requires a < b")
     if n < 1:
         raise DomainError("mesh requires at least one interior node")
+    if n > np.iinfo(np.intp).max // 8:  # 8 n bytes of nodes could not be indexed
+        raise DomainError(f"mesh of n = {n} nodes is too large to index")
     h = (b - a) / (n + 1)
     if not (math.isfinite(a) and math.isfinite(b) and 0.0 < h < math.inf):
         raise DomainError(f"mesh requires finite a, b and spacing h > 0, got h = {h!r}")
@@ -235,20 +237,9 @@ class StiffnessSystem:
     params: OperatorParams
     mesh: Mesh
 
-    @property
-    def local(self) -> np.ndarray:
-        return _toeplitz(self.local_row)
-
-    @property
-    def nonlocal_(self) -> np.ndarray:
-        return _toeplitz(self.nonlocal_row)
-
     @cached_property
     def row(self) -> np.ndarray:  # first row of local + nonlocal
         return self.local_row + self.nonlocal_row
-
-    def combined(self) -> np.ndarray:
-        return _toeplitz(self.row)
 
     @cached_property
     def _embedding(self):
@@ -264,13 +255,9 @@ class StiffnessSystem:
         return np.fft.irfft(spectrum * np.fft.rfft(x, size), size)[: x.size]
 
 
-def build_system(mesh: Mesh, params: OperatorParams,
-                 include_local: bool = True,
-                 include_nonlocal: bool = True) -> StiffnessSystem:
-    """Assemble the discrete operator; parts can be dropped for contrast runs."""
-    loc = _local_row(mesh) if include_local else np.zeros(mesh.n)
-    non = _nonlocal_row(mesh, params) if include_nonlocal else np.zeros(mesh.n)
-    return StiffnessSystem(loc, non, params, mesh)
+def build_system(mesh: Mesh, params: OperatorParams) -> StiffnessSystem:
+    """Assemble the rows of the discrete -Delta + (-Delta)^s on the mesh."""
+    return StiffnessSystem(_local_row(mesh), _nonlocal_row(mesh, params), params, mesh)
 
 
 def bilinear_eval(u: GridFunction, v: GridFunction, sys: StiffnessSystem) -> float:

@@ -1,4 +1,4 @@
-"""Pointwise evaluation of the fractional Laplacian and the mixed operators.
+"""Pointwise evaluation of the fractional Laplacian and the mixed operator.
 
 The fractional Laplacian is evaluated through its regularized
 second-difference form
@@ -19,7 +19,6 @@ whether u is admissible exterior data.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -47,51 +46,39 @@ _TAIL_TERMS = 120
 _TAIL_BLOCK = 16
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
-
-
-class LocalSign(enum.Enum):
-    """Sign of the local part: MINUS gives -Delta + (-Delta)^s, PLUS gives
-    the wrong-sign operator Delta + (-Delta)^s."""
-
-    MINUS = "minus"
-    PLUS = "plus"
+# the core zone ends at z = _INNER_RADIUS (or half the distance to the
+# nearest kink), and the Gauss panels reach at least z = _OUTER_RADIUS
+_INNER_RADIUS = 0.25
+_OUTER_RADIUS = 64.0
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node-placement parameters for the singular quadrature.
+    """The tolerance of the singular quadrature, its one setting: the panel
+    layout is fixed (_INNER_RADIUS, _OUTER_RADIUS, one panel per factor-2
+    span), and every driver evaluates at the default tolerance.
 
-    ``panels`` is the number of 12-point Gauss panels per factor-2 span,
-    one by default; higher values tighten the Gauss error at proportional
-    cost.  Every driver evaluates at the default.  ``tolerance`` reaches
-    only the core radius z0, through :func:`_noise_floor`, of 1D fields
-    without a second derivative (hat interpolants, CSV loads) and of radial
-    fields.  A 1D field with u'' takes z0 = r_in/64 at any tolerance (see
-    :func:`_analytic_core`).
+    ``tolerance`` reaches only the core radius z0, through
+    :func:`_noise_floor`, of 1D fields without a second derivative (hat
+    interpolants, CSV loads) and of radial fields.  A 1D field with u''
+    takes z0 = r_in/64 at any tolerance (see :func:`_analytic_core`).
     """
 
-    inner_radius: float = 0.25
-    outer_radius: float = 64.0
-    panels: int = 1
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        if not (0 < self.inner_radius < self.outer_radius):
-            raise DomainError("require 0 < inner_radius < outer_radius")
-        if self.panels < 1:
-            raise DomainError("panels must be a positive integer")
         if self.tolerance <= 0:
             raise DomainError("tolerance must be positive")
 
 
 @dataclass(frozen=True)
 class OperatorParams:
-    """Dimension, fractional order and local sign; ``c_ns`` is derived from
-    them by :func:`normalization_constant`, which also validates them."""
+    """Dimension and fractional order of -Delta + (-Delta)^s; ``c_ns`` is
+    derived from them by :func:`normalization_constant`, which also
+    validates them."""
 
     n_dim: int
     s: float
-    local_sign: LocalSign = LocalSign.MINUS
     c_ns: float = field(init=False)
 
     def __post_init__(self):
@@ -173,14 +160,14 @@ def _ramp(n: np.ndarray):
     return i, np.arange(1, i.size + 1) - np.repeat(np.cumsum(n) - n, n)
 
 
-def _panel_layout(z0, r_in, offsets, graded, r_out, panels: int):
+def _panel_layout(z0, r_in, offsets, graded, r_out):
     """Gauss panels (lo, hi) of a chunk of points, in point order, and the
     panel count of each point.  Row i holds one point's core radius z0, core
     zone end r_in, kink offsets, graded kink offsets and tail radius r_out.
     Its breaks are z0, r_in, each offset in (z0, r_out) over 1e-13 relative
     past the last break kept, and r_out, which replaces that break when it
-    does not clear it.  Gaps are split geometrically, ratio at most
-    2^(1/panels); the panel next to a break equal to a graded offset is
+    does not clear it.  Gaps are split geometrically, one panel per factor
+    of 2 at most; the panel next to a break equal to a graded offset is
     graded dyadically into it."""
     m, n_off = offsets.shape
     rows = np.arange(m)
@@ -203,9 +190,10 @@ def _panel_layout(z0, r_in, offsets, graded, r_out, panels: int):
     pts, grd = pts[keep], grd[keep]
     same = owner[1:] == owner[:-1]
     lo, hi = pts[:-1][same], pts[1:][same]
-    ratio = 2.0 ** (1.0 / panels)
     q = hi / lo
-    k = np.where(q > ratio, np.ceil(np.log(q) / math.log(ratio)), 1.0)
+    # np.log(q) / log 2, not np.log2(q): the two round apart near q = 2^j,
+    # and k places the nodes
+    k = np.where(q > 2.0, np.ceil(np.log(q) / math.log(2.0)), 1.0)
     # libm's pow, not numpy's: a last-bit change in the step grows j-fold in
     # the point lo step^j
     step = np.array(list(map(math.pow, q.tolist(), (1.0 / k).tolist())))
@@ -401,7 +389,7 @@ def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams",
     for i in range(0, xs.size, _CHUNK_POINTS):
         chunk = slice(i, i + _CHUNK_POINTS)
         x, ux, r = xs[chunk], uxs[chunk], r_c2[chunk]
-        r_in = np.minimum(quad.inner_radius, 0.5 * r)
+        r_in = np.minimum(_INNER_RADIUS, 0.5 * r)
         # analytic core on (0, z0], then its share of the integral
         z0, upp, u4 = _analytic_core(u, x, ux, r, r_in, s, quad.tolerance)
         upps[chunk] = upp
@@ -411,10 +399,10 @@ def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams",
         )
 
         # panels: graded [z0, r_in], then kink offsets out to the tail radius
-        r_out = np.maximum(np.maximum(quad.outer_radius, 2.0 * np.abs(x) + 2.0),
+        r_out = np.maximum(np.maximum(_OUTER_RADIUS, 2.0 * np.abs(x) + 2.0),
                            u.tail.cutoff + np.abs(x) + 1.0)
         lo, hi, counts = _panel_layout(z0, r_in, np.abs(kinks - x[:, None]),
-                                       np.abs(graded - x[:, None]), r_out, quad.panels)
+                                       np.abs(graded - x[:, None]), r_out)
         middles = _middle_integrals(u, x, ux, lo, hi, counts, s)
         tails = -c * _tail_contributions(u, x, ux, r_out, s)
         out[chunk] = [math.fsum((core, -c * middle, tail)) for core, middle, tail
@@ -495,7 +483,7 @@ def frac_apply_radial(u: RadialField, x, params: "OperatorParams",
     omega = _SPHERE_AREA[n]
     ur = float(u(r))
 
-    r_in = min(quad.inner_radius, 0.5 * u.c2_distance(r))
+    r_in = min(_INNER_RADIUS, 0.5 * u.c2_distance(r))
     z0 = float(_noise_floor(s, quad.tolerance, 1.0 + abs(ur)))
     z0 = min(max(z0, 1e-8 * r_in), r_in / 8.0)
 
@@ -503,11 +491,11 @@ def frac_apply_radial(u: RadialField, x, params: "OperatorParams",
     core = -(c / 2.0) * (omega * lap / n) * z0 ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
 
     # every kink offset |k - r| and k + r is graded
-    r_out = max(quad.outer_radius, u.support_radius + r + 1.0)
+    r_out = max(_OUTER_RADIUS, u.support_radius + r + 1.0)
     kinks = np.asarray(u.kinks, dtype=float)
     offsets = np.concatenate((np.abs(kinks - r), kinks + r))[None, :]
     lo, hi, _ = _panel_layout(np.array([z0]), np.array([r_in]), offsets, offsets,
-                              np.array([r_out]), quad.panels)
+                              np.array([r_out]))
 
     rho, w = _gauss_nodes(lo, hi)
     # int_S (u(x + rho theta) - u(x)) d sigma(theta)
@@ -549,14 +537,16 @@ def frac_apply(u: Field, x, params: OperatorParams, quad: QuadratureSpec = Quadr
 
 
 def mixed_apply(u: Field, x, params: OperatorParams, quad: QuadratureSpec = QuadratureSpec()):
-    """-+ Delta u(x) + (-Delta)^s u(x), sign set by ``params.local_sign``.
+    """-Delta u(x) + (-Delta)^s u(x).
 
     Accepts an array of points in dimension 1, as :func:`frac_apply` does;
     there u'' is evaluated once, for the core of the fractional part and
     the local part both.
     """
     if params.n_dim == 1:
-        if not isinstance(u, ScalarField) or u.second_derivative is None:
+        if not isinstance(u, ScalarField):
+            raise DomainError("dimension 1 requires a ScalarField")
+        if u.second_derivative is None:
             raise DomainError("mixed operator needs a second derivative")
         xs = np.asarray(x, dtype=float)
         frac, lap = frac_apply_1d(u, xs.reshape(-1), params, quad)
@@ -566,7 +556,7 @@ def mixed_apply(u: Field, x, params: OperatorParams, quad: QuadratureSpec = Quad
             raise DomainError("dimensions 2 and 3 require a RadialField")
         frac = frac_apply(u, x, params, quad)
         lap = u.laplacian(np.linalg.norm(np.asarray(x, dtype=float)), params.n_dim)
-    out = (-lap if params.local_sign is LocalSign.MINUS else lap) + frac
+    out = -lap + frac
     return float(out) if out.ndim == 0 else out
 
 

@@ -21,8 +21,8 @@ from .barrier import radial_cutoff
 from .errors import DomainError, ResolutionError
 from .fields import (RadialField, ScalarField, TailExpansion, constant,
                      parabola_cap, plateau, pointwise)
-from .kernel import (LocalSign, OperatorParams, QuadratureSpec, _panel_nodes,
-                     frac_apply, mixed_apply)
+from .kernel import (OperatorParams, QuadratureSpec, _panel_nodes, frac_apply,
+                     mixed_apply)
 from .solve import SolveReport, lp_norm, solve_dirichlet
 
 MP_TOL = 1e-8
@@ -414,7 +414,7 @@ def counterexample_boundary_only(r: float, s: float, n: int) -> VerificationRepo
     """
     if r <= 1.0:
         raise DomainError("the annulus radius must exceed 1")
-    params = OperatorParams(1, s, LocalSign.MINUS)
+    params = OperatorParams(1, s)
     phi = _ring_well(r)
     mesh = build_mesh(-1.0, 1.0, n)
     sys_ = build_system(mesh, params)

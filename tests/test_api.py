@@ -14,7 +14,7 @@ import mixlap
 PUBLIC_NAMES = {
     "AccuracyError", "BarrierParams", "ConfigError", "ConstructionError",
     "DomainError", "ExponentLadder", "GridFunction", "InputError",
-    "LocalSign", "Mesh", "MixlapError", "NumericalError", "OperatorParams",
+    "Mesh", "MixlapError", "NumericalError", "OperatorParams",
     "QuadratureSpec", "RadialField", "ResolutionError", "ScalarField",
     "SolveReport", "StiffnessSystem", "TailDivergenceError", "TailExpansion",
     "VerificationReport", "beta", "bilinear_eval", "build_barrier",
@@ -29,7 +29,7 @@ PUBLIC_NAMES = {
 }
 
 # the parameters of the public drivers; a knob added to one shows up here as a
-# reviewed diff (each driver evaluates at the default QuadratureSpec)
+# reviewed diff (each driver evaluates at the default quadrature tolerance)
 DRIVER_PARAMETERS = {
     "build_barrier": ["s", "rho_omega"],
     "check_strong_mp_contact": ["u", "params", "x0", "omega"],
@@ -41,6 +41,24 @@ DRIVER_PARAMETERS = {
 }
 
 
+# what a caller can set on the operator, its quadrature and its assembly; a
+# setting added back shows up here as a reviewed diff.  The operator is
+# always -Delta + (-Delta)^s, both parts assembled, and the tolerance is the
+# quadrature's one setting.
+SETTABLE = {
+    "OperatorParams": ["n_dim", "s"],
+    "QuadratureSpec": ["tolerance"],
+    "build_system": ["mesh", "params"],
+    "frac_apply": ["u", "x", "params", "quad"],
+    "mixed_apply": ["u", "x", "params", "quad"],
+}
+
+
+def _parameters(names):
+    return {name: list(inspect.signature(getattr(mixlap, name)).parameters)
+            for name in names}
+
+
 def test_public_names_snapshot():
     names = {n for n, v in vars(mixlap).items()
              if not n.startswith("_") and not isinstance(v, types.ModuleType)}
@@ -48,9 +66,12 @@ def test_public_names_snapshot():
 
 
 def test_driver_parameters_snapshot():
-    params = {name: list(inspect.signature(getattr(mixlap, name)).parameters)
-              for name in DRIVER_PARAMETERS}
-    assert params == DRIVER_PARAMETERS
+    assert _parameters(DRIVER_PARAMETERS) == DRIVER_PARAMETERS
+
+
+def test_settable_surface_snapshot():
+    # a dataclass's signature lists its init fields: c_ns is derived
+    assert _parameters(SETTABLE) == SETTABLE
 
 
 def test_import_leaves_scipy_integrate_unloaded():
@@ -76,7 +97,7 @@ def test_import_and_dense_builders_leave_scipy_unloaded():
         "import sys, mixlap, mixlap.cli\n"
         "p = mixlap.OperatorParams(1, 0.25)\n"
         "mesh = mixlap.build_mesh(-1.0, 1.0, 7)\n"
-        "mixlap.build_system(mesh, p).combined()\n"
+        "mixlap.build_system(mesh, p)\n"
         "mixlap.local_stiffness(mesh)\n"
         "mixlap.nonlocal_stiffness(mesh, p)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"

@@ -12,6 +12,7 @@ from mixlap.errors import DomainError, InputError
 from mixlap.kernel import OperatorParams
 
 import oracles
+from helpers import mollifier_bump
 
 # iterated-adaptive oracle values for the 9-node mesh on (-1, 1) at s = 1/2,
 # frozen from tests/oracles.nonlocal_entry_oracle
@@ -50,6 +51,14 @@ def test_build_mesh_errors():
         build_mesh(1.0, -1.0, 5)
     with pytest.raises(DomainError):
         build_mesh(0.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("n", [np.iinfo(np.intp).max // 8 + 1, 2**62, 2**63, 2**64])
+def test_build_mesh_refuses_a_node_count_it_cannot_index(n):
+    # 8 n bytes of nodes past the largest array index: refused before any
+    # array is made
+    with pytest.raises(DomainError, match="too large to index"):
+        build_mesh(-1.0, 1.0, n)
 
 
 @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 1.0), (-1e308, 1e308),
@@ -144,7 +153,7 @@ def test_row_matches_fourth_difference_oracle_far_out(s):
     # spline pieces has lost every digit; the row is built, no dense matrix
     mesh = build_mesh(-1.0, 1.0, 100_001)
     params = OperatorParams(1, s)
-    row = build_system(mesh, params, include_local=False).nonlocal_row
+    row = build_system(mesh, params).nonlocal_row
     scale = params.c_ns * mesh.h ** (1.0 - 2.0 * s)
     for m in (3, 100, 1_000, 10_000, 100_000):
         ref = scale * oracles.row_moment_oracle(s, m)
@@ -157,7 +166,7 @@ def test_row_matches_fourth_difference_oracle_near_diagonal(s):
     # grows as s -> 1 unless the nearest monomial is taken out first
     mesh = build_mesh(-1.0, 1.0, 5)
     params = OperatorParams(1, s)
-    row = build_system(mesh, params, include_local=False).nonlocal_row
+    row = build_system(mesh, params).nonlocal_row
     scale = params.c_ns * mesh.h ** (1.0 - 2.0 * s)
     for m in (0, 1, 2):
         ref = scale * oracles.row_moment_oracle(s, m)
@@ -175,10 +184,7 @@ def test_dense_matrices_expand_the_rows():
     mesh = build_mesh(-1.0, 1.0, 9)
     params = OperatorParams(1, 0.3)
     sys_ = build_system(mesh, params)
-    assert np.array_equal(sys_.local, local_stiffness(mesh))
-    assert np.array_equal(sys_.nonlocal_, nonlocal_stiffness(mesh, params))
-    assert np.array_equal(sys_.combined(), sys_.local + sys_.nonlocal_)
-    assert np.array_equal(sys_.nonlocal_[3], np.concatenate(
+    assert np.array_equal(nonlocal_stiffness(mesh, params)[3], np.concatenate(
         (sys_.nonlocal_row[3:0:-1], sys_.nonlocal_row[:6])))
 
 
@@ -193,9 +199,6 @@ def test_dense_builders_match_scipy_toeplitz(n, s):
     built = {
         "local_stiffness": (local_stiffness(mesh), sys_.local_row),
         "nonlocal_stiffness": (nonlocal_stiffness(mesh, params), sys_.nonlocal_row),
-        "local": (sys_.local, sys_.local_row),
-        "nonlocal_": (sys_.nonlocal_, sys_.nonlocal_row),
-        "combined": (sys_.combined(), sys_.row),
     }
     for name, (mat, row) in built.items():
         ref = toeplitz(row)
@@ -257,7 +260,7 @@ def test_bilinear_dominates_gradient_part():
     rng = np.random.default_rng(3)
     for _ in range(20):
         u = GridFunction(mesh, rng.standard_normal(15))
-        assert bilinear_eval(u, u, sys_) >= float(u.coeffs @ sys_.local @ u.coeffs) - 1e-12
+        assert bilinear_eval(u, u, sys_) >= float(u.coeffs @ local_stiffness(mesh) @ u.coeffs) - 1e-12
 
 
 def test_bilinear_symmetric_and_zero():
@@ -300,7 +303,7 @@ def test_bilinear_accepts_an_equal_mesh_built_separately():
     rng = np.random.default_rng(5)
     u = GridFunction(build_mesh(-1.0, 1.0, 15), rng.standard_normal(15))
     v = GridFunction(build_mesh(-1.0, 1.0, 15), rng.standard_normal(15))
-    ref = float(u.coeffs @ sys_.combined() @ v.coeffs)
+    ref = float(u.coeffs @ toeplitz(sys_.row) @ v.coeffs)
     assert bilinear_eval(u, v, sys_) == pytest.approx(ref, rel=1e-12)
 
 
@@ -308,7 +311,7 @@ def test_combined_matrix_positive_definite():
     mesh = build_mesh(-1.0, 1.0, 31)
     for s in (0.25, 0.5, 0.75):
         sys_ = build_system(mesh, OperatorParams(1, s))
-        lam = np.linalg.eigvalsh(sys_.combined())
+        lam = np.linalg.eigvalsh(toeplitz(sys_.row))
         assert lam[0] > 0.0
 
 
@@ -316,7 +319,7 @@ def test_refinement_consistency_of_energy():
     # B(I_h u, I_h u) settles as h -> 0 for a fixed smooth compactly
     # supported u: successive differences shrink on the last levels
     params = OperatorParams(1, 0.6)
-    u = fields.mollifier_bump(0.0, 0.6, 1.0)
+    u = mollifier_bump(0.0, 0.6, 1.0)
     energies = []
     for n in (15, 31, 63, 127, 255):
         mesh = build_mesh(-1.0, 1.0, n)
@@ -358,7 +361,7 @@ def test_export_matrix_matches_entrywise_writer(tmp_path, n, s):
     assert lines[1] == f"{n} {n} {n * n}"
     for k in range(n):
         assert lines[k + 2] == f"{k} {sys_.row[k]:.17g}"
-    assert toeplitz(row).tobytes() == sys_.combined().tobytes()
+    assert toeplitz(row).tobytes() == toeplitz(sys_.row).tobytes()
 
 
 def test_grid_interpolant_zero_extension():

@@ -11,8 +11,8 @@ from mixlap.barrier import (_AttemptFailed, _attempt_build, _beta_star,
                             build_barrier, build_ladder, coefficients, gamma,
                             gamma_field, kappa, radial_cutoff, theta)
 from mixlap.errors import ConstructionError, DomainError
-from mixlap.kernel import (LocalSign, OperatorParams, frac_apply, mixed_apply,
-                           tail_integral, tail_kappa)
+from mixlap.kernel import (OperatorParams, frac_apply, mixed_apply, tail_integral,
+                           tail_kappa)
 
 import oracles
 from helpers import pure_power
@@ -339,15 +339,13 @@ def test_frac_apply_grid_matches_points(name, p075, quad):
 
 
 @pytest.mark.parametrize("name", ["beta", "gamma", "truncated power"])
-@pytest.mark.parametrize("sign", [LocalSign.MINUS, LocalSign.PLUS])
-def test_mixed_apply_grid_adds_pointwise_local_part(name, sign, p075, quad):
+def test_mixed_apply_grid_adds_pointwise_local_part(name, p075, quad):
     u, xs, _ = _grid_cases(p075)[name]
-    params = OperatorParams(1, 0.75, sign)
+    params = OperatorParams(1, 0.75)
     lap = np.array([u.second_derivative(float(x)) for x in xs])
-    local = -lap if sign is LocalSign.MINUS else lap
     mixed = mixed_apply(u, xs, params, quad)
     assert mixed.shape == xs.shape
-    assert mixed.tobytes() == (local + frac_apply(u, xs, params, quad)).tobytes()
+    assert mixed.tobytes() == (-lap + frac_apply(u, xs, params, quad)).tobytes()
     assert type(mixed_apply(u, float(xs[0]), params, quad)) is float
 
 

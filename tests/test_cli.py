@@ -255,6 +255,16 @@ def test_cli_has_no_quadrature_settings(tmp_path, capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", str(2**63)],
+    ["solve", "--n", str(2**62)],
+    ["counterexample", "--variant", "boundary", "--n", str(2**63)],
+])
+def test_cli_refuses_a_mesh_too_large_to_index(tmp_path, capsys, argv):
+    assert main([*argv, "--output-dir", str(tmp_path)]) == 2
+    assert "too large to index" in capsys.readouterr().err
+
+
 def test_parse_accepts_an_integral_float_for_an_integer():
     cfg = parse_config(json.dumps({"command": "solve", "n": 7.0, "seed": 3.0}))
     assert (cfg.n, cfg.seed) == (7, 3) and type(cfg.n) is int

@@ -17,7 +17,7 @@ from mixlap.barrier import (_corrector_for, beta_field, beta_sharp_field,
 from mixlap.cli import _load_field
 from mixlap.verify import _radial_counterexample_profile, _ring_well
 
-from helpers import pure_power
+from helpers import linear_combination, mollifier_bump, pure_power, scaled, translated
 from test_exact_solutions import _cap_profile_1d, _cap_profile_radial
 
 _EPS = np.finfo(float).eps
@@ -46,13 +46,12 @@ SCALAR_CASES = {
     "truncated_power": lambda p: (fields.truncated_power(1.4, 1.0), [0.3, 1.1, 1.9]),
     "truncated_power below 1": lambda p: (fields.truncated_power(0.6, 0.5), [0.2, 0.7]),
     "parabola_cap": lambda p: (fields.parabola_cap(), [-0.5, 0.2, 0.9]),
-    "scaled": lambda p: (fields.scaled(fields.truncated_power(1.4, 1.0), 0.5), [0.2, 0.7]),
-    "translated": lambda p: (fields.translated(fields.parabola_cap(), 0.3), [0.0, 0.8]),
+    "scaled": lambda p: (scaled(fields.truncated_power(1.4, 1.0), 0.5), [0.2, 0.7]),
+    "translated": lambda p: (translated(fields.parabola_cap(), 0.3), [0.0, 0.8]),
     "linear_combination": lambda p: (
-        fields.linear_combination([1.0, -2.0], [fields.parabola_cap(),
-                                                fields.mollifier_bump(0.5, 1.0)]),
+        linear_combination([1.0, -2.0], [fields.parabola_cap(), mollifier_bump(0.5, 1.0)]),
         [-0.7, 0.2, 1.2]),
-    "mollifier_bump": lambda p: (fields.mollifier_bump(0.5, 1.0, 2.0), [-0.2, 0.5, 1.1]),
+    "mollifier_bump": lambda p: (mollifier_bump(0.5, 1.0, 2.0), [-0.2, 0.5, 1.1]),
     "plateau": lambda p: (fields.plateau(-2.0, -1.0, 1.0, 3.0, depth=1.5), [-1.7, 0.0, 1.6, 2.5]),
     "_Corrector": lambda p: (_corrector_field(p), [0.5 * p.d, 1.5 * p.d]),
     "beta_sharp_field": lambda p: (beta_sharp_field(p), _barrier_smooth_points(p)),

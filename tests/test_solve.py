@@ -12,6 +12,8 @@ from mixlap.kernel import OperatorParams
 from mixlap.solve import (export_report, export_solution_csv,
                           lift_nonhomogeneous, solve_dirichlet)
 
+from helpers import mollifier_bump, without
+
 EPS = np.finfo(float).eps
 
 
@@ -38,7 +40,7 @@ def test_nonlocal_part_lowers_the_peak():
     mesh = build_mesh(-1.0, 1.0, 255)
     params = OperatorParams(1, 0.25)
     mixed = solve_dirichlet(build_system(mesh, params), fields.constant(1.0))
-    pure = solve_dirichlet(build_system(mesh, params, include_nonlocal=False),
+    pure = solve_dirichlet(without(build_system(mesh, params), "nonlocal_row"),
                            fields.constant(1.0))
     assert mixed.solution.coeffs.max() <= pure.solution.coeffs.max() + 1e-12
 
@@ -78,7 +80,7 @@ def test_ratio_energy_stable_under_refinement():
 
 
 def _cholesky(sys_, f):
-    A = sys_.combined()
+    A = sla.toeplitz(sys_.row)
     return sla.cho_solve(sla.cho_factor(A), load_vector(f, sys_.mesh))
 
 
@@ -106,9 +108,9 @@ def test_matches_dense_cholesky_at_1023(s):
     assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("parts", [{"include_nonlocal": False}, {"include_local": False}])
+@pytest.mark.parametrize("parts", [("nonlocal_row",), ("local_row",)])
 def test_matches_dense_cholesky_on_one_part_alone(parts):
-    sys_ = build_system(build_mesh(-1.0, 1.0, 511), OperatorParams(1, 0.5), **parts)
+    sys_ = without(build_system(build_mesh(-1.0, 1.0, 511), OperatorParams(1, 0.5)), *parts)
     ref = _cholesky(sys_, _smooth_load())
     rep = solve_dirichlet(sys_, _smooth_load())
     assert np.max(np.abs(rep.solution.coeffs - ref)) <= 1e-9 * np.max(np.abs(ref))
@@ -123,7 +125,7 @@ def test_tiny_meshes(n):
         ref = _cholesky(sys_, _smooth_load())
         assert np.allclose(rep.solution.coeffs, ref, rtol=1e-13, atol=0.0)
         assert rep.x_norm**2 == pytest.approx(
-            float(ref @ sys_.local @ ref), rel=1e-12)
+            float(ref @ sla.toeplitz(sys_.local_row) @ ref), rel=1e-12)
 
 
 def test_backward_error_gate_rejects_a_corrupted_solution(monkeypatch, sys_05_255):
@@ -189,7 +191,7 @@ def test_lift_with_zero_datum_matches_plain_solve():
 
 def test_lift_exterior_bump_nonnegative():
     sys_ = build_system(build_mesh(-1.0, 1.0, 63), OperatorParams(1, 0.5))
-    g = fields.mollifier_bump(2.0, 0.5, 1.0)  # supported outside the closure
+    g = mollifier_bump(2.0, 0.5, 1.0)  # supported outside the closure
     rep = lift_nonhomogeneous(sys_, fields.zero(), g)
     assert float(np.min(rep.solution.coeffs)) >= -1e-10
     assert rep.exterior is g
@@ -235,29 +237,29 @@ def test_report_json_fields(tmp_path, sys_05_255):
 
 @pytest.mark.parametrize("n", [2047, 65535, 262143])
 def test_local_only_system_is_its_own_tau_preconditioner(n):
-    sys_ = build_system(build_mesh(-1.0, 1.0, n), OperatorParams(1, 0.5),
-                        include_nonlocal=False)
+    sys_ = without(build_system(build_mesh(-1.0, 1.0, n), OperatorParams(1, 0.5)),
+                   "nonlocal_row")
     rep = solve_dirichlet(sys_, _smooth_load())
     assert rep.iterations <= 2
     assert rep.backward_error <= n * EPS
 
 
-@pytest.mark.parametrize("parts", [{}, {"include_local": False}])
+@pytest.mark.parametrize("parts", [(), ("local_row",)])
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 0.99])
 def test_iteration_count_stays_small_at_65535(s, parts):
-    sys_ = build_system(build_mesh(-1.0, 1.0, 65535), OperatorParams(1, s), **parts)
+    sys_ = without(build_system(build_mesh(-1.0, 1.0, 65535), OperatorParams(1, s)), *parts)
     rep = solve_dirichlet(sys_, fields.constant(1.0))
     assert rep.iterations <= 10
     assert rep.backward_error <= 65535 * EPS
 
 
 def test_every_small_system_solves():
-    parts = ({}, {"include_nonlocal": False}, {"include_local": False})
+    parts = ((), ("nonlocal_row",), ("local_row",))
     for n in range(1, 65):
         mesh = build_mesh(-1.0, 1.0, n)
         for s in (0.05, 0.5, 0.99):
             for part in parts:
-                rep = solve_dirichlet(build_system(mesh, OperatorParams(1, s), **part),
+                rep = solve_dirichlet(without(build_system(mesh, OperatorParams(1, s)), *part),
                                       _smooth_load())
                 assert rep.backward_error <= n * EPS, (n, s, part)
 
