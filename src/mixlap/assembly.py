@@ -34,9 +34,10 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, InputError
 from .fields import ScalarField, TailExpansion
-from .kernel import OperatorParams
+from .kernel import _MIN_C2_ZONE, OperatorParams
 
 _LOAD_GAUSS_X, _LOAD_GAUSS_W = leggauss(6)
+_IMAGE_BLOCK = 2**13  # distances a chunk of image rows holds: 64 KiB a temporary
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +81,10 @@ def build_mesh(a: float, b: float, n: int) -> Mesh:
     h = (b - a) / (n + 1)
     if not (math.isfinite(a) and math.isfinite(b) and 0.0 < h < math.inf):
         raise DomainError(f"mesh requires finite a, b and spacing h > 0, got h = {h!r}")
-    nodes = a + h * np.arange(1, n + 1)
+    try:  # np.arange sizes from float(n): n >= 2^60 - 64 reads as 2^60
+        nodes = a + h * np.arange(1, n + 1)
+    except (ValueError, MemoryError) as exc:
+        raise DomainError(f"mesh of n = {n} nodes cannot be allocated ({exc})") from exc
     return Mesh(a=float(a), b=float(b), n=int(n), h=h, nodes=nodes)
 
 
@@ -107,6 +111,32 @@ class GridFunction:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.mesh.n else 0.0
 
+    def frac_image(self, x, params: OperatorParams):
+        """(-Delta)^s of the zero-extended interpolant at the points x: an
+        array of x's shape, a float for a scalar x.  With slope jumps kappa_j
+        at the knots x_j it is C sum_j kappa_j expm1((1-2s) log|x - x_j|) /
+        (1-2s), C = c_{1,s}/(2s): the jumps sum to 0, and a term is
+        log|x - x_j| at s = 1/2.  Rows are reduced by np.sum, so a point gives
+        the same bits alone as in an array.  Points within 1e-12 of a knot
+        are refused."""
+        if params.n_dim != 1:
+            raise DomainError("the interpolant is one-dimensional")
+        knots, e = self.mesh.element_edges(), 1.0 - 2.0 * params.s
+        jumps = np.diff(np.pad(self.values_with_boundary(), 1), 2) / self.mesh.h
+        flat = np.asarray(x, dtype=float).ravel()
+        out = np.empty(flat.size)
+        rows = max(1, _IMAGE_BLOCK // knots.size)
+        for i in range(0, flat.size, rows):
+            dist = np.abs(flat[i:i + rows, None] - knots)
+            near = flat[i:i + rows][dist.min(axis=1) < _MIN_C2_ZONE]
+            if near.size:
+                raise DomainError(f"evaluation point {near[0]} is within {_MIN_C2_ZONE} of a knot")
+            log_d = np.log(dist, out=dist)
+            terms = np.expm1(e * log_d) / e if e != 0.0 else log_d
+            out[i:i + rows] = np.sum(jumps * terms, axis=-1)
+        out *= params.c_ns / (2.0 * params.s)
+        return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
+
 
 def grid_interpolant(mesh: Mesh, coeffs: Sequence[float]) -> ScalarField:
     """Piecewise-linear field through the nodal values, zero beyond (a, b)."""
@@ -118,7 +148,6 @@ def grid_interpolant(mesh: Mesh, coeffs: Sequence[float]) -> ScalarField:
 
     return ScalarField(
         evaluate=ev,
-        second_derivative=None,
         kinks=tuple(xp),
         tail=TailExpansion(max(abs(mesh.a), abs(mesh.b))),
         name=f"interpolant(n={mesh.n})",

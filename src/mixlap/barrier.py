@@ -125,7 +125,6 @@ class BarrierParams:
     M: float
     R: float
     c_gamma: float
-    rho_omega: float
     S_d: float
     certificate: dict = field(default_factory=dict)
 
@@ -330,7 +329,7 @@ class _AttemptFailed(Exception):
     pass
 
 
-def build_barrier(s: float, rho_omega: float = 1.0) -> BarrierParams:
+def build_barrier(s: float) -> BarrierParams:
     """Assemble and certify the full barrier parameter set for the order s.
 
     The window d is halved (at most 12 times) until all shrink conditions
@@ -353,10 +352,7 @@ def build_barrier(s: float, rho_omega: float = 1.0) -> BarrierParams:
     d = 0.5
     for _attempt in range(13):
         try:
-            p = _attempt_build(
-                s, params_op, ladder, kappas, cs, w_top, c_top, d, rho_omega
-            )
-            return p
+            return _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d)
         except _AttemptFailed as exc:
             trace.append(f"d={d:.6g}: {exc}")
             d *= 0.5
@@ -378,8 +374,7 @@ def _top_first(apply, u, grid, params_op, gate):
     return np.concatenate((apply(u, grid[:-_PROBE_POINTS], params_op), top))
 
 
-def _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d,
-                   rho_omega) -> BarrierParams:
+def _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d) -> BarrierParams:
     # C_sharp: log-normalized bound of the capped power's nonlocal output
     grid = np.geomspace(d * 1e-6, d * 0.999, 64)
 
@@ -406,8 +401,8 @@ def _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d,
     # beta_field reads none of the constants measured below
     shell = BarrierParams(
         ladder=ladder, kappas=kappas, cs=cs, d=d, C_sharp=c_sharp,
-        C2=1.0, C0=d / 2.0, C1=1.0, ell=d / 4.0, M=1.0, R=8.0 * rho_omega,
-        c_gamma=0.5, rho_omega=rho_omega, S_d=0.0,
+        C2=1.0, C0=d / 2.0, C1=1.0, ell=d / 4.0, M=1.0, R=8.0,
+        c_gamma=0.5, S_d=0.0,
     )
     corr = _corrector_for(shell)
 
@@ -549,7 +544,7 @@ def radial_cutoff(R: float) -> RadialField:
 def theta(x, p: BarrierParams, cutoff: RadialField) -> float:
     """Truncated comparison function: gamma(x_1) times the radial plateau."""
     plateau_radius = cutoff.kinks[0] if cutoff.kinks else cutoff.support_radius / 2.0
-    if plateau_radius <= 4.0 * p.rho_omega:
+    if plateau_radius <= p.R / 2.0:
         raise DomainError("truncation radius must exceed four domain radii")
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     r = float(np.linalg.norm(xv))

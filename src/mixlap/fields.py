@@ -4,7 +4,9 @@ A :class:`ScalarField` bundles everything the singular-integral machinery
 needs to evaluate nonlocal operators on an explicitly given function:
 
 * a vectorized evaluator, defined on all of R,
-* an optional second derivative, valid away from the listed kinks,
+* a second derivative, valid away from the listed kinks, which the 1D
+  operator's core needs (a hat interpolant has none and is imaged in
+  closed form by ``GridFunction.frac_image``),
 * an exact far-field description (:class:`TailExpansion`) so that the
   integral beyond any finite radius can be resummed in closed form,
 * a ``support`` interval (lo, hi): the field is exactly 0 at and beyond
@@ -18,8 +20,8 @@ quantity once per array of points.
 A *kink* is a point the field lists as a smoothness break: a jump in some
 derivative, or an algebraic singularity.  The singular quadrature puts a
 panel break at the offset of every kink and never evaluates the operator
-within ``1e-12`` of one.  Where two analytic pieces join, such as a hat
-interpolant's node or a polynomial fade meeting a constant, Gauss-Legendre
+within ``1e-12`` of one.  Where two analytic pieces join, such as the ends of
+a parabola cap or a polynomial fade meeting a constant, Gauss-Legendre
 panels that end at the break converge geometrically.  A *graded kink* is one
 where a piece itself is singular, such as x_+^alpha or x^2 log x at 0; there
 the panels next to the break are also refined dyadically toward it.

@@ -6,10 +6,11 @@ second-difference form
     (-Delta)^s u(x) = -(c_{N,s}/2) * int (u(x+z) + u(x-z) - 2 u(x)) / |z|^{N+2s} dz,
 
 which removes the principal value for C^2 integrands.  The integral is split
-into an analytic core around z = 0 (second-order Taylor resummation, which
-also steps over the floating-point cancellation floor of the raw second
-difference), a graded-panel Gauss zone out to a finite radius, and an exact
-tail resummation driven by the field's :class:`~mixlap.fields.TailExpansion`.
+into an analytic core around z = 0 (second-order Taylor resummation on the
+field's u'', which also steps over the floating-point cancellation floor of
+the raw second difference), a graded-panel Gauss zone out to a finite
+radius, and an exact tail resummation driven by the field's
+:class:`~mixlap.fields.TailExpansion`.
 
 The normalization constant c_{N,s} is taken in its Gamma-function closed
 form.  The weighted far-field mass
@@ -58,10 +59,9 @@ class QuadratureSpec:
     layout is fixed (_INNER_RADIUS, _OUTER_RADIUS, one panel per factor-2
     span), and every driver evaluates at the default tolerance.
 
-    ``tolerance`` reaches only the core radius z0, through
-    :func:`_noise_floor`, of 1D fields without a second derivative (hat
-    interpolants, CSV loads) and of radial fields.  A 1D field with u''
-    takes z0 = r_in/64 at any tolerance (see :func:`_analytic_core`).
+    ``tolerance`` reaches only the core radius z0 of radial fields, through
+    :func:`_noise_floor`.  A 1D field takes z0 = r_in/64 at any tolerance
+    (see :func:`_analytic_core`).
     """
 
     tolerance: float = 1e-8
@@ -295,24 +295,13 @@ def _noise_floor(s: float, tolerance: float, scale):
                     where=power * np.log(base) < 700.0)
 
 
-def _analytic_core(u: ScalarField, x, ux, r, r_in, s: float, tolerance: float):
-    """Each point's core radius z0, inside its C^2 zone of radius r_in (r to
-    the nearest kink), and the upp, u4 of delta2(z) ~ upp z^2 + u4 z^4 / 12
-    on (0, z0].
-
-    A field with u'' gets the two-term Taylor core, u4 from u'' at x +- d
-    (d > 0: r > _MIN_C2_ZONE).  Its error is truncation, not roundoff, so
-    z0 = r_in/64 at any tolerance.  A field without one gets upp from a
-    second difference on z0, exact on linear pieces and limited by roundoff.
-    The core weighs that roundoff by 1/(2-2s), on top of the 1/(2s) of the
-    panels outside it, so its noise floor takes 1/(1-s) times the scale;
-    z0 is clamped to [r_in/64, r_in/8].
+def _analytic_core(u: ScalarField, x, r, r_in):
+    """Each point's core radius z0 = r_in/64, inside its C^2 zone of radius
+    r_in (r to the nearest kink), and the upp, u4 of the two-term Taylor
+    core delta2(z) ~ upp z^2 + u4 z^4 / 12 on (0, z0]: upp = u''(x), u4 from
+    u'' at x +- d (d > 0: r > _MIN_C2_ZONE).  Its error is truncation, not
+    roundoff, so z0 does not depend on the tolerance.
     """
-    if u.second_derivative is None:
-        z0 = _noise_floor(s, tolerance, (1.0 + np.abs(ux)) / (1.0 - s))
-        z0 = np.minimum(np.maximum(z0, r_in / 64.0), r_in / 8.0)
-        vals = u.evaluate(np.concatenate((x - z0, x, x + z0))).reshape(3, -1)
-        return z0, (vals[0] + vals[2] - 2.0 * vals[1]) / z0**2, 0.0
     z0 = r_in / 64.0
     d = np.minimum(np.maximum(z0, 1e-5), r / 4.0)
     upp, right, left = u.second_derivative(np.concatenate((x, x + d, x - d))).reshape(3, -1)
@@ -358,16 +347,21 @@ def _middle_integrals(u: ScalarField, xs: np.ndarray, uxs: np.ndarray, lo, hi,
     return [math.fsum(panel_sums[a:b].tolist()) for a, b in zip([0] + ends, ends)]
 
 
-def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams",
-                  quad: QuadratureSpec):
+def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams"):
     """(-Delta)^s u and u'' at each point of the 1-D array ``xs``, as a pair
-    of arrays: u'' is the value the analytic core used, from the field's
-    second derivative or, lacking one, a second difference.
+    of arrays: u'' is the value the analytic core used.
 
-    Each point gets its own core radius, panels and tail.  They are laid
-    out as arrays for a chunk of at most _CHUNK_POINTS points at a time, and
-    the field is evaluated on blocks of at most _BLOCK_NODES nodes.
+    The field must carry its second derivative; a hat interpolant, which has
+    none, is imaged in closed form by ``GridFunction.frac_image``.  Each
+    point gets its own core radius, panels and tail.  They are laid out as
+    arrays for a chunk of at most _CHUNK_POINTS points at a time, and the
+    field is evaluated on blocks of at most _BLOCK_NODES nodes.
     """
+    if not isinstance(u, ScalarField):
+        raise DomainError("dimension 1 requires a ScalarField")
+    if u.second_derivative is None:
+        raise DomainError(f"field {u.name!r} has no second derivative; image a hat "
+                          "interpolant with GridFunction.frac_image")
     s = params.s
     c = params.c_ns
     kinks = np.asarray(u.kinks, dtype=float)
@@ -391,7 +385,7 @@ def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams",
         x, ux, r = xs[chunk], uxs[chunk], r_c2[chunk]
         r_in = np.minimum(_INNER_RADIUS, 0.5 * r)
         # analytic core on (0, z0], then its share of the integral
-        z0, upp, u4 = _analytic_core(u, x, ux, r, r_in, s, quad.tolerance)
+        z0, upp, u4 = _analytic_core(u, x, r, r_in)
         upps[chunk] = upp
         cores = -c * (
             upp * z0 ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
@@ -526,10 +520,8 @@ def frac_apply(u: Field, x, params: OperatorParams, quad: QuadratureSpec = Quadr
     3, ``x`` is one point.
     """
     if params.n_dim == 1:
-        if not isinstance(u, ScalarField):
-            raise DomainError("dimension 1 requires a ScalarField")
         xs = np.asarray(x, dtype=float)
-        out = frac_apply_1d(u, xs.reshape(-1), params, quad)[0]
+        out = frac_apply_1d(u, xs.reshape(-1), params)[0]
         return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
     if not isinstance(u, RadialField):
         raise DomainError("dimensions 2 and 3 require a RadialField")
@@ -544,12 +536,8 @@ def mixed_apply(u: Field, x, params: OperatorParams, quad: QuadratureSpec = Quad
     the local part both.
     """
     if params.n_dim == 1:
-        if not isinstance(u, ScalarField):
-            raise DomainError("dimension 1 requires a ScalarField")
-        if u.second_derivative is None:
-            raise DomainError("mixed operator needs a second derivative")
         xs = np.asarray(x, dtype=float)
-        frac, lap = frac_apply_1d(u, xs.reshape(-1), params, quad)
+        frac, lap = frac_apply_1d(u, xs.reshape(-1), params)
         frac, lap = frac.reshape(xs.shape), lap.reshape(xs.shape)
     else:
         if not isinstance(u, RadialField):

@@ -10,7 +10,9 @@ extrapolation, the images of powers and truncated powers from mpmath
 quadrature split at their kink offsets, and the stiffness entries from iterated adaptive quadrature
 of the double integral, folded onto the triangle y < x by the symmetry of
 its integrand so that the diagonal singularity is an endpoint of the inner
-integral.
+integral.  The closed-form image of a hat interpolant is checked twice: against
+the mpmath sum of its power terms, and by pairing it with a hat by mpmath
+quadrature, which must give the stiffness row.
 """
 
 import math
@@ -433,3 +435,36 @@ def mp_frac_hat(knots, values, s: float, xs, dps: int = 30) -> list:
         c = mp.gamma(s_ - mp.mpf(1) / 2) / (4 ** (1 - s_) * mp.sqrt(mp.pi) * mp.gamma(1 - s_))
         return [float(-c * mp.fsum(k * abs(mp.mpf(x) - xj) ** (1 - 2 * s_)
                                    for xj, k in zip(knots, jumps))) for x in xs]
+
+
+def hat_pairing(image, center: float, h: float, s: float, cut: float = 1e-8) -> float:
+    """int phi(x) image(x) dx for the hat phi that is 1 at ``center`` and 0
+    at center +- h, by mpmath quadrature of the float function ``image``.
+
+    Against the image of a hat interpolant this is a Galerkin stiffness
+    entry.  That image is singular like |x - x_j|^(1-2s) (log|x - x_j| at
+    s = 1/2) at every knot x_j, and may be refused near one.  So each
+    half-element is integrated from its knot end, t = |x - knot|: on
+    [cut h, h/2] by mp.quad, and on [0, cut h] with the image replaced by
+    A + B t^(1-2s) (A + B log t), fitted to it at t = cut h and cut h / 2.
+    """
+    p = 1 - 2 * mp.mpf(s)
+
+    def g(t):
+        return mp.log(t) if p == 0 else t**p
+
+    total = mp.mpf(0)
+    t0 = mp.mpf(cut) * h
+    for knot, phi0, toward in ((center - h, 0, 1), (center, 1, -1),
+                               (center, 1, 1), (center + h, 0, -1)):
+        slope = (1 - 2 * phi0) / mp.mpf(h)  # phi = phi0 + slope t on the half
+
+        def f(t):
+            return (phi0 + slope * t) * image(knot + toward * float(t))
+
+        i1, i2 = image(knot + toward * float(t0)), image(knot + toward * float(t0 / 2))
+        b = (i1 - i2) / (g(t0) - g(t0 / 2))
+        a = i1 - b * g(t0)
+        total += (mp.quad(f, [t0, mp.mpf(h) / 2])
+                  + mp.quad(lambda t: (phi0 + slope * t) * (a + b * g(t)), [0, t0]))
+    return float(total)

@@ -70,6 +70,14 @@ def test_build_mesh_refuses_non_finite_ends_and_spacing(a, b):
         build_mesh(a, b, 127)
 
 
+@pytest.mark.parametrize("n", [2**60 - 1, 2**60 - 64, 2**58])
+def test_build_mesh_refuses_a_node_count_it_cannot_allocate(n):
+    # indexable, but np.arange reads n >= 2^60 - 64 as 2^60 (ValueError) and
+    # 8 n bytes at 2^58 are more than any machine maps (MemoryError)
+    with pytest.raises(DomainError, match="cannot be allocated"):
+        build_mesh(-1.0, 1.0, n)
+
+
 # ---------------------------------------------------------------------------
 # local stiffness
 # ---------------------------------------------------------------------------
@@ -171,6 +179,20 @@ def test_row_matches_fourth_difference_oracle_near_diagonal(s):
     for m in (0, 1, 2):
         ref = scale * oracles.row_moment_oracle(s, m)
         assert abs(row[m] - ref) <= 1e-13 * abs(ref), (s, m)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.6, 0.75])
+def test_hat_image_pairs_with_a_hat_to_the_stiffness_row(s):
+    # Galerkin consistency: int phi_m (-Delta)^s phi_0 = row[m], with the
+    # image of phi_0 in closed form and the pairing by mpmath quadrature
+    mesh = build_mesh(-1.0, 1.0, 7)
+    params = OperatorParams(1, s)
+    row = build_system(mesh, params).nonlocal_row
+    hat = GridFunction(mesh, np.eye(7)[0])
+    for m in range(4):
+        pairing = oracles.hat_pairing(lambda x: hat.frac_image(x, params),
+                                      float(mesh.nodes[m]), mesh.h, s)
+        assert abs(pairing - row[m]) <= 1e-10 * abs(row[0]), (s, m)
 
 
 def test_row_oracle_agrees_with_spline_moment_quadrature():

@@ -179,6 +179,13 @@ def test_env_var_sets_default_output_dir(tmp_path, monkeypatch):
     assert (target / "solution.csv").exists()
 
 
+def test_cli_reports_a_mesh_it_cannot_allocate(tmp_path, capsys):
+    # n = 2^60 - 1 can be indexed, but numpy cannot size its node array
+    assert main(["solve", "--n", "1152921504606846975", "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cannot be allocated" in err
+
+
 def test_cli_reports_invalid_config_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"s": 0.5,')

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mixlap import fields, kernel
-from mixlap.assembly import build_mesh, grid_interpolant
+from mixlap.assembly import GridFunction, build_mesh, grid_interpolant
 from mixlap.barrier import beta_field, beta_sharp_field, build_barrier, gamma_field
 from mixlap.cli import _load_field
 from mixlap.errors import AccuracyError, DomainError, TailDivergenceError
@@ -205,15 +205,15 @@ def test_tolerance_does_not_move_a_taylor_core():
 
 
 @pytest.mark.parametrize("n", [31, 255])
-@pytest.mark.parametrize("s", [0.25, 0.75, 0.99])
+@pytest.mark.parametrize("s", [0.01, 0.25, 0.5 - 1e-9, 0.5 + 1e-12, 0.5 + 1e-9, 0.75, 0.99])
 def test_hat_interpolant_matches_closed_form(n, s):
-    # no u'': the core is a second difference, whose roundoff the noise
-    # floor keeps small up to s -> 1
+    # the closed form in expm1 terms; near s = 1/2 the naive sum of
+    # |x - x_j|^(1-2s) / (1-2s) fails this bound
     mesh = build_mesh(-1.0, 1.0, n)
     vals = np.sin(np.arange(1.0, n + 1.0)) + 1.5
     knots = mesh.element_edges()
     mids = 0.5 * (knots[:-1] + knots[1:])
-    image = frac_apply(grid_interpolant(mesh, vals), mids, OperatorParams(1, s))
+    image = GridFunction(mesh, vals).frac_image(mids, OperatorParams(1, s))
     ref = np.array(oracles.mp_frac_hat(knots, np.concatenate(([0.0], vals, [0.0])), s,
                                        mids.tolist()))
     assert np.max(np.abs(image - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -234,6 +234,16 @@ def test_mixed_requires_second_derivative(quad):
     bare = fields.ScalarField(evaluate=lambda x: np.zeros_like(np.asarray(x, float)))
     with pytest.raises(DomainError):
         mixed_apply(bare, 0.0, p, quad)
+
+
+@pytest.mark.parametrize("apply", [frac_apply, mixed_apply])
+def test_field_without_second_derivative_is_refused(apply):
+    # the 1D quadrature has one core, the Taylor core on u''; a hat
+    # interpolant, which has no u'', is imaged in closed form instead
+    mesh = build_mesh(-1.0, 1.0, 15)
+    hat = grid_interpolant(mesh, 1.0 - mesh.nodes**2)
+    with pytest.raises(DomainError, match="GridFunction.frac_image"):
+        apply(hat, np.array([0.01, 0.3]), OperatorParams(1, 0.5))
 
 
 def test_mixed_names_the_field_kind_dimension_1_needs(quad):
@@ -458,8 +468,7 @@ def _field_layout_inputs(u, xs):
     graded = kinks if u.graded_kinks is None else np.asarray(u.graded_kinks)
     r_c2 = np.array([u.c2_distance(x) for x in xs])
     r_in = np.minimum(kernel._INNER_RADIUS, 0.5 * r_c2)
-    z0 = kernel._analytic_core(u, xs, u.evaluate(xs), r_c2, r_in, 0.6,
-                               QuadratureSpec.tolerance)[0]
+    z0 = kernel._analytic_core(u, xs, r_c2, r_in)[0]
     r_out = np.maximum(np.maximum(kernel._OUTER_RADIUS, 2.0 * np.abs(xs) + 2.0),
                        u.tail.cutoff + np.abs(xs) + 1.0)
     return z0, r_in, np.abs(kinks - xs[:, None]), np.abs(graded - xs[:, None]), r_out
@@ -481,12 +490,15 @@ def test_layout_matches_scalar_on_barrier_fields(barrier_03):
 def test_layout_matches_scalar_on_truncated_power_and_hat():
     xs = np.linspace(-3.0, 3.0, 301) + 1e-3
     _assert_layout_matches_scalar(*_field_layout_inputs(fields.truncated_power(1.4, 1.0), xs))
+    # a hat's 33 kinks, with the zero u'' the Taylor core needs
     mesh = build_mesh(-1.0, 1.0, 31)
-    hat = grid_interpolant(mesh, np.sin(np.arange(31.0)))
+    hat = dataclasses.replace(grid_interpolant(mesh, np.sin(np.arange(31.0))),
+                              second_derivative=np.zeros_like)
     xs = np.linspace(-1.2, 1.2, 97) + 1e-4
     _assert_layout_matches_scalar(*_field_layout_inputs(hat, xs))
     # a hat whose every kink is graded
-    hat = fields.ScalarField(evaluate=hat.evaluate, kinks=hat.kinks, tail=hat.tail)
+    hat = fields.ScalarField(evaluate=hat.evaluate, second_derivative=np.zeros_like,
+                             kinks=hat.kinks, tail=hat.tail)
     _assert_layout_matches_scalar(*_field_layout_inputs(hat, xs))
 
 

@@ -376,27 +376,39 @@ def test_residual_decay_constant_load():
 
 @pytest.mark.parametrize("s", [0.3, 0.75])
 def test_midpoint_residual_images_in_one_call_match_the_point_loop(s):
-    # the kept midpoints go through frac_apply in one call; point by point,
-    # with the same fitted curvature, gives the same bits and skips
+    # the kept midpoints are imaged as one array; point by point, with the
+    # same stencil, gives the same bits and skips
     params = OperatorParams(1, s)
     f = fields.constant(1.0)
     targets = np.linspace(-0.97, 0.97, 17)  # the outer ones touch the boundary
+    stencil = np.array([-5.0, 39.0, -34.0, -34.0, 39.0, -5.0])
     for n in (31, 63):
         rep = solve_dirichlet(build_system(build_mesh(-1.0, 1.0, n), params), f)
-        mesh, field = rep.solution.mesh, rep.solution.as_field()
+        mesh, vals = rep.solution.mesh, rep.solution.values_with_boundary()
         worst, skipped = 0.0, 0
         for t in targets:
-            x = float(mesh.a + (int(np.floor((t - mesh.a) / mesh.h)) + 0.5) * mesh.h)
-            try:
-                image = -verify._fitted_curvature(rep, x) + frac_apply(field, x, params)
-            except DomainError:
+            k = int(np.floor((t - mesh.a) / mesh.h))
+            if not 3 <= k <= n - 3:  # the six nodes around element k touch a or b
                 skipped += 1
                 continue
+            x = float(mesh.a + (k + 0.5) * mesh.h)
+            upp = np.sum(vals[k - 2:k + 4] * stencil) / (48.0 * mesh.h**2)
+            image = rep.solution.frac_image(x, params) - upp
             worst = max(worst, abs(image - float(f(x))))
         got = verify._midpoint_residual(rep, targets, f, params)
         assert skipped > 0
         assert np.float64(got[0]).tobytes() == np.float64(worst).tobytes()
         assert got[1] == skipped
+
+
+def test_midpoint_stencil_is_the_fitted_quintics_curvature():
+    # u'' at the midpoint of the quintic through six unit-spaced values
+    rng = np.random.default_rng(5)
+    loc = np.arange(-2.5, 3.0)
+    for vals in rng.standard_normal((20, 6)):
+        fitted = 2.0 * np.polyfit(loc, vals, 5)[-3]
+        assert verify._MIDPOINT_CURVATURE @ vals / 48.0 == pytest.approx(fitted, rel=1e-12,
+                                                                         abs=1e-12)
 
 
 def test_residual_needs_three_meshes():
