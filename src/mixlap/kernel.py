@@ -5,12 +5,14 @@ second-difference form
 
     (-Delta)^s u(x) = -(c_{N,s}/2) * int (u(x+z) + u(x-z) - 2 u(x)) / |z|^{N+2s} dz,
 
-which removes the principal value for C^2 integrands.  The integral is split
-into an analytic core around z = 0 (second-order Taylor resummation on the
-field's u'', which also steps over the floating-point cancellation floor of
-the raw second difference), a graded-panel Gauss zone out to a finite
-radius, and an exact tail resummation driven by the field's
-:class:`~mixlap.fields.TailExpansion`.
+which removes the principal value for C^2 integrands.  In one dimension the
+integral is split into an analytic core around z = 0 (second-order Taylor
+resummation on the field's u'', which also steps over the floating-point
+cancellation floor of the raw second difference), a graded-panel Gauss zone
+out to a finite radius, and an exact tail resummation driven by the field's
+:class:`~mixlap.fields.TailExpansion`.  A radial field in dimension 2 or 3
+is imaged as the sphere average of the 1D images of its restrictions to the
+lines through the point, so one quadrature serves every dimension.
 
 The normalization constant c_{N,s} is taken in its Gamma-function closed
 form.  The weighted far-field mass
@@ -28,9 +30,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import AccuracyError, DomainError, TailDivergenceError
-from .fields import RadialField, ScalarField
+from .fields import RadialField, ScalarField, TailExpansion
 
-_EPS = np.finfo(float).eps
 _MIN_C2_ZONE = 1e-12
 
 _GAUSS_ORDER = 12
@@ -55,13 +56,12 @@ _OUTER_RADIUS = 64.0
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """The tolerance of the singular quadrature, its one setting: the panel
-    layout is fixed (_INNER_RADIUS, _OUTER_RADIUS, one panel per factor-2
-    span), and every driver evaluates at the default tolerance.
-
-    ``tolerance`` reaches only the core radius z0 of radial fields, through
-    :func:`_noise_floor`.  A 1D field takes z0 = r_in/64 at any tolerance
-    (see :func:`_analytic_core`).
+    """The tolerance of the singular quadrature, its one setting, which
+    reaches no computation: the panel layout is fixed (_INNER_RADIUS,
+    _OUTER_RADIUS, one panel per factor-2 span), every field takes the core
+    radius z0 = r_in/64 (see :func:`_analytic_core`), and a radial field is
+    imaged through the same 1D quadrature.  ``frac_apply`` and
+    ``mixed_apply`` still accept one.
     """
 
     tolerance: float = 1e-8
@@ -124,30 +124,10 @@ def _geometric_refine(breaks, panels_per_octave: int):
     return out
 
 
-def _dyadic_into(lo: float, hi: float, toward: float, floor: float):
-    """Breakpoints on [lo, hi] accumulating dyadically toward one endpoint.
-
-    Used where the integrand has an algebraic (fractional-power) kink at the
-    endpoint; each panel then sees the singular point at a distance
-    comparable to its own length, restoring Gauss accuracy.
-    """
-    gap = hi - lo
-    pts = []
-    d = gap / 2.0
-    while d > floor and len(pts) < _MAX_HALVINGS:
-        pts.append(d)
-        d /= 2.0
-    if toward == lo:
-        inner = [lo + t for t in reversed(pts)]
-    else:
-        inner = [hi - t for t in pts]
-    return [lo] + inner + [hi]
-
-
 def _halvings(gap: np.ndarray, floor: np.ndarray) -> np.ndarray:
     """How many of gap/2, gap/4, ... exceed floor, at most _MAX_HALVINGS:
-    the points :func:`_dyadic_into` puts into a panel of length gap.  The
-    log2 estimate is corrected by exact power-of-two comparisons."""
+    the dyadic points graded into a panel of length gap.  The log2 estimate
+    is corrected by exact power-of-two comparisons."""
     n = np.maximum(np.ceil(np.log2(gap / floor)).astype(int) - 1, 0)
     n -= (n > 0) & (np.ldexp(gap, -n) <= floor)
     n += np.ldexp(gap, -n - 1) > floor
@@ -283,18 +263,6 @@ def _tail_contributions(u: ScalarField, xs: np.ndarray, uxs: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _noise_floor(s: float, tolerance: float, scale):
-    """Smallest offset at which raw second differences beat roundoff.
-
-    Integrating machine noise eps*scale against z^(-1-2s) from z0 outward
-    contributes ~ eps*scale*z0^(-2s)/(2s); keep that below tolerance/10
-    (inf past e^700: the caller clamps z0 to the core radius anyway).
-    """
-    base, power = 10.0 * _EPS * np.asarray(scale) / (2.0 * s * tolerance), 1.0 / (2.0 * s)
-    return np.power(base, power, out=np.full(base.shape, math.inf),
-                    where=power * np.log(base) < 700.0)
-
-
 def _analytic_core(u: ScalarField, x, r, r_in):
     """Each point's core radius z0 = r_in/64, inside its C^2 zone of radius
     r_in (r to the nearest kink), and the upp, u4 of the two-term Taylor
@@ -409,100 +377,81 @@ def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams"):
 # ---------------------------------------------------------------------------
 
 
-def _angular_mean(u: RadialField, r: float, rho: np.ndarray, n_dim: int) -> np.ndarray:
-    """int over the unit sphere of u(|x + rho theta|) d sigma, |x| = r.
+def _line_field(u: RadialField, r: float, phi: float) -> ScalarField:
+    """g(t) = u(|x + t theta|), |x| = r, on the line through x at the angle
+    phi to x: |x + t theta| = sqrt((t - t0)^2 + b^2), t0 = -r cos(phi),
+    b = r sin(phi); at x = 0 it is t -> u(|t|) for every phi.  Its kinks,
+    all graded, are where the line crosses a kink sphere, and it vanishes
+    off the chord of the support ball."""
+    t0, b = -r * math.cos(phi), r * math.sin(phi)
 
-    The distance argument sweeps [|r - rho|, r + rho]; where it crosses a
-    profile kink the angular integrand loses smoothness, so the angular
-    variable is segmented at the crossing before applying Gauss panels.
-    In dimension 2 the Chebyshev weight is absorbed by tau = cos(theta).
+    def d2(t):
+        # chain rule: u''(rho) (1 - b^2/rho^2) + u'(rho) b^2/rho^3, u''(|t|) on the axis
+        rho = np.hypot(t - t0, b)
+        if b == 0.0:
+            return u.dd_profile(rho)
+        q = (b / rho) ** 2
+        return u.dd_profile(rho) * (1.0 - q) + u.d_profile(rho) * q / rho
+
+    half = math.sqrt(max(u.support_radius**2 - b * b, 0.0))
+    return ScalarField(
+        evaluate=lambda t: u.profile(np.hypot(t - t0, b)),
+        second_derivative=d2,
+        kinks=tuple(t0 + sign * math.sqrt(k * k - b * b)
+                    for k in u.kinks if k > b for sign in (-1.0, 1.0)),
+        tail=TailExpansion(abs(t0) + half),
+        name=f"{u.name} on a line",
+        support=(t0 - half, t0 + half),
+    )
+
+
+def _direction_panels(r: float, kinks, support_radius: float) -> np.ndarray:
+    """Ends of the Gauss panels in the angle phi on [0, pi/2]: 0, the
+    tangency angles asin(k/r) of the kink spheres and the support sphere
+    inside r, and pi/2, which is dropped when the support sphere is inside r,
+    since the lines past its tangency angle miss the support.  A segment is
+    graded 4 halvings deep into each tangency end it has, split at its middle
+    first when it has two, and split once when it has none."""
+    tangent = sorted(math.asin(k / r) for k in {*kinks, support_radius} if k < r)
+    ends = [0.0, *tangent] if r > support_radius else [0.0, *tangent, 0.5 * math.pi]
+    breaks = [0.0]
+    for i, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
+        into_a, into_b = i > 0, i < len(tangent)
+        m = 0.5 * (a + b) if into_a == into_b else (b if into_a else a)
+        if into_a:
+            breaks += [a + (m - a) * 2.0**-j for j in (4, 3, 2, 1)]
+        if a < m < b:
+            breaks.append(m)
+        if into_b:
+            breaks += [b - (b - m) * 2.0**-j for j in (1, 2, 3, 4)]
+        breaks.append(b)
+    return np.array(breaks)
+
+
+def frac_apply_radial(u: RadialField, x, params: "OperatorParams") -> float:
+    """(-Delta)^s of a compactly supported radial field at the point x.
+
+    In polar coordinates about x the operator is (1/2) int over the unit
+    sphere of c_{N,s} I(theta), I the one-dimensional operator, unnormalized,
+    of the line restriction t -> u(|x + t theta|); :func:`frac_apply_1d`
+    under the N-dimensional params returns c_{N,s} I.  The sphere folds onto
+    the angle phi in [0, pi/2] to x, with weight |S^{N-2}| sin^{N-2}(phi).
     """
-    if n_dim not in (2, 3):
-        raise DomainError("radial evaluation supports dimensions 2 and 3 only")
-    omega = _SPHERE_AREA[n_dim]
-    out = np.empty(rho.size)
-    for idx, p in enumerate(rho):
-        if r == 0.0 or p == 0.0:
-            out[idx] = omega * float(u.profile(np.asarray([abs(r + p)]))[0])
-            continue
-        # angular positions where the swept distance hits a kink radius
-        cuts = []
-        for k in u.kinks:
-            tau_star = (k * k - r * r - p * p) / (2.0 * r * p)
-            if -1.0 < tau_star < 1.0:
-                cuts.append(tau_star)
-        if n_dim == 2:
-            lo, hi = 0.0, math.pi
-            cut_pts = sorted(math.acos(t) for t in cuts)
-        else:
-            lo, hi = -1.0, 1.0
-            cut_pts = sorted(cuts)
-        # grade each segment dyadically into both endpoints: the profile is
-        # only Hoelder at a cut, and a cut sitting just beyond the interval
-        # (crossing about to enter or leave) still puts a boundary layer at
-        # the endpoint that plain Gauss cannot resolve
-        breaks = [lo]
-        for a, b in zip([lo] + cut_pts, cut_pts + [hi]):
-            if b <= breaks[-1] + 1e-300:
-                continue
-            mid = 0.5 * (a + b)
-            floor = (b - a) * 1e-8
-            seg = (_dyadic_into(a, mid, a, floor)
-                   + _dyadic_into(mid, b, b, floor)[1:])
-            breaks.extend(seg[1:])
-        nodes, weights = _panel_nodes(breaks)
-        if n_dim == 2:
-            dist = np.sqrt(np.maximum(
-                r * r + p * p + 2.0 * r * p * np.cos(nodes), 0.0))
-            out[idx] = 2.0 * float(u.profile(dist) @ weights)
-        else:
-            dist = np.sqrt(np.maximum(r * r + p * p + 2.0 * r * p * nodes, 0.0))
-            out[idx] = 2.0 * math.pi * float(u.profile(dist) @ weights)
-    return out
-
-
-def frac_apply_radial(u: RadialField, x, params: "OperatorParams",
-                      quad: QuadratureSpec) -> float:
-    """(-Delta)^s of a compactly supported radial field at the point x."""
     n = params.n_dim
-    s = params.s
-    c = params.c_ns
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != n:
         raise DomainError("point dimension does not match operator dimension")
     r = float(np.linalg.norm(x))
     if u.c2_distance(r) < _MIN_C2_ZONE:
         raise DomainError("evaluation radius sits on a smoothness break")
+    if u.d_profile is None or u.dd_profile is None:
+        raise DomainError("radial field lacks stored derivatives")
 
-    omega = _SPHERE_AREA[n]
-    ur = float(u(r))
-
-    r_in = min(_INNER_RADIUS, 0.5 * u.c2_distance(r))
-    z0 = float(_noise_floor(s, quad.tolerance, 1.0 + abs(ur)))
-    z0 = min(max(z0, 1e-8 * r_in), r_in / 8.0)
-
-    lap = u.laplacian(r, n)
-    core = -(c / 2.0) * (omega * lap / n) * z0 ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-
-    # every kink offset |k - r| and k + r is graded
-    r_out = max(_OUTER_RADIUS, u.support_radius + r + 1.0)
-    kinks = np.asarray(u.kinks, dtype=float)
-    offsets = np.concatenate((np.abs(kinks - r), kinks + r))[None, :]
-    lo, hi, _ = _panel_layout(np.array([z0]), np.array([r_in]), offsets, offsets,
-                              np.array([r_out]))
-
-    rho, w = _gauss_nodes(lo, hi)
-    # int_S (u(x + rho theta) - u(x)) d sigma(theta)
-    defect = _angular_mean(u, r, rho, n) - omega * ur
-    panel_vals = w * defect * rho ** (-1.0 - 2.0 * s)
-    panel_sums = panel_vals.reshape(-1, _GAUSS_ORDER).sum(axis=1)
-    # the sphere integral of (u(x + rho theta) - u(x)) already pairs +/- rho,
-    # so the 1/2 of the second-difference form cancels against the folding
-    middle = -c * math.fsum(panel_sums)
-
-    # beyond r_out the field vanishes: only the -2u(x) term survives
-    tail = c * ur * omega * r_out ** (-2.0 * s) / (2.0 * s)
-    return math.fsum((core, middle, tail))
+    breaks = _direction_panels(r, u.kinks, u.support_radius)
+    phi, w = _gauss_nodes(breaks[:-1], breaks[1:])
+    lines = np.array([frac_apply_1d(_line_field(u, r, p), np.zeros(1), params)[0][0]
+                      for p in phi.tolist()])
+    return _SPHERE_AREA[n - 1] * math.fsum((w * np.sin(phi) ** (n - 2) * lines).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +474,7 @@ def frac_apply(u: Field, x, params: OperatorParams, quad: QuadratureSpec = Quadr
         return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
     if not isinstance(u, RadialField):
         raise DomainError("dimensions 2 and 3 require a RadialField")
-    return frac_apply_radial(u, x, params, quad)
+    return frac_apply_radial(u, x, params)
 
 
 def mixed_apply(u: Field, x, params: OperatorParams, quad: QuadratureSpec = QuadratureSpec()):

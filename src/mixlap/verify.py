@@ -114,11 +114,6 @@ def check_strong_mp_contact(u, params: OperatorParams, x0: float,
             "strong_maximum_principle", True, 0.0, 0.0, digest,
             notes="inconclusive: contact point lies outside the domain",
         )
-    if u.second_derivative is None:
-        return VerificationReport(
-            "strong_maximum_principle", True, 0.0, 0.0, digest,
-            notes="inconclusive: operator sign unverifiable (no second derivative)",
-        )
     interior = np.linspace(a, b, 41)[1:-1]
     try:
         lu = mixed_apply(u, interior, params)

@@ -12,7 +12,10 @@ of the double integral, folded onto the triangle y < x by the symmetry of
 its integrand so that the diagonal singularity is an endpoint of the inner
 integral.  The closed-form image of a hat interpolant is checked twice: against
 the mpmath sum of its power terms, and by pairing it with a hat by mpmath
-quadrature, which must give the stiffness row.
+quadrature, which must give the stiffness row.  Radial images are checked
+against Dyda's hypergeometric closed form, and in dimension 3 against the
+intertwining identity, the one reference here that calls the library: its
+1D quadrature on a single odd function, not the radial path.
 """
 
 import math
@@ -22,6 +25,9 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as _gamma
+
+from mixlap.fields import ScalarField, TailExpansion
+from mixlap.kernel import OperatorParams, frac_apply
 
 
 def closed_form_constant(n_dim: int, s: float) -> float:
@@ -468,3 +474,32 @@ def hat_pairing(image, center: float, h: float, s: float, cut: float = 1e-8) -> 
         total += (mp.quad(f, [t0, mp.mpf(h) / 2])
                   + mp.quad(lambda t: (phi0 + slope * t) * (a + b * g(t)), [0, t0]))
     return float(total)
+
+
+def mp_dyda_cap(n_dim: int, s: float, p: float, r: float, dps: int = 30) -> float:
+    """(-Delta)^s (1 - |x|^2)_+^p at |x| = r < 1 in dimension N, in closed
+    form (Dyda, Fract. Calc. Appl. Anal. 15, 2012):
+    4^s Gamma(N/2+s) Gamma(p+1) / (Gamma(N/2) Gamma(p+1-s))
+    2F1(N/2+s, s-p; N/2; r^2), by mpmath."""
+    with mp.workdps(dps):
+        half, s_, p_ = mp.mpf(n_dim) / 2, mp.mpf(s), mp.mpf(p)
+        c = 4**s_ * mp.gamma(half + s_) * mp.gamma(p_ + 1) / (mp.gamma(half) * mp.gamma(p_ + 1 - s_))
+        return float(c * mp.hyp2f1(half + s_, s_ - p_, half, mp.mpf(r) ** 2))
+
+
+def intertwined_image_3d(u, s: float, r: float) -> float:
+    """(-Delta)^s of the radial field u in dimension 3 at |x| = r > 0, by the
+    intertwining identity (-Delta_{R^3})^s u(r) = (1/r) (-Delta_R)^s v(r) for
+    the odd function v(t) = t u(|t|).  The 1D image is the library's
+    ``frac_apply`` on one line, with none of the radial path's line
+    restrictions or direction panels."""
+    def d2(t):
+        a = np.abs(t)
+        return np.sign(t) * (2.0 * u.d_profile(a) + a * u.dd_profile(a))
+
+    R = u.support_radius
+    v = ScalarField(
+        evaluate=lambda t: t * u.profile(np.abs(t)), second_derivative=d2,
+        kinks=tuple(sorted({-k for k in u.kinks} | set(u.kinks))),
+        tail=TailExpansion(R), name=f"t {u.name}(|t|)", support=(-R, R))
+    return frac_apply(v, r, OperatorParams(1, s)) / r

@@ -121,6 +121,14 @@ def test_counterexample_summary_mentions_scale(tmp_path):
     assert "passed" in text
 
 
+def test_general_counterexample_in_dimension_3(tmp_path):
+    code = main(["counterexample", "--variant", "general", "--dimension", "3", "--s", "0.5",
+                 "--output-dir", str(tmp_path)])
+    assert code == 0
+    text = (tmp_path / "counterexample_summary.txt").read_text()
+    assert "N=3, eps0=0.5; sup |(-D)^s u| = 2.773; min wrong-sign image=18.45" in text
+
+
 def test_boundary_counterexample_passes_at_n_1023(tmp_path):
     code = main(["counterexample", "--variant", "boundary", "--n", "1023",
                  "--output-dir", str(tmp_path)])

@@ -3,7 +3,8 @@
 Its fractional image is the constant 2^{2s} Gamma(s+1) Gamma((N+2s)/2) /
 Gamma(N/2) inside the unit ball, which exercises the kernel engines (1D and
 radial) and, through the zero-exterior solve with a constant load, the whole
-assembly/solve pipeline against an exact solution.
+assembly/solve pipeline against an exact solution.  The radial image of
+(1 - |x|^2)^p_+ at other exponents p is checked against Dyda's closed form.
 """
 
 import math
@@ -17,6 +18,7 @@ from mixlap.assembly import build_mesh, build_system
 from mixlap.kernel import OperatorParams, frac_apply
 from mixlap.solve import solve_dirichlet
 
+import oracles
 from helpers import without
 
 
@@ -25,12 +27,12 @@ def _image_constant(n_dim: int, s: float) -> float:
             / _gamma(n_dim / 2.0))
 
 
-def _cap_d2(s: float, x):
-    """Second derivative of (1 - x^2)^s_+ at each x, 0 off (-1, 1)."""
+def _cap_d2(p: float, x):
+    """Second derivative of (1 - x^2)^p_+ at each x, 0 off (-1, 1)."""
     x = np.asarray(x, dtype=float)
     inside = np.abs(x) < 1.0
     g = np.where(inside, 1.0 - x * x, 1.0)
-    d2 = -2.0 * s * g ** (s - 1.0) + 4.0 * s * (s - 1.0) * x * x * g ** (s - 2.0)
+    d2 = -2.0 * p * g ** (p - 1.0) + 4.0 * p * (p - 1.0) * x * x * g ** (p - 2.0)
     return np.where(inside, d2, 0.0)
 
 
@@ -46,21 +48,22 @@ def _cap_profile_1d(s: float) -> fields.ScalarField:
     )
 
 
-def _cap_profile_radial(s: float) -> fields.RadialField:
+def _cap_profile_radial(p: float) -> fields.RadialField:
+    """(1 - r^2)^p_+; the exponent p = s gives the constant image."""
     def prof(r):
         r = np.asarray(r, dtype=float)
         g = np.maximum(1.0 - r * r, 0.0)
-        return g**s
+        return g**p
 
     def d1(r):
         r = np.asarray(r, dtype=float)
         inside = np.abs(r) < 1.0
         g = np.where(inside, 1.0 - r * r, 1.0)
-        return np.where(inside, -2.0 * s * r * g ** (s - 1.0), 0.0)
+        return np.where(inside, -2.0 * p * r * g ** (p - 1.0), 0.0)
 
     return fields.RadialField(
-        profile=prof, d_profile=d1, dd_profile=lambda r: _cap_d2(s, r), support_radius=1.0,
-        kinks=(1.0,), name=f"(1-r^2)^{s}",
+        profile=prof, d_profile=d1, dd_profile=lambda r: _cap_d2(p, r), support_radius=1.0,
+        kinks=(1.0,), name=f"(1-r^2)^{p}",
     )
 
 
@@ -85,6 +88,20 @@ def test_profile_image_is_constant_radial(n_dim, s, quad):
         x[0] = r
         val = frac_apply(u, x, params, quad)
         assert val == pytest.approx(lam, rel=1e-8)
+
+
+@pytest.mark.parametrize("n_dim", [2, 3])
+@pytest.mark.parametrize("p", [1.0, 2.0, 2.5])
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_cap_power_image_matches_dyda(n_dim, p, s):
+    # Dyda's 2F1 closed form for (1 - |x|^2)_+^p inside the unit ball
+    params = OperatorParams(n_dim, s)
+    u = _cap_profile_radial(p)
+    for r in (0.0, 0.2, 0.5, 0.8, 0.95):
+        x = np.zeros(n_dim)
+        x[0] = r
+        ref = oracles.mp_dyda_cap(n_dim, s, p, r)
+        assert abs(frac_apply(u, x, params) - ref) <= 1e-10 * max(1.0, abs(ref)), r
 
 
 def test_pure_fractional_solve_converges_to_profile():

@@ -156,13 +156,18 @@ def test_tail_series_far_out_converges_or_refuses(quad):
         frac_apply(pure_power(1.2), 1e9, p, quad)
 
 
+@pytest.mark.parametrize("n_dim", [2, 3])
 @pytest.mark.parametrize("s", [1e-7, 5e-8, 1e-8, 1e-9])
-def test_noise_floor_at_tiny_order_does_not_overflow(s):
-    # the base 10 eps scale / (2 s tol) passes 1 below s ~ 1.1e-7, and its
-    # power 1/(2s) then overflows; the floor is infinite, and no warning
+def test_radial_image_at_tiny_order_is_finite_and_silent(s, n_dim):
+    # the radial core once took a noise floor 10 eps scale / (2 s tol) raised
+    # to 1/(2s), which overflows below s ~ 1.1e-7; the image must stay
+    # finite, with no warning, at every order the CLI accepts
+    x = np.zeros(n_dim)
+    x[0] = 1.5
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert kernel._noise_floor(s, 1e-8, 1.0) == math.inf
+        val = frac_apply(_radial_counterexample_profile(n_dim), x, OperatorParams(n_dim, s))
+    assert math.isfinite(val)
 
 
 @pytest.mark.parametrize("alpha,s", [(1.0, 0.75), (1.2, 0.9), (1.0, 0.6),
@@ -421,6 +426,17 @@ def test_radial_constant_region_matches_laplacian_free_value(quad):
     # negative well inside the well (the function is subharmonic there)
     assert math.isfinite(v1) and math.isfinite(v2)
     assert v1 < 0.0 and v2 < 0.0
+
+
+@pytest.mark.parametrize("s", [0.05, 0.25, 0.5, 0.75, 0.99])
+def test_radial_3d_matches_the_intertwined_1d_image(s):
+    # (-Delta_3)^s u(r) = (1/r) (-Delta_1)^s [t u(|t|)](r), through no radial code
+    u = _radial_counterexample_profile(3)
+    params = OperatorParams(3, s)
+    for r in (0.3, 0.9, 1.5, 2.2, 4.0):
+        ref = oracles.intertwined_image_3d(u, s, r)
+        val = frac_apply(u, np.array([r, 0.0, 0.0]), params)
+        assert val == pytest.approx(ref, rel=1e-10, abs=0.0), r
 
 
 def test_radial_rejects_plain_field(quad):

@@ -94,6 +94,18 @@ def test_strong_mp_contrapositive_on_positive_solve(sys_05_255):
     assert "contrapositive" in r.notes or "inconclusive" in r.notes
 
 
+def test_strong_mp_hat_interpolant_with_interior_contact_is_not_evaluable():
+    # a hat interpolant has no u''; mixed_apply refuses it, and the check
+    # reports that refusal as its one "not evaluable" note
+    mesh = build_mesh(-1.0, 1.0, 7)
+    coeffs = np.array([0.5, 1.0, 0.5, 0.0, 0.5, 1.0, 0.5])
+    x0 = float(mesh.nodes[3])
+    r = check_strong_mp_contact(assembly.grid_interpolant(mesh, coeffs),
+                                OperatorParams(1, 0.5), x0)
+    assert r.passed
+    assert r.notes == "inconclusive: operator not evaluable on the domain grid"
+
+
 # ---------------------------------------------------------------------------
 # uniform bound and boundary growth
 # ---------------------------------------------------------------------------
@@ -260,6 +272,12 @@ def test_general_counterexample_center_value():
 def test_general_counterexample_2d():
     r = counterexample_general(0.5, 2)
     assert r.passed
+
+
+def test_general_counterexample_3d():
+    r = counterexample_general(0.5, 3)
+    assert r.passed
+    assert "N=3, eps0=0.5; sup |(-D)^s u| = 2.773; min wrong-sign image=18.45" in r.notes
 
 
 def test_boundary_only_counterexample():
