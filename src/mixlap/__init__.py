@@ -9,23 +9,21 @@ principles, uniform bounds, boundary growth rates and the wrong-sign /
 boundary-only counterexamples.
 """
 
-from .assembly import (GridFunction, Mesh, StiffnessSystem, bilinear_eval,
-                       build_mesh, build_system, grid_interpolant,
-                       load_vector, local_stiffness, nonlocal_stiffness)
-from .barrier import (BarrierParams, ExponentLadder, beta, build_barrier,
-                      build_ladder, coefficients, gamma, kappa, radial_cutoff,
-                      theta)
+from .assembly import (GridFunction, Mesh, StiffnessSystem, build_mesh,
+                       build_system, grid_interpolant, load_vector,
+                       local_stiffness, nonlocal_stiffness)
+from .barrier import (BarrierParams, ExponentLadder, build_barrier,
+                      build_ladder, coefficients, kappa, radial_cutoff)
 from .errors import (AccuracyError, ConfigError, ConstructionError,
                      DomainError, InputError, MixlapError, NumericalError,
                      ResolutionError, TailDivergenceError)
 from .fields import RadialField, ScalarField, TailExpansion
 from .kernel import (OperatorParams, QuadratureSpec, frac_apply, mixed_apply,
-                     normalization_constant, tail_integral, tail_kappa)
-from .solve import (SolveReport, lift_nonhomogeneous, solve_dirichlet)
+                     normalization_constant)
+from .solve import SolveReport, solve_dirichlet
 from .verify import (VerificationReport, check_boundary_lipschitz,
                      check_linf_bound, check_strong_mp_contact, check_weak_mp,
                      counterexample_boundary_only, counterexample_ces,
-                     counterexample_general, residual_check, run_suite,
-                     sobolev_index)
+                     counterexample_general, residual_check, run_suite)
 
 __version__ = "0.1.0"

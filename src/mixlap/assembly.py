@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -63,9 +63,10 @@ class Mesh:
         """The n+2 element boundaries a = x_0 < ... < x_{n+1} = b."""
         return np.linspace(self.a, self.b, self.n + 2)
 
-    def gauss_points(self):
-        """Nodes, shape (n+1, 6), and weights of 6-point Gauss on each element."""
-        edges = self.element_edges()
+    def gauss_points(self, edges=None):
+        """Nodes, shape (n+1, 6), and weights of 6-point Gauss on each element;
+        ``edges`` are element_edges(), when the caller has them already."""
+        edges = self.element_edges() if edges is None else edges
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * self.h
         return mid[:, None] + half * _LOAD_GAUSS_X[None, :], half * _LOAD_GAUSS_W
@@ -159,7 +160,14 @@ def grid_interpolant(mesh: Mesh, coeffs: Sequence[float]) -> ScalarField:
 # Toeplitz rows: closed-form entries
 # ---------------------------------------------------------------------------
 
-_EPS = np.finfo(float).eps
+_FELT = 0.25 * float(np.finfo(float).eps)  # a term below this share of its sum is not felt
+_FLOAT_TAIL = 32  # live offsets few enough to finish one at a time in floats
+
+
+def _coef_ratio(p: float, k: int) -> float:
+    """coef_{k+2} / coef_k of the series in _fourth_difference_moments."""
+    return ((2.0 ** (k + 3) - 8.0) / (2.0 ** (k + 1) - 8.0)
+            * (p - k) * (p - k - 1.0) / ((k + 1.0) * (k + 2.0)))
 
 
 def _fourth_difference_moments(n: int, s: float) -> np.ndarray:
@@ -171,8 +179,13 @@ def _fourth_difference_moments(n: int, s: float) -> np.ndarray:
     the monomial nearest |t|^p, which keeps the digits as s -> 1.  m >= 3:
     the series
     (2 sinh(D/2))^4 = sum_{k >= 4 even} (2^{k+1} - 8)/k! D^k with p (p-1) (p-2)
-    cancelled; its terms share one sign, and each is added only to the
-    offsets that still feel it.
+    cancelled; its terms are negative, and so are the sums.  A pass adds a
+    term to the live offsets, a prefix that ends at the last offset still
+    feeling its term (|term| > _FELT |sum|).  Passes run over arrays while
+    more than _FLOAT_TAIL offsets are live; the rest are finished one at a
+    time, top down, in floats: an offset stays live while it, or the offset
+    above it, still feels its term.  Both make the same operations in the
+    same order, so the row is the same to the bit.
     """
     p = 3.0 - 2.0 * s
     g = np.zeros(n)
@@ -186,22 +199,39 @@ def _fourth_difference_moments(n: int, s: float) -> np.ndarray:
 
     head = min(n, 3)
     nearest = min(3, max(1, round(p)))
-    g[:head] = (np.append(delta4(2)[:2], delta4(nearest)[2])[:head]
+    square = delta4(2)
+    g[:head] = (np.append(square[:2], (square if nearest == 2 else delta4(nearest))[2])[:head]
                 / (p * (p - 1.0) * 2.0 * s))
     m = np.arange(3.0, n)
     power = m ** (p - 4.0)
     inv_sq = 1.0 / (m * m)
     coef = (p - 3.0) / (2.0 * s)  # k = 4, where (2^{k+1} - 8)/k! = 1
-    k, live = 4, m.size
-    while live:
+    k, live, tail = 4, m.size, g[3:]
+    while live > _FLOAT_TAIL:
         term = coef * power[:live]
-        g[3:3 + live] += term
-        felt = np.flatnonzero(np.abs(term) > 0.25 * _EPS * np.abs(g[3:3 + live]))
-        live = int(felt[-1]) + 1 if felt.size else 0
+        tail[:live] += term
+        felt = term < _FELT * tail[:live]  # |term| > _FELT |sum|: both are <= 0
+        last = int(felt[::-1].argmax())
+        live = live - last if felt[live - 1 - last] else 0
         power[:live] *= inv_sq[:live]
-        coef *= ((2.0 ** (k + 3) - 8.0) / (2.0 ** (k + 1) - 8.0)
-                 * (p - k) * (p - k - 1.0) / ((k + 1.0) * (k + 2.0)))
+        coef *= _coef_ratio(p, k)
         k += 2
+    coefs, above = [coef], 0  # above: the passes the offset above ran
+    sums, powers = tail[:live].tolist(), power[:live].tolist()
+    for i, ratio in reversed(list(enumerate(inv_sq[:live].tolist()))):
+        total, pw, passes = sums[i], powers[i], 0
+        while True:
+            if passes == len(coefs):
+                coefs.append(coefs[-1] * _coef_ratio(p, k))
+                k += 2
+            term = coefs[passes] * pw
+            total += term
+            passes += 1
+            if passes >= above and not term < _FELT * total:
+                break
+            pw *= ratio
+        sums[i], above = total, passes
+    tail[:live] = sums
     return g
 
 
@@ -238,22 +268,41 @@ def local_stiffness(mesh: Mesh) -> np.ndarray:
     return _toeplitz(_local_row(mesh))
 
 
-def load_vector(f: ScalarField, mesh: Mesh) -> np.ndarray:
-    """Components int f phi_i, by 6-point Gauss on each element."""
+def load_vector(f: ScalarField, mesh: Mesh, *, samples: Optional[list] = None) -> np.ndarray:
+    """Components int f phi_i, by 6-point Gauss on each element.  A list
+    passed as ``samples`` receives the samples of f, shape (n+1, 6), and the
+    Gauss weights, so a caller can reuse them."""
     edges = mesh.element_edges()
-    pts, w = mesh.gauss_points()
+    pts, w = mesh.gauss_points(edges)
     vals = f.evaluate(pts.ravel()).reshape(pts.shape)
     if not np.all(np.isfinite(vals)):
         raise InputError("load function produced non-finite samples")
+    if samples is not None:
+        samples.extend((vals, w))
     # on element k the rising hat is phi_{k} (node edges[k+1]), the falling
     # hat is phi_{k-1}; interior node i collects from elements i-1 and i
-    t = (pts - edges[:-1, None]) / mesh.h
-    rising = np.sum(w * vals * t, axis=1)     # weight of node at right edge
-    falling = np.sum(w * vals * (1.0 - t), axis=1)  # node at left edge
+    t = pts - edges[:-1, None]
+    t /= mesh.h
+    weighted = w * vals
+    rising = _sum_columns(weighted * t)     # weight of node at right edge
+    np.subtract(1.0, t, out=t)  # (n+1, 6) temporaries cost: t turns into
+    t *= weighted               # the falling hat's terms in place
+    falling = _sum_columns(t)  # node at left edge
     b = np.zeros(mesh.n)
     b += rising[: mesh.n]
     b += falling[1 : mesh.n + 1]
     return b
+
+
+def _sum_columns(x: np.ndarray) -> np.ndarray:
+    """Row sums of x, shape (N, 6), added column after column.  np.sum(x,
+    axis=1) adds in this order from +0.0, so the two differ at most in the
+    sign of a zero sum, which load_vector's zero start erases; this avoids
+    np.sum's slow loop over rows of six."""
+    total = x[:, 0] + x[:, 1]
+    for j in range(2, x.shape[1]):
+        total += x[:, j]
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,6 +318,13 @@ class StiffnessSystem:
     @cached_property
     def row(self) -> np.ndarray:  # first row of local + nonlocal
         return self.local_row + self.nonlocal_row
+
+    @cached_property
+    def norm_inf(self) -> float:
+        """||local + nonlocal||_inf from the row's cumulative sums (row i sums
+        offsets up to i and up to n-1-i)."""
+        cum = np.cumsum(np.abs(self.row))
+        return float(np.max(cum + cum[::-1])) - abs(self.row[0])
 
     @cached_property
     def _embedding(self):
@@ -287,13 +343,6 @@ class StiffnessSystem:
 def build_system(mesh: Mesh, params: OperatorParams) -> StiffnessSystem:
     """Assemble the rows of the discrete -Delta + (-Delta)^s on the mesh."""
     return StiffnessSystem(_local_row(mesh), _nonlocal_row(mesh, params), params, mesh)
-
-
-def bilinear_eval(u: GridFunction, v: GridFunction, sys: StiffnessSystem) -> float:
-    """u^T (local + nonlocal) v for grid functions on the system's mesh."""
-    if u.mesh != sys.mesh or v.mesh != sys.mesh:
-        raise DomainError("grid functions must live on the system's mesh")
-    return float(u.coeffs @ sys.apply(v.coeffs))
 
 
 def export_matrix(path, row: np.ndarray, comment: str = "") -> None:

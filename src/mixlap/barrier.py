@@ -20,8 +20,7 @@ The lower barrier is produced in stages:
 
 Existential constants are replaced by measured grid extrema with a 25%
 safety margin; every built parameter set carries its own certificate of the
-grid inequalities it was checked against.  The far-field mass of a truncated
-comparison function is :func:`~mixlap.kernel.tail_kappa`.
+grid inequalities it was checked against.
 """
 
 from __future__ import annotations
@@ -268,12 +267,6 @@ def beta_field(p: BarrierParams) -> ScalarField:
     )
 
 
-def beta(x, p: BarrierParams):
-    """Barrier value; vanishes for x <= 0, linear-ish on (0, d), bounded below
-    by a positive constant past d."""
-    return beta_field(p)(x)
-
-
 def _beta_star(x, p: BarrierParams):
     """The convex parabolic deduction: 0, C2 x^2, its tangent line, a constant."""
     x = np.asarray(x, dtype=float)
@@ -313,11 +306,6 @@ def gamma_field(p: BarrierParams) -> ScalarField:
         graded_kinks=(0.0,),
         support=(0.0, math.inf),
     )
-
-
-def gamma(x, p: BarrierParams):
-    """Scaled barrier: zero for x <= 0, comparable to x on (0, ell), >= 1 past ell."""
-    return gamma_field(p)(x)
 
 
 # ---------------------------------------------------------------------------
@@ -539,13 +527,3 @@ def radial_cutoff(R: float) -> RadialField:
         profile=prof, d_profile=d1, dd_profile=d2, support_radius=2.0 * R,
         kinks=(R, 2.0 * R), name=f"cutoff(R={R})",
     )
-
-
-def theta(x, p: BarrierParams, cutoff: RadialField) -> float:
-    """Truncated comparison function: gamma(x_1) times the radial plateau."""
-    plateau_radius = cutoff.kinks[0] if cutoff.kinks else cutoff.support_radius / 2.0
-    if plateau_radius <= p.R / 2.0:
-        raise DomainError("truncation radius must exceed four domain radii")
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    r = float(np.linalg.norm(xv))
-    return float(gamma(xv[0], p) * cutoff(r))

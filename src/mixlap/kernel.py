@@ -109,21 +109,6 @@ def normalization_constant(n_dim: int, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _geometric_refine(breaks, panels_per_octave: int):
-    """Insert points so consecutive breakpoints have ratio <= 2^(1/panels)."""
-    ratio = 2.0 ** (1.0 / panels_per_octave)
-    out = [breaks[0]]
-    for b in breaks[1:]:
-        a = out[-1]
-        if a > 0 and b / a > ratio:
-            k = int(math.ceil(math.log(b / a) / math.log(ratio)))
-            step = (b / a) ** (1.0 / k)
-            for j in range(1, k):
-                out.append(a * step**j)
-        out.append(b)
-    return out
-
-
 def _halvings(gap: np.ndarray, floor: np.ndarray) -> np.ndarray:
     """How many of gap/2, gap/4, ... exceed floor, at most _MAX_HALVINGS:
     the dyadic points graded into a panel of length gap.  The log2 estimate
@@ -495,61 +480,3 @@ def mixed_apply(u: Field, x, params: OperatorParams, quad: QuadratureSpec = Quad
         lap = u.laplacian(np.linalg.norm(np.asarray(x, dtype=float)), params.n_dim)
     out = -lap + frac
     return float(out) if out.ndim == 0 else out
-
-
-def _radial_mass(u: RadialField, breaks, params: OperatorParams) -> float:
-    """int of |u(y)| / (1 + |y|^{N+2s}) over the shell of radii spanned by breaks."""
-    pts, w = _panel_nodes(breaks)
-    n = params.n_dim
-    vals = np.abs(u.profile(pts))
-    return _SPHERE_AREA[n] * float(
-        np.sum(w * vals * pts ** (n - 1) / (1.0 + pts ** (n + 2.0 * params.s))))
-
-
-def tail_kappa(R: float, g: Field, params: OperatorParams) -> float:
-    """Weighted far-field mass: int over |y| >= R of |g(y)| / (1 + |y|^{N+2s}).
-
-    Compactly supported fields give exactly zero once R clears the support;
-    bounded tails are integrated with the 1/y substitution on graded panels.
-    """
-    if R <= 0:
-        raise DomainError("radius must be positive")
-    s = params.s
-    if isinstance(g, RadialField):
-        if R >= g.support_radius:
-            return 0.0
-        return _radial_mass(g, _geometric_refine([R, g.support_radius], 4), params)
-    if params.n_dim != 1:
-        raise DomainError("dimension above 1 requires a radial field")
-    if g.tail.is_compact() and R >= g.tail.cutoff:
-        return 0.0
-    if g.tail.max_power() >= 2.0 * s:
-        return math.inf
-    t, tw = _panel_nodes(_geometric_refine([1e-10, 1.0], 4))
-    y = R / t
-    jac = R / t**2
-    weight = 1.0 / (1.0 + y ** (1.0 + 2.0 * s))
-    hi = float(np.sum(tw * np.abs(g.evaluate(y)) * weight * jac))
-    lo = float(np.sum(tw * np.abs(g.evaluate(-y)) * weight * jac))
-    return hi + lo
-
-
-def tail_integral(u: Field, params: OperatorParams) -> float:
-    """The membership integral int |u(x)| / (1 + |x|^{N+2s}) dx.
-
-    Returns ``math.inf`` when the comparison test on the stored tail growth
-    proves divergence.
-    """
-    if params.n_dim == 1:
-        if not isinstance(u, ScalarField):
-            raise DomainError("dimension 1 requires a ScalarField")
-        y0 = max(u.tail.cutoff, 1.0)
-        breaks = _geometric_refine([1e-8 * y0, y0], 2)
-        pts, w = _panel_nodes([-b for b in breaks[::-1]] + breaks)
-        body = float(np.sum(w * np.abs(u.evaluate(pts))
-                            / (1.0 + np.abs(pts) ** (1.0 + 2.0 * params.s))))
-        return body + tail_kappa(y0, u, params)
-    if not isinstance(u, RadialField):
-        raise DomainError("dimensions 2 and 3 require a RadialField")
-    y0 = max(u.support_radius, 1.0)
-    return _radial_mass(u, _geometric_refine([1e-10 * y0, y0], 2), params)

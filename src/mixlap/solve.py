@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .assembly import GridFunction, StiffnessSystem, load_vector
-from .errors import DomainError, NumericalError
-from .fields import ScalarField, pointwise
-from .kernel import mixed_apply, tail_integral
+from .errors import NumericalError
+from .fields import ScalarField
 
 MAX_ITERATIONS = 500
 _EPS = np.finfo(float).eps
@@ -31,8 +30,12 @@ _EPS = np.finfo(float).eps
 def lp_norm(f: ScalarField, mesh, p: float) -> float:
     """||f||_{L^p(a,b)} by load_vector's Gauss rule, so pointwise loads reuse samples."""
     pts, w = mesh.gauss_points()
-    vals = np.abs(f.evaluate(pts.ravel())) ** p
-    return float(np.sum(vals.reshape(pts.shape) * w)) ** (1.0 / p)
+    return _lp_of_samples(f.evaluate(pts.ravel()).reshape(pts.shape), w, p)
+
+
+def _lp_of_samples(vals: np.ndarray, w: np.ndarray, p: float) -> float:
+    """The Gauss rule of lp_norm on samples of shape (n+1, 6)."""
+    return float(np.sum(np.abs(vals) ** p * w)) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -67,29 +70,39 @@ class SolveReport:
         }
 
 
-def _dst1(x: np.ndarray) -> np.ndarray:
-    """DST-I (scipy's type 1) by one rfft of the odd extension; squared, 2(n+1) I."""
-    return -np.fft.rfft(np.concatenate([[0.0], x, [0.0], -x[::-1]])).imag[1:x.size + 1]
+def _odd_rfft(ext: np.ndarray, n: int) -> np.ndarray:
+    """Imaginary part of the rfft of the odd extension of ext[1:n+1], which
+    it writes into ext (length 2n+2, zero at 0 and n+1): minus the DST-I
+    (scipy's type 1) of ext[1:n+1].  Squared, the DST-I is 2(n+1) I."""
+    np.negative(ext[n:0:-1], out=ext[n + 2:])
+    return np.fft.rfft(ext).imag[1:n + 1]
+
+
+def _tau_solve(r: np.ndarray, neg_lam: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    """DST(DST(r) / lam), lam = -neg_lam: the tau preconditioner, with the
+    division written straight into the second transform's extension."""
+    n = r.size
+    ext[1:n + 1] = r
+    np.divide(_odd_rfft(ext, n), neg_lam, out=ext[1:n + 1])
+    return -_odd_rfft(ext, n)
 
 
 def _tau_eigenvalues(row: np.ndarray) -> np.ndarray:
     """Spectrum of T - H(T), first column t - [t_2, ..., t_{n-1}, 0, 0]; must be > 0."""
     n = row.size
-    col = row - np.concatenate([row[2:], np.zeros(min(n, 2))])
-    lam = _dst1(col) / (2.0 * np.sin(np.pi * np.arange(1, n + 1) / (n + 1)))
+    ext = np.zeros(2 * n + 2)
+    ext[1:n + 1] = row - np.concatenate([row[2:], np.zeros(min(n, 2))])
+    lam = -_odd_rfft(ext, n) / (2.0 * np.sin(np.pi * np.arange(1, n + 1) / (n + 1)))
     if not lam.min() > 0.0:
         raise NumericalError("the tau spectrum of the Toeplitz row is not positive",
                              eigenvalue_estimate=float(lam.min()))
     return lam
 
 
-def _backward_error(row: np.ndarray, b: np.ndarray, r: np.ndarray, u: np.ndarray) -> float:
-    """||r|| / (||A|| ||u|| + ||b||) in the infinity norm; ||A|| from the
-    row's cumulative sums (row i sums offsets up to i and up to n-1-i)."""
-    cum = np.cumsum(np.abs(row))
-    norm_a = float(np.max(cum + cum[::-1])) - abs(row[0])
-    scale = norm_a * float(np.max(np.abs(u))) + float(np.max(np.abs(b)))
-    size = float(np.max(np.abs(r)))
+def _backward_error(norm_a: float, norm_b: float, r: np.ndarray, u: np.ndarray) -> float:
+    """||r|| / (||A|| ||u|| + ||b||) in the infinity norm, given ||A|| and ||b||."""
+    scale = norm_a * float(np.abs(u).max()) + norm_b
+    size = float(np.abs(r).max())
     return size / scale if scale > 0.0 else size
 
 
@@ -97,40 +110,49 @@ def _pcg(sys: StiffnessSystem, b: np.ndarray):
     """u, A u and the iteration count of PCG, stopped at backward error n eps
     or MAX_ITERATIONS.  The recursive residual proposes convergence and the
     one recomputed from u confirms it, or CG goes on from the recomputed one."""
-    row, n = sys.row, b.size
-    lam = 2.0 * (n + 1) * _tau_eigenvalues(row)
+    n = b.size
+    neg_lam = -2.0 * (n + 1) * _tau_eigenvalues(sys.row)
+    norm_a, norm_b, tol = sys.norm_inf, float(np.abs(b).max()), n * _EPS
+    ext = np.zeros(2 * n + 2)
     u, r, p, rz = np.zeros(n), b.copy(), None, 0.0
-    for iterations in range(MAX_ITERATIONS):
-        if _backward_error(row, b, r, u) <= n * _EPS:
-            au = sys.apply(u)
-            r = b - au
-            if _backward_error(row, b, r, u) <= n * _EPS:
-                return u, au, iterations
-            p = None
-        z = _dst1(_dst1(r) / lam)
-        rz_old, rz = rz, float(r @ z)
-        p = z if p is None else z + (rz / rz_old) * p
-        q = sys.apply(p)
-        pq = float(p @ q)
-        if not pq > 0.0:
-            pp = float(p @ p)
-            raise NumericalError(
-                "PCG breakdown: p^T A p is not positive (the matrix is not "
-                "positive definite, or the data underflow)",
-                eigenvalue_estimate=pq / pp if pp > 0.0 else None)
-        alpha = rz / pq
-        u = u + alpha * p
-        r = r - alpha * q
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        for iterations in range(MAX_ITERATIONS):
+            if _backward_error(norm_a, norm_b, r, u) <= tol:
+                au = sys.apply(u)
+                r = b - au
+                if _backward_error(norm_a, norm_b, r, u) <= tol:
+                    return u, au, iterations
+                p = None
+            z = _tau_solve(r, neg_lam, ext)
+            rz_old, rz = rz, float(r @ z)
+            p = z if p is None else z + (rz / rz_old) * p
+            q = sys.apply(p)
+            pq = float(p @ q)
+            if not (math.isfinite(rz) and math.isfinite(pq)):
+                raise NumericalError(
+                    "PCG left the double range: r^T z or p^T A p is not finite "
+                    "(the domain or the load is too large to solve in doubles)")
+            if not pq > 0.0:
+                pp = float(p @ p)
+                raise NumericalError(
+                    "PCG breakdown: p^T A p is not positive (the matrix is not "
+                    "positive definite, or the data underflow)",
+                    eigenvalue_estimate=pq / pp if pp > 0.0 else None)
+            alpha = rz / pq
+            u = u + alpha * p
+            r = r - alpha * q
     return u, sys.apply(u), MAX_ITERATIONS
 
 
 def solve_dirichlet(sys: StiffnessSystem, f: ScalarField) -> SolveReport:
     """Solve (local + nonlocal) u = load and report energies and norms.
 
+    The load is sampled once: ||f||_2 comes from load_vector's samples.
     Raises ``NumericalError`` if the backward error of u exceeds n eps."""
-    b = load_vector(f, sys.mesh)
+    samples = []
+    b = load_vector(f, sys.mesh, samples=samples)
     u, au, iterations = _pcg(sys, b)
-    err = _backward_error(sys.row, b, b - au, u)
+    err = _backward_error(sys.norm_inf, float(np.abs(b).max()), b - au, u)
     if err > b.size * _EPS:
         raise NumericalError(f"backward error {err:.3g} exceeds n eps = "
                              f"{b.size * _EPS:.3g} after {iterations} PCG iterations")
@@ -138,7 +160,7 @@ def solve_dirichlet(sys: StiffnessSystem, f: ScalarField) -> SolveReport:
     steps = np.diff(u, prepend=0.0, append=0.0)
     x_sq = (loc[0] + 2.0 * loc[1]) * float(u @ u) - loc[1] * float(steps @ steps)
     x_norm = math.sqrt(max(x_sq, 0.0))
-    fl2 = lp_norm(f, sys.mesh, 2.0)
+    fl2 = _lp_of_samples(*samples, 2.0)
     return SolveReport(
         solution=GridFunction(sys.mesh, u),
         residual_norm=float(np.linalg.norm(au - b)),
@@ -151,28 +173,6 @@ def solve_dirichlet(sys: StiffnessSystem, f: ScalarField) -> SolveReport:
         f=f,
         meta={"solver": "toeplitz-pcg"},
     )
-
-
-def lift_nonhomogeneous(sys: StiffnessSystem, f: ScalarField,
-                        g: ScalarField) -> SolveReport:
-    """Nonhomogeneous exterior data: solve for v with load f - L g, return v + g.
-
-    ``g`` must be twice differentiable near the closed interval and have a
-    finite membership integral; its exterior values are kept exactly (the
-    correction v has zero exterior data).
-    """
-    if g.second_derivative is None:
-        raise DomainError("exterior datum needs a second derivative near the domain")
-    if not math.isfinite(tail_integral(g, sys.params)):
-        raise DomainError("exterior datum fails the membership integral")
-    mesh = sys.mesh
-    lg = pointwise(lambda t: mixed_apply(g, t, sys.params))
-    rhs_field = ScalarField(evaluate=lambda x: f.evaluate(x) - lg(x), name="f - L g")
-    report = solve_dirichlet(sys, rhs_field)
-    u_vals = report.solution.coeffs + g.evaluate(mesh.nodes)
-    return replace(
-        report, solution=GridFunction(mesh, u_vals), l2_f_norm=lp_norm(f, mesh, 2.0),
-        f=f, exterior=g, meta={**report.meta, "lifted": True})
 
 
 # ---------------------------------------------------------------------------

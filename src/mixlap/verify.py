@@ -343,8 +343,8 @@ def counterexample_general(s: float, n_dim: int) -> VerificationReport:
     uvals, lvals = u(pts), _wrong_sign_image(u, pts, params, w)
     violation, eps0, image = _certify_sign(k, lvals, uvals)
 
-    # positive side: the true-sign weak principle, in dimension 1 (the solver's)
-    mp_ok, mp_note = True, "true-sign side certified in dimension 1 (solver is 1D)"
+    # positive side: the true-sign weak principle, run only in dimension 1 (the solver's)
+    mp_ok, mp_note = True, f"true-sign side not measured in dimension {n_dim} (solver is 1D)"
     if n_dim == 1:
         mp_ok = _true_sign_weak_mp(s, w, lambda mesh: assembly.grid_interpolant(
             mesh, np.maximum(np.interp(mesh.nodes, pts, lvals), 0.0))).passed
@@ -564,25 +564,3 @@ def run_suite(s: float, n: int, seed: int, domain=(-1.0, 1.0)) -> list:
         out.append(counterexample_general(s, 1))
     out.append(counterexample_boundary_only(2.0, s, 255))
     return out
-
-
-# ---------------------------------------------------------------------------
-# embedding index
-# ---------------------------------------------------------------------------
-
-
-def sobolev_index(m: int, n_dim: int):
-    """Continuity order granted by the embedding of H^{m+2}: floor(m - N/2)
-    off the integer lattice, one less on it; ``None`` when nothing follows.
-
-    Whether the lattice convention includes zero is not fixed by usage; the
-    nonpositive range returns ``None``.
-    """
-    if m < 0 or n_dim < 1:
-        raise DomainError("need m >= 0 and N >= 1")
-    diff = m - n_dim / 2.0
-    if diff <= 0.0:
-        return None
-    if abs(diff - round(diff)) < 1e-12:
-        return int(round(diff)) - 1
-    return int(math.floor(diff))

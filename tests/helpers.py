@@ -1,13 +1,20 @@
-"""Test-only fields built from the library's ScalarField, and single-part
-stiffness systems."""
+"""Test-only fields built from the library's ScalarField, single-part
+stiffness systems, and the functions only tests call: the far-field mass,
+the exterior-data lift, the barrier value wrappers, the bilinear form and
+the embedding index."""
 
 import dataclasses
 import math
 
 import numpy as np
 
+from mixlap.assembly import GridFunction, StiffnessSystem
+from mixlap.barrier import BarrierParams, beta_field, gamma_field
 from mixlap.errors import DomainError
-from mixlap.fields import ScalarField, TailExpansion
+from mixlap.fields import RadialField, ScalarField, TailExpansion, pointwise
+from mixlap.kernel import (_SPHERE_AREA, Field, OperatorParams, _panel_nodes,
+                           mixed_apply)
+from mixlap.solve import SolveReport, lp_norm, solve_dirichlet
 
 
 def pure_power(alpha: float) -> ScalarField:
@@ -158,3 +165,190 @@ def without(sys_, *parts):
     """The system with the named rows ("local_row", "nonlocal_row") zeroed:
     a single-part operator, for contrast runs."""
     return dataclasses.replace(sys_, **{part: np.zeros(sys_.mesh.n) for part in parts})
+
+
+def fourth_difference_moments_reference(n: int, s: float) -> np.ndarray:
+    """The row series of assembly._fourth_difference_moments as one loop of
+    array passes, each adding a term to every offset up to the last one that
+    still feels its term.  The library finishes the last offsets one at a
+    time; both must give the same bits."""
+    eps = np.finfo(float).eps
+    p = 3.0 - 2.0 * s
+    g = np.zeros(n)
+    t = np.abs(np.arange(-2.0, 5.0))
+    log_t = np.log(t, out=np.zeros_like(t), where=t > 0.0)
+    e = p - 2.0
+
+    def delta4(j: int) -> np.ndarray:
+        phi = t**j * (np.expm1((p - j) * log_t) / e if e != 0.0 else log_t)
+        return np.convolve(phi, [1.0, -4.0, 6.0, -4.0, 1.0], "valid")
+
+    head = min(n, 3)
+    nearest = min(3, max(1, round(p)))
+    g[:head] = (np.append(delta4(2)[:2], delta4(nearest)[2])[:head]
+                / (p * (p - 1.0) * 2.0 * s))
+    m = np.arange(3.0, n)
+    power = m ** (p - 4.0)
+    inv_sq = 1.0 / (m * m)
+    coef = (p - 3.0) / (2.0 * s)
+    k, live = 4, m.size
+    while live:
+        term = coef * power[:live]
+        g[3:3 + live] += term
+        felt = np.flatnonzero(np.abs(term) > 0.25 * eps * np.abs(g[3:3 + live]))
+        live = int(felt[-1]) + 1 if felt.size else 0
+        power[:live] *= inv_sq[:live]
+        coef *= ((2.0 ** (k + 3) - 8.0) / (2.0 ** (k + 1) - 8.0)
+                 * (p - k) * (p - k - 1.0) / ((k + 1.0) * (k + 2.0)))
+        k += 2
+    return g
+
+
+# ---------------------------------------------------------------------------
+# weighted far-field mass
+# ---------------------------------------------------------------------------
+
+
+def _geometric_refine(breaks, panels_per_octave: int):
+    """Insert points so consecutive breakpoints have ratio <= 2^(1/panels)."""
+    ratio = 2.0 ** (1.0 / panels_per_octave)
+    out = [breaks[0]]
+    for b in breaks[1:]:
+        a = out[-1]
+        if a > 0 and b / a > ratio:
+            k = int(math.ceil(math.log(b / a) / math.log(ratio)))
+            step = (b / a) ** (1.0 / k)
+            for j in range(1, k):
+                out.append(a * step**j)
+        out.append(b)
+    return out
+
+
+def _radial_mass(u: RadialField, breaks, params: OperatorParams) -> float:
+    """int of |u(y)| / (1 + |y|^{N+2s}) over the shell of radii spanned by breaks."""
+    pts, w = _panel_nodes(breaks)
+    n = params.n_dim
+    vals = np.abs(u.profile(pts))
+    return _SPHERE_AREA[n] * float(
+        np.sum(w * vals * pts ** (n - 1) / (1.0 + pts ** (n + 2.0 * params.s))))
+
+
+def tail_kappa(R: float, g: Field, params: OperatorParams) -> float:
+    """Weighted far-field mass: int over |y| >= R of |g(y)| / (1 + |y|^{N+2s}).
+
+    Compactly supported fields give exactly zero once R clears the support;
+    bounded tails are integrated with the 1/y substitution on graded panels.
+    """
+    if R <= 0:
+        raise DomainError("radius must be positive")
+    s = params.s
+    if isinstance(g, RadialField):
+        if R >= g.support_radius:
+            return 0.0
+        return _radial_mass(g, _geometric_refine([R, g.support_radius], 4), params)
+    if params.n_dim != 1:
+        raise DomainError("dimension above 1 requires a radial field")
+    if g.tail.is_compact() and R >= g.tail.cutoff:
+        return 0.0
+    if g.tail.max_power() >= 2.0 * s:
+        return math.inf
+    t, tw = _panel_nodes(_geometric_refine([1e-10, 1.0], 4))
+    y = R / t
+    jac = R / t**2
+    weight = 1.0 / (1.0 + y ** (1.0 + 2.0 * s))
+    hi = float(np.sum(tw * np.abs(g.evaluate(y)) * weight * jac))
+    lo = float(np.sum(tw * np.abs(g.evaluate(-y)) * weight * jac))
+    return hi + lo
+
+
+def tail_integral(u: Field, params: OperatorParams) -> float:
+    """The membership integral int |u(x)| / (1 + |x|^{N+2s}) dx.
+
+    Returns ``math.inf`` when the comparison test on the stored tail growth
+    proves divergence.
+    """
+    if params.n_dim == 1:
+        if not isinstance(u, ScalarField):
+            raise DomainError("dimension 1 requires a ScalarField")
+        y0 = max(u.tail.cutoff, 1.0)
+        breaks = _geometric_refine([1e-8 * y0, y0], 2)
+        pts, w = _panel_nodes([-b for b in breaks[::-1]] + breaks)
+        body = float(np.sum(w * np.abs(u.evaluate(pts))
+                            / (1.0 + np.abs(pts) ** (1.0 + 2.0 * params.s))))
+        return body + tail_kappa(y0, u, params)
+    if not isinstance(u, RadialField):
+        raise DomainError("dimensions 2 and 3 require a RadialField")
+    y0 = max(u.support_radius, 1.0)
+    return _radial_mass(u, _geometric_refine([1e-10 * y0, y0], 2), params)
+
+
+# ---------------------------------------------------------------------------
+# exterior data, barrier values, the bilinear form, the embedding index
+# ---------------------------------------------------------------------------
+
+
+def lift_nonhomogeneous(sys: StiffnessSystem, f: ScalarField,
+                        g: ScalarField) -> SolveReport:
+    """Nonhomogeneous exterior data: solve for v with load f - L g, return v + g.
+
+    ``g`` must be twice differentiable near the closed interval and have a
+    finite membership integral; its exterior values are kept exactly (the
+    correction v has zero exterior data).
+    """
+    if g.second_derivative is None:
+        raise DomainError("exterior datum needs a second derivative near the domain")
+    if not math.isfinite(tail_integral(g, sys.params)):
+        raise DomainError("exterior datum fails the membership integral")
+    mesh = sys.mesh
+    lg = pointwise(lambda t: mixed_apply(g, t, sys.params))
+    rhs_field = ScalarField(evaluate=lambda x: f.evaluate(x) - lg(x), name="f - L g")
+    report = solve_dirichlet(sys, rhs_field)
+    u_vals = report.solution.coeffs + g.evaluate(mesh.nodes)
+    return dataclasses.replace(
+        report, solution=GridFunction(mesh, u_vals), l2_f_norm=lp_norm(f, mesh, 2.0),
+        f=f, exterior=g, meta={**report.meta, "lifted": True})
+
+
+def beta(x, p: BarrierParams):
+    """Barrier value; vanishes for x <= 0, linear-ish on (0, d), bounded below
+    by a positive constant past d."""
+    return beta_field(p)(x)
+
+
+def gamma(x, p: BarrierParams):
+    """Scaled barrier: zero for x <= 0, comparable to x on (0, ell), >= 1 past ell."""
+    return gamma_field(p)(x)
+
+
+def theta(x, p: BarrierParams, cutoff: RadialField) -> float:
+    """Truncated comparison function: gamma(x_1) times the radial plateau."""
+    plateau_radius = cutoff.kinks[0] if cutoff.kinks else cutoff.support_radius / 2.0
+    if plateau_radius <= p.R / 2.0:
+        raise DomainError("truncation radius must exceed four domain radii")
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    r = float(np.linalg.norm(xv))
+    return float(gamma(xv[0], p) * cutoff(r))
+
+
+def bilinear_eval(u: GridFunction, v: GridFunction, sys: StiffnessSystem) -> float:
+    """u^T (local + nonlocal) v for grid functions on the system's mesh."""
+    if u.mesh != sys.mesh or v.mesh != sys.mesh:
+        raise DomainError("grid functions must live on the system's mesh")
+    return float(u.coeffs @ sys.apply(v.coeffs))
+
+
+def sobolev_index(m: int, n_dim: int):
+    """Continuity order granted by the embedding of H^{m+2}: floor(m - N/2)
+    off the integer lattice, one less on it; ``None`` when nothing follows.
+
+    Whether the lattice convention includes zero is not fixed by usage; the
+    nonpositive range returns ``None``.
+    """
+    if m < 0 or n_dim < 1:
+        raise DomainError("need m >= 0 and N >= 1")
+    diff = m - n_dim / 2.0
+    if diff <= 0.0:
+        return None
+    if abs(diff - round(diff)) < 1e-12:
+        return int(round(diff)) - 1
+    return int(math.floor(diff))

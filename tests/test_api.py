@@ -17,15 +17,14 @@ PUBLIC_NAMES = {
     "Mesh", "MixlapError", "NumericalError", "OperatorParams",
     "QuadratureSpec", "RadialField", "ResolutionError", "ScalarField",
     "SolveReport", "StiffnessSystem", "TailDivergenceError", "TailExpansion",
-    "VerificationReport", "beta", "bilinear_eval", "build_barrier",
-    "build_ladder", "build_mesh", "build_system", "check_boundary_lipschitz",
-    "check_linf_bound", "check_strong_mp_contact", "check_weak_mp",
-    "coefficients", "counterexample_boundary_only", "counterexample_ces",
-    "counterexample_general", "frac_apply", "gamma", "grid_interpolant",
-    "kappa", "lift_nonhomogeneous", "load_vector", "local_stiffness",
-    "mixed_apply", "nonlocal_stiffness", "normalization_constant",
-    "radial_cutoff", "residual_check", "run_suite", "sobolev_index",
-    "solve_dirichlet", "tail_integral", "tail_kappa", "theta",
+    "VerificationReport", "build_barrier", "build_ladder", "build_mesh",
+    "build_system", "check_boundary_lipschitz", "check_linf_bound",
+    "check_strong_mp_contact", "check_weak_mp", "coefficients",
+    "counterexample_boundary_only", "counterexample_ces",
+    "counterexample_general", "frac_apply", "grid_interpolant", "kappa",
+    "load_vector", "local_stiffness", "mixed_apply", "nonlocal_stiffness",
+    "normalization_constant", "radial_cutoff", "residual_check", "run_suite",
+    "solve_dirichlet",
 }
 
 # the parameters of the public drivers; a knob added to one shows up here as a
@@ -35,7 +34,6 @@ DRIVER_PARAMETERS = {
     "check_strong_mp_contact": ["u", "params", "x0", "omega"],
     "counterexample_ces": ["s"],
     "counterexample_general": ["s", "n_dim"],
-    "lift_nonhomogeneous": ["sys", "f", "g"],
     "residual_check": ["reports", "f", "params", "halfwidth"],
     "run_suite": ["s", "n", "seed", "domain"],
 }
@@ -55,7 +53,7 @@ SETTABLE = {
 
 # the total line count of src/mixlap/*.py; growth shows up here as a reviewed
 # diff, as a public name does in PUBLIC_NAMES
-SOURCE_LINE_CEILING = 2900
+SOURCE_LINE_CEILING = 2830
 
 
 def _parameters(names):

@@ -5,14 +5,16 @@ import pytest
 from scipy.linalg import toeplitz
 
 from mixlap import fields
-from mixlap.assembly import (GridFunction, bilinear_eval, build_mesh,
-                             build_system, export_matrix, grid_interpolant,
-                             load_vector, local_stiffness, nonlocal_stiffness)
+from mixlap.assembly import (GridFunction, _fourth_difference_moments,
+                             build_mesh, build_system, export_matrix,
+                             grid_interpolant, load_vector, local_stiffness,
+                             nonlocal_stiffness)
 from mixlap.errors import DomainError, InputError
 from mixlap.kernel import OperatorParams
 
 import oracles
-from helpers import mollifier_bump
+from helpers import (bilinear_eval, fourth_difference_moments_reference,
+                     mollifier_bump)
 
 # iterated-adaptive oracle values for the 9-node mesh on (-1, 1) at s = 1/2,
 # frozen from tests/oracles.nonlocal_entry_oracle
@@ -168,6 +170,15 @@ def test_row_matches_fourth_difference_oracle_far_out(s):
         assert abs(row[m] - ref) <= 1e-13 * abs(ref), (s, m)
 
 
+@pytest.mark.parametrize("s", [1e-6, 0.05, 0.25, 0.5, 0.75, 0.99, 1.0 - 1e-6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 255, 1535, 2047, 100_001])
+def test_row_series_is_bit_identical_to_the_array_loop(n, s):
+    # the offsets finished one at a time in floats make the same operations
+    # in the same order as the array passes over every live offset
+    row = _fourth_difference_moments(n, s)
+    assert row.tobytes() == fourth_difference_moments_reference(n, s).tobytes()
+
+
 @pytest.mark.parametrize("s", [0.05, 0.25, 0.5, 0.75, 0.99])
 def test_row_matches_fourth_difference_oracle_near_diagonal(s):
     # offsets 0, 1, 2 take a direct fourth difference, whose cancellation
@@ -262,6 +273,20 @@ def test_load_odd_function_antisymmetric():
     f = fields.ScalarField(evaluate=lambda x: np.asarray(x, dtype=float))
     b = load_vector(f, mesh)
     assert np.allclose(b, -b[::-1], atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 2047])
+def test_load_vector_is_bit_identical_to_numpy_row_sums(n):
+    # the element sums are added column by column, in np.sum's own order
+    mesh = build_mesh(-1.0, 2.0, n)
+    f = fields.ScalarField(evaluate=lambda x: np.sin(7.0 * np.asarray(x)) * np.exp(x))
+    pts, w = mesh.gauss_points()
+    vals = f.evaluate(pts.ravel()).reshape(pts.shape)
+    t = (pts - mesh.element_edges()[:-1, None]) / mesh.h
+    ref = np.zeros(n)
+    ref += np.sum(w * vals * t, axis=1)[:n]
+    ref += np.sum(w * vals * (1.0 - t), axis=1)[1:]
+    assert load_vector(f, mesh).tobytes() == ref.tobytes()
 
 
 def test_load_rejects_nonfinite():

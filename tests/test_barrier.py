@@ -6,16 +6,14 @@ import pytest
 from mixlap import fields
 from mixlap.assembly import GridFunction, build_mesh
 from mixlap.barrier import (_AttemptFailed, _attempt_build, _beta_star,
-                            _corrector_for, _log_potential,
-                            beta, beta_field, beta_sharp_field,
-                            build_barrier, build_ladder, coefficients, gamma,
-                            gamma_field, kappa, radial_cutoff, theta)
+                            _corrector_for, _log_potential, beta_field,
+                            beta_sharp_field, build_barrier, build_ladder,
+                            coefficients, gamma_field, kappa, radial_cutoff)
 from mixlap.errors import ConstructionError, DomainError
-from mixlap.kernel import (OperatorParams, frac_apply, mixed_apply, tail_integral,
-                           tail_kappa)
+from mixlap.kernel import OperatorParams, frac_apply, mixed_apply
 
 import oracles
-from helpers import pure_power
+from helpers import beta, gamma, pure_power, tail_integral, tail_kappa, theta
 
 # brute-force Richardson oracle output, frozen from tests/oracles.py
 _KAPPA_12_09_ORACLE = -0.42253461123528113

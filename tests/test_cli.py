@@ -295,3 +295,15 @@ def test_cli_refuses_non_finite_domains(tmp_path, capsys, domain, message):
         warnings.simplefilter("error")
         assert main(["solve", "--domain", *domain, "--output-dir", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--domain", "-1e200", "1e200"], ["--f", "constant:1e200"]])
+def test_cli_refuses_a_solve_that_leaves_the_double_range(tmp_path, capsys, argv):
+    # the PCG inner products overflow; the refusal names that cause, not a
+    # breakdown, and no numpy warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", *argv, "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "left the double range" in err
+    assert "breakdown" not in err

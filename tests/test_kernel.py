@@ -12,12 +12,12 @@ from mixlap.barrier import beta_field, beta_sharp_field, build_barrier, gamma_fi
 from mixlap.cli import _load_field
 from mixlap.errors import AccuracyError, DomainError, TailDivergenceError
 from mixlap.kernel import (OperatorParams, QuadratureSpec, frac_apply,
-                           mixed_apply, normalization_constant, tail_integral)
+                           mixed_apply, normalization_constant)
 from mixlap.verify import _radial_counterexample_profile, _ring_well
 
 import oracles
 from helpers import (linear_combination, mollifier_bump, pure_power, scaled,
-                     translated)
+                     tail_integral, translated)
 
 
 # ---------------------------------------------------------------------------

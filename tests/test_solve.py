@@ -9,10 +9,9 @@ from mixlap import fields, solve
 from mixlap.assembly import build_mesh, build_system, load_vector
 from mixlap.errors import DomainError, NumericalError
 from mixlap.kernel import OperatorParams
-from mixlap.solve import (export_report, export_solution_csv,
-                          lift_nonhomogeneous, solve_dirichlet)
+from mixlap.solve import export_report, export_solution_csv, solve_dirichlet
 
-from helpers import mollifier_bump, without
+from helpers import lift_nonhomogeneous, mollifier_bump, without
 
 EPS = np.finfo(float).eps
 
@@ -180,6 +179,23 @@ def test_pointwise_load_is_sampled_once_per_gauss_point():
     assert len(points) == 6 * (n + 1)
     assert rep.l2_f_norm == solve.lp_norm(f, sys_.mesh, 2.0)
     assert len(points) == 6 * (n + 1)
+
+
+@pytest.mark.parametrize("n", [1, 31, 255])
+def test_a_solve_samples_its_load_once(n):
+    # a plain field, with no cache of its own: the load vector and ||f||_2
+    # share one evaluation at the 6 (n + 1) Gauss points
+    calls = []
+
+    def load(x):
+        calls.append(np.size(x))
+        return 1.0 + np.cos(3.0 * np.asarray(x)) ** 2
+
+    sys_ = build_system(build_mesh(-1.0, 1.0, n), OperatorParams(1, 0.5))
+    f = fields.ScalarField(evaluate=load, name="counted")
+    rep = solve_dirichlet(sys_, f)
+    assert calls == [6 * (n + 1)]
+    assert rep.l2_f_norm == solve.lp_norm(f, sys_.mesh, 2.0)
 
 
 def test_lift_with_zero_datum_matches_plain_solve():

@@ -13,10 +13,10 @@ from mixlap.verify import (check_boundary_lipschitz, check_linf_bound,
                            check_strong_mp_contact, check_weak_mp,
                            counterexample_boundary_only, counterexample_ces,
                            counterexample_general, fit_boundary_exponent,
-                           residual_check, run_suite, sobolev_index)
+                           residual_check, run_suite)
 
 import oracles
-from helpers import mollifier_bump, scaled, without
+from helpers import mollifier_bump, scaled, sobolev_index, without
 
 
 @pytest.fixture(scope="module")
@@ -272,12 +272,15 @@ def test_general_counterexample_center_value():
 def test_general_counterexample_2d():
     r = counterexample_general(0.5, 2)
     assert r.passed
+    assert "true-sign side not measured in dimension 2" in r.notes
 
 
 def test_general_counterexample_3d():
     r = counterexample_general(0.5, 3)
     assert r.passed
     assert "N=3, eps0=0.5; sup |(-D)^s u| = 2.773; min wrong-sign image=18.45" in r.notes
+    # the 1D solver does not run the true-sign half here; the note says so
+    assert "true-sign side not measured in dimension 3" in r.notes
 
 
 def test_boundary_only_counterexample():
