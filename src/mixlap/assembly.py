@@ -63,10 +63,9 @@ class Mesh:
         """The n+2 element boundaries a = x_0 < ... < x_{n+1} = b."""
         return np.linspace(self.a, self.b, self.n + 2)
 
-    def gauss_points(self, edges=None):
-        """Nodes, shape (n+1, 6), and weights of 6-point Gauss on each element;
-        ``edges`` are element_edges(), when the caller has them already."""
-        edges = self.element_edges() if edges is None else edges
+    def gauss_points(self):
+        """Nodes, shape (n+1, 6), and weights of 6-point Gauss on each element."""
+        edges = self.element_edges()
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * self.h
         return mid[:, None] + half * _LOAD_GAUSS_X[None, :], half * _LOAD_GAUSS_W
@@ -199,8 +198,7 @@ def _fourth_difference_moments(n: int, s: float) -> np.ndarray:
 
     head = min(n, 3)
     nearest = min(3, max(1, round(p)))
-    square = delta4(2)
-    g[:head] = (np.append(square[:2], (square if nearest == 2 else delta4(nearest))[2])[:head]
+    g[:head] = (np.append(delta4(2)[:2], delta4(nearest)[2])[:head]
                 / (p * (p - 1.0) * 2.0 * s))
     m = np.arange(3.0, n)
     power = m ** (p - 4.0)
@@ -273,7 +271,7 @@ def load_vector(f: ScalarField, mesh: Mesh, *, samples: Optional[list] = None) -
     passed as ``samples`` receives the samples of f, shape (n+1, 6), and the
     Gauss weights, so a caller can reuse them."""
     edges = mesh.element_edges()
-    pts, w = mesh.gauss_points(edges)
+    pts, w = mesh.gauss_points()
     vals = f.evaluate(pts.ravel()).reshape(pts.shape)
     if not np.all(np.isfinite(vals)):
         raise InputError("load function produced non-finite samples")

@@ -15,9 +15,7 @@ is imaged as the sphere average of the 1D images of its restrictions to the
 lines through the point, so one quadrature serves every dimension.
 
 The normalization constant c_{N,s} is taken in its Gamma-function closed
-form.  The weighted far-field mass
-int |u| / (1 + |x|^{N+2s}), over all space or beyond a radius, decides
-whether u is admissible exterior data.
+form.
 """
 
 from __future__ import annotations

@@ -51,7 +51,6 @@ class SolveReport:
     iterations: int
     backward_error: float
     f: Optional[ScalarField] = None
-    exterior: Optional[ScalarField] = None
     meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:

@@ -306,7 +306,7 @@ def lift_nonhomogeneous(sys: StiffnessSystem, f: ScalarField,
     u_vals = report.solution.coeffs + g.evaluate(mesh.nodes)
     return dataclasses.replace(
         report, solution=GridFunction(mesh, u_vals), l2_f_norm=lp_norm(f, mesh, 2.0),
-        f=f, exterior=g, meta={**report.meta, "lifted": True})
+        f=f, meta={**report.meta, "exterior": g})
 
 
 def beta(x, p: BarrierParams):

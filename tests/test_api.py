@@ -53,7 +53,7 @@ SETTABLE = {
 
 # the total line count of src/mixlap/*.py; growth shows up here as a reviewed
 # diff, as a public name does in PUBLIC_NAMES
-SOURCE_LINE_CEILING = 2830
+SOURCE_LINE_CEILING = 2825
 
 
 def _parameters(names):

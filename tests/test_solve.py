@@ -210,7 +210,7 @@ def test_lift_exterior_bump_nonnegative():
     g = mollifier_bump(2.0, 0.5, 1.0)  # supported outside the closure
     rep = lift_nonhomogeneous(sys_, fields.zero(), g)
     assert float(np.min(rep.solution.coeffs)) >= -1e-10
-    assert rep.exterior is g
+    assert rep.meta["exterior"] is g
 
 
 def test_lift_far_plateau_is_nearly_constant():
