@@ -10,10 +10,8 @@ boundary-only counterexamples.
 """
 
 from .assembly import (GridFunction, Mesh, StiffnessSystem, build_mesh,
-                       build_system, grid_interpolant, load_vector,
-                       local_stiffness, nonlocal_stiffness)
-from .barrier import (BarrierParams, ExponentLadder, build_barrier,
-                      build_ladder, coefficients, kappa, radial_cutoff)
+                       build_system, load_vector)
+from .barrier import BarrierParams, ExponentLadder, build_barrier, radial_cutoff
 from .errors import (AccuracyError, ConfigError, ConstructionError,
                      DomainError, InputError, MixlapError, NumericalError,
                      ResolutionError, TailDivergenceError)

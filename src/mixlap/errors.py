@@ -16,10 +16,6 @@ class TailDivergenceError(DomainError):
 class AccuracyError(MixlapError):
     """A quadrature or self-check failed to reach the requested tolerance."""
 
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
 
 class InputError(MixlapError):
     """Malformed numeric input (non-finite samples, bad vectors)."""

@@ -172,24 +172,6 @@ def parabola_cap() -> ScalarField:
     )
 
 
-def pointwise(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """Array evaluator that computes each distinct point once, passing the
-    points it has not seen to the array function ``fn`` in one call: loads
-    built from operator images are sampled at the same quadrature nodes by
-    every solve."""
-    cache: dict = {}
-
-    def ev(x):
-        arr = np.asarray(x, dtype=float)
-        points = arr.ravel().tolist()
-        new = [t for t in dict.fromkeys(points) if t not in cache]
-        if new:
-            cache.update(zip(new, np.asarray(fn(np.array(new))).tolist()))
-        return np.array([cache[t] for t in points]).reshape(arr.shape)
-
-    return ev
-
-
 def _clamp01(t):
     return np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
 
@@ -262,8 +244,8 @@ class RadialField:
     """
 
     profile: Callable[[np.ndarray], np.ndarray]
-    d_profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    dd_profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    d_profile: Callable[[np.ndarray], np.ndarray]
+    dd_profile: Callable[[np.ndarray], np.ndarray]
     support_radius: float = 1.0
     kinks: Tuple[float, ...] = ()
     name: str = ""
@@ -276,8 +258,6 @@ class RadialField:
     def laplacian(self, r, n_dim: int) -> np.ndarray:
         """Radial Laplacian profile'' + (N-1) profile' / r, and N profile''
         at r = 0, at each radius of the array r."""
-        if self.dd_profile is None or self.d_profile is None:
-            raise DomainError("radial field lacks stored derivatives")
         r = np.asarray(r, dtype=float)
         center = r == 0.0
         dd = self.dd_profile(r)

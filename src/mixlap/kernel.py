@@ -185,11 +185,6 @@ def _panel_layout(z0, r_in, offsets, graded, r_out):
     return starts, ends, np.bincount(owner[1:][same], sizes, m).astype(int)
 
 
-def _panel_nodes(breaks):
-    """Gauss nodes/weights for all panels [breaks[i], breaks[i+1]] at once."""
-    return _gauss_nodes(breaks[:-1], breaks[1:])
-
-
 def _gauss_nodes(lo, hi):
     """Gauss nodes/weights for the panels [lo[i], hi[i]]."""
     a = np.asarray(lo)
@@ -427,8 +422,6 @@ def frac_apply_radial(u: RadialField, x, params: "OperatorParams") -> float:
     r = float(np.linalg.norm(x))
     if u.c2_distance(r) < _MIN_C2_ZONE:
         raise DomainError("evaluation radius sits on a smoothness break")
-    if u.d_profile is None or u.dd_profile is None:
-        raise DomainError("radial field lacks stored derivatives")
 
     breaks = _direction_panels(r, u.kinks, u.support_radius)
     phi, w = _gauss_nodes(breaks[:-1], breaks[1:])

@@ -25,17 +25,30 @@ from .fields import ScalarField
 
 MAX_ITERATIONS = 500
 _EPS = np.finfo(float).eps
+# a power sum at or above this lost no bits to subnormal terms
+_NORMAL_FLOOR = np.finfo(float).tiny / _EPS
 
 
 def lp_norm(f: ScalarField, mesh, p: float) -> float:
-    """||f||_{L^p(a,b)} by load_vector's Gauss rule, so pointwise loads reuse samples."""
+    """||f||_{L^p(a,b)} by load_vector's Gauss rule, at the same samples."""
     pts, w = mesh.gauss_points()
     return _lp_of_samples(f.evaluate(pts.ravel()).reshape(pts.shape), w, p)
 
 
 def _lp_of_samples(vals: np.ndarray, w: np.ndarray, p: float) -> float:
-    """The Gauss rule of lp_norm on samples of shape (n+1, 6)."""
-    return float(np.sum(np.abs(vals) ** p * w)) ** (1.0 / p)
+    """The Gauss rule of lp_norm on samples of shape (n+1, 6).  Where |f|^p
+    or the sum leaves the normal range, above or below, the samples are
+    divided by max |f| first; every other load keeps the plain sum's bits."""
+    with np.errstate(over="ignore"):
+        powers = np.abs(vals) ** p
+        total = float(np.sum(powers * w))
+    peak = float(np.max(powers, initial=0.0))
+    if _NORMAL_FLOOR <= peak and _NORMAL_FLOOR <= total < math.inf:
+        return total ** (1.0 / p)
+    top = float(np.max(np.abs(vals), initial=0.0))
+    if not 0.0 < top < math.inf:  # a zero load, or a non-finite sample
+        return top
+    return top * float(np.sum((np.abs(vals) / top) ** p * w)) ** (1.0 / p)
 
 
 @dataclass(frozen=True)

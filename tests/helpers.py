@@ -11,8 +11,8 @@ import numpy as np
 from mixlap.assembly import GridFunction, StiffnessSystem
 from mixlap.barrier import BarrierParams, beta_field, gamma_field
 from mixlap.errors import DomainError
-from mixlap.fields import RadialField, ScalarField, TailExpansion, pointwise
-from mixlap.kernel import (_SPHERE_AREA, Field, OperatorParams, _panel_nodes,
+from mixlap.fields import RadialField, ScalarField, TailExpansion
+from mixlap.kernel import (_SPHERE_AREA, Field, OperatorParams, _gauss_nodes,
                            mixed_apply)
 from mixlap.solve import SolveReport, lp_norm, solve_dirichlet
 
@@ -226,7 +226,7 @@ def _geometric_refine(breaks, panels_per_octave: int):
 
 def _radial_mass(u: RadialField, breaks, params: OperatorParams) -> float:
     """int of |u(y)| / (1 + |y|^{N+2s}) over the shell of radii spanned by breaks."""
-    pts, w = _panel_nodes(breaks)
+    pts, w = _gauss_nodes(breaks[:-1], breaks[1:])
     n = params.n_dim
     vals = np.abs(u.profile(pts))
     return _SPHERE_AREA[n] * float(
@@ -252,7 +252,8 @@ def tail_kappa(R: float, g: Field, params: OperatorParams) -> float:
         return 0.0
     if g.tail.max_power() >= 2.0 * s:
         return math.inf
-    t, tw = _panel_nodes(_geometric_refine([1e-10, 1.0], 4))
+    breaks = _geometric_refine([1e-10, 1.0], 4)
+    t, tw = _gauss_nodes(breaks[:-1], breaks[1:])
     y = R / t
     jac = R / t**2
     weight = 1.0 / (1.0 + y ** (1.0 + 2.0 * s))
@@ -272,7 +273,8 @@ def tail_integral(u: Field, params: OperatorParams) -> float:
             raise DomainError("dimension 1 requires a ScalarField")
         y0 = max(u.tail.cutoff, 1.0)
         breaks = _geometric_refine([1e-8 * y0, y0], 2)
-        pts, w = _panel_nodes([-b for b in breaks[::-1]] + breaks)
+        breaks = [-b for b in breaks[::-1]] + breaks
+        pts, w = _gauss_nodes(breaks[:-1], breaks[1:])
         body = float(np.sum(w * np.abs(u.evaluate(pts))
                             / (1.0 + np.abs(pts) ** (1.0 + 2.0 * params.s))))
         return body + tail_kappa(y0, u, params)
@@ -300,8 +302,8 @@ def lift_nonhomogeneous(sys: StiffnessSystem, f: ScalarField,
     if not math.isfinite(tail_integral(g, sys.params)):
         raise DomainError("exterior datum fails the membership integral")
     mesh = sys.mesh
-    lg = pointwise(lambda t: mixed_apply(g, t, sys.params))
-    rhs_field = ScalarField(evaluate=lambda x: f.evaluate(x) - lg(x), name="f - L g")
+    rhs_field = ScalarField(evaluate=lambda x: f.evaluate(x) - mixed_apply(g, x, sys.params),
+                            name="f - L g")
     report = solve_dirichlet(sys, rhs_field)
     u_vals = report.solution.coeffs + g.evaluate(mesh.nodes)
     return dataclasses.replace(

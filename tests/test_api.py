@@ -17,12 +17,10 @@ PUBLIC_NAMES = {
     "Mesh", "MixlapError", "NumericalError", "OperatorParams",
     "QuadratureSpec", "RadialField", "ResolutionError", "ScalarField",
     "SolveReport", "StiffnessSystem", "TailDivergenceError", "TailExpansion",
-    "VerificationReport", "build_barrier", "build_ladder", "build_mesh",
-    "build_system", "check_boundary_lipschitz", "check_linf_bound",
-    "check_strong_mp_contact", "check_weak_mp", "coefficients",
-    "counterexample_boundary_only", "counterexample_ces",
-    "counterexample_general", "frac_apply", "grid_interpolant", "kappa",
-    "load_vector", "local_stiffness", "mixed_apply", "nonlocal_stiffness",
+    "VerificationReport", "build_barrier", "build_mesh", "build_system",
+    "check_boundary_lipschitz", "check_linf_bound", "check_strong_mp_contact",
+    "check_weak_mp", "counterexample_boundary_only", "counterexample_ces",
+    "counterexample_general", "frac_apply", "load_vector", "mixed_apply",
     "normalization_constant", "radial_cutoff", "residual_check", "run_suite",
     "solve_dirichlet",
 }
@@ -53,7 +51,7 @@ SETTABLE = {
 
 # the total line count of src/mixlap/*.py; growth shows up here as a reviewed
 # diff, as a public name does in PUBLIC_NAMES
-SOURCE_LINE_CEILING = 2825
+SOURCE_LINE_CEILING = 2803
 
 
 def _parameters(names):
@@ -106,8 +104,8 @@ def test_import_and_dense_builders_leave_scipy_unloaded():
         "p = mixlap.OperatorParams(1, 0.25)\n"
         "mesh = mixlap.build_mesh(-1.0, 1.0, 7)\n"
         "mixlap.build_system(mesh, p)\n"
-        "mixlap.local_stiffness(mesh)\n"
-        "mixlap.nonlocal_stiffness(mesh, p)\n"
+        "mixlap.assembly.local_stiffness(mesh)\n"
+        "mixlap.assembly.nonlocal_stiffness(mesh, p)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     out = subprocess.run([sys.executable, "-c", code],

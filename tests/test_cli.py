@@ -307,3 +307,24 @@ def test_cli_refuses_a_solve_that_leaves_the_double_range(tmp_path, capsys, argv
     err = capsys.readouterr().err
     assert err.startswith("error:") and "left the double range" in err
     assert "breakdown" not in err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"report.json holds {name}")
+
+
+@pytest.mark.parametrize("domain, c", [
+    (("0", "1e-100"), "1e160"),   # |f|^2 overflows
+    (("0", "1e100"), "1e-165"),   # |f|^2 underflows to 0
+    (("0", "1e100"), "1e-160"),   # |f|^2 is subnormal
+])
+def test_load_norm_holds_past_the_range_of_its_square(tmp_path, domain, c):
+    # ||f||_2 of a constant load is |c| sqrt(b - a) even where c^2 leaves the
+    # double range; the solve writes it silently and report.json stays JSON
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--domain", *domain, "--f", f"constant:{c}", "--n", "63",
+                     "--output-dir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "report.json").read_text(), parse_constant=_refuse_constant)
+    expected = float(c) * (float(domain[1]) - float(domain[0])) ** 0.5
+    assert doc["l2_f_norm"] == pytest.approx(expected, rel=1e-12)

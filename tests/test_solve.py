@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from mixlap import fields, solve
+from mixlap import fields, solve, verify
 from mixlap.assembly import build_mesh, build_system, load_vector
 from mixlap.errors import DomainError, NumericalError
 from mixlap.kernel import OperatorParams
@@ -165,22 +165,6 @@ def test_backward_error_stays_out_of_the_report_dict(sys_05_255):
 # ---------------------------------------------------------------------------
 
 
-def test_pointwise_load_is_sampled_once_per_gauss_point():
-    points = []
-
-    def load(t):
-        points.extend(t.tolist())
-        return 1.0 + t * t
-
-    n = 31
-    sys_ = build_system(build_mesh(-1.0, 1.0, n), OperatorParams(1, 0.5))
-    f = fields.ScalarField(evaluate=fields.pointwise(load), name="pointwise")
-    rep = solve_dirichlet(sys_, f)
-    assert len(points) == 6 * (n + 1)
-    assert rep.l2_f_norm == solve.lp_norm(f, sys_.mesh, 2.0)
-    assert len(points) == 6 * (n + 1)
-
-
 @pytest.mark.parametrize("n", [1, 31, 255])
 def test_a_solve_samples_its_load_once(n):
     # a plain field, with no cache of its own: the load vector and ||f||_2
@@ -196,6 +180,23 @@ def test_a_solve_samples_its_load_once(n):
     rep = solve_dirichlet(sys_, f)
     assert calls == [6 * (n + 1)]
     assert rep.l2_f_norm == solve.lp_norm(f, sys_.mesh, 2.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 511])
+@pytest.mark.parametrize("s", [0.05, 0.5, 0.99])
+@pytest.mark.parametrize("load", ["ring", "smooth"])
+def test_a_negated_load_gives_the_negated_solution_to_the_bit(load, s, n):
+    # the boundary counterexample reads its full-exterior-data solve as -u:
+    # the load vector and every PCG step are odd in the load, and rounding
+    # to nearest is symmetric, so the two solves agree in every bit
+    params = OperatorParams(1, s)
+    sys_ = build_system(build_mesh(-1.0, 1.0, n), params)
+    f = verify._ring_load(2.0, params) if load == "ring" else _smooth_load()
+    rep = solve_dirichlet(sys_, f)
+    neg = solve_dirichlet(sys_, fields.ScalarField(evaluate=lambda x: -f.evaluate(x)))
+    assert neg.solution.coeffs.tobytes() == (-rep.solution.coeffs).tobytes()
+    assert (neg.l2_f_norm, neg.backward_error, neg.iterations) == (
+        rep.l2_f_norm, rep.backward_error, rep.iterations)
 
 
 def test_lift_with_zero_datum_matches_plain_solve():

@@ -57,12 +57,6 @@ def test_weak_mp_digest_ignores_last_bits_of_the_solution(sys_05_255):
     assert check_weak_mp(moved).inputs_digest == check_weak_mp(rep).inputs_digest
 
 
-def test_weak_mp_rejects_negative_exterior(sys_05_255):
-    rep = solve_dirichlet(sys_05_255, fields.zero())
-    with pytest.raises(DomainError):
-        check_weak_mp(rep, exterior_min=-1.0)
-
-
 # ---------------------------------------------------------------------------
 # strong principle (guarded)
 # ---------------------------------------------------------------------------
