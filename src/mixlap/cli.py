@@ -1,8 +1,9 @@
 """Batch front-end: config parsing, dispatch, CSV/JSON artifact emission.
 
 Configuration is a flat JSON document; command-line flags override keys.
-All artifacts are plain text with full-precision decimal floats so runs can
-be diffed byte for byte.
+Each command accepts only the keys it reads (``_READS``).  All artifacts are
+plain text with full-precision decimal floats so runs can be diffed byte for
+byte.
 """
 
 from __future__ import annotations
@@ -14,20 +15,39 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import assembly, barrier, solve, verify
 from .errors import ConfigError, MixlapError
-from .fields import ScalarField, TailExpansion, constant
+from .fields import ScalarField, constant
 from .kernel import OperatorParams, mixed_apply
 
-_COMMANDS = ("solve", "barrier", "verify", "counterexample")
-_CONFIG_KEYS = {
-    "command", "s", "domain", "n", "f", "output_dir", "seed",
-    "variant", "dimension", "annulus_radius",
+# the keys each command reads besides output_dir; a counterexample reads
+# those of its variant, with "auto" resolved by s (see _variant)
+_READS = {
+    "solve": ("s", "domain", "n", "f"),
+    "barrier": ("s",),
+    "verify": ("s", "domain", "n", "seed"),
+    "counterexample": {
+        "ces": ("s", "variant"),
+        "general": ("s", "variant", "dimension"),
+        "boundary": ("s", "variant", "n", "annulus_radius"),
+    },
+}
+
+# key -> (kind, condition, wording); domain and f have their own checks
+_CHECKS = {
+    "s": (float, lambda s: 0.0 < s < 1.0, "must lie in (0,1)"),
+    "n": (int, lambda n: n >= 1, "must be a positive integer"),
+    "output_dir": (str, lambda path: True, ""),
+    "seed": (int, lambda seed: seed >= 0, "must be a nonnegative integer"),
+    "variant": (str, lambda v: v in ("auto", *_READS["counterexample"]),
+                "must be auto|ces|general|boundary"),
+    "dimension": (int, lambda d: d in (1, 2, 3), "must be 1, 2 or 3"),
+    "annulus_radius": (float, lambda rr: rr > 1.0, "must exceed 1"),
 }
 
 
@@ -43,6 +63,9 @@ class RunConfig:
     variant: str = "auto"       # counterexample selector: ces|general|boundary|auto
     dimension: int = 1          # for the nonnegative-exterior counterexample
     annulus_radius: float = 2.0  # for the boundary-only counterexample
+
+
+_KEYS = tuple(fld.name for fld in fields(RunConfig))[1:]  # in the order they are checked
 
 
 def _require(cond: bool, key: str, msg: str):
@@ -75,61 +98,57 @@ def _json_object(text: str) -> dict:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON config document; unknown keys are rejected."""
+    """Parse and validate a JSON config document; a key its command does not
+    read is refused."""
     return _validated(_json_object(text))
 
 
-def _validated(doc: dict) -> RunConfig:
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"{sorted(unknown)[0]}: unknown key")
-    if "command" not in doc:
-        raise ConfigError("command: missing required key")
-    cfg = RunConfig(command=str(doc["command"]))
-    _require(cfg.command in _COMMANDS, "command", f"must be one of {_COMMANDS}")
-    if "s" in doc:
-        s = _typed(doc, "s", float)
-        _require(0.0 < s < 1.0, "s", "must lie in (0,1)")
-        cfg = replace(cfg, s=s)
-    if "domain" in doc:
+def _checked(doc: dict, key: str):
+    """The value of doc[key] once it passes its check."""
+    if key == "domain":
         dom = doc["domain"]
         _require(isinstance(dom, (list, tuple)) and len(dom) == 2, "domain",
                  "must be a pair [a, b]")
         a, b = _typed(dom, 0, float, "domain"), _typed(dom, 1, float, "domain")
         _require(math.isfinite(a) and math.isfinite(b), "domain", "must be finite")
         _require(a < b, "domain", "must satisfy a < b")
-        cfg = replace(cfg, domain=(a, b))
-    if "n" in doc:
-        n = _typed(doc, "n", int)
-        _require(n >= 1, "n", "must be a positive integer")
-        cfg = replace(cfg, n=n)
-    if "f" in doc:
-        spec = str(doc["f"])
-        _load_field(spec, cfg.domain)  # validates eagerly
-        cfg = replace(cfg, f=spec)
-    if "output_dir" in doc:
-        cfg = replace(cfg, output_dir=str(doc["output_dir"]))
-    if "seed" in doc:
-        seed = _typed(doc, "seed", int)
-        _require(seed >= 0, "seed", "must be a nonnegative integer")
-        cfg = replace(cfg, seed=seed)
-    if "variant" in doc:
-        v = str(doc["variant"])
-        _require(v in ("auto", "ces", "general", "boundary"), "variant",
-                 "must be auto|ces|general|boundary")
-        cfg = replace(cfg, variant=v)
-    if "dimension" in doc:
-        d = _typed(doc, "dimension", int)
-        _require(d in (1, 2, 3), "dimension", "must be 1, 2 or 3")
-        cfg = replace(cfg, dimension=d)
-    if "annulus_radius" in doc:
-        rr = _typed(doc, "annulus_radius", float)
-        _require(rr > 1.0, "annulus_radius", "must exceed 1")
-        cfg = replace(cfg, annulus_radius=rr)
+        return (a, b)
+    if key == "f":
+        _load_field(str(doc["f"]))  # validates eagerly
+        return str(doc["f"])
+    kind, ok, wording = _CHECKS[key]
+    val = str(doc[key]) if kind is str else _typed(doc, key, kind)
+    _require(ok(val), key, wording)
+    return val
+
+
+def _variant(cfg: RunConfig) -> str:
+    if cfg.variant != "auto":
+        return cfg.variant
+    return "ces" if cfg.s < 0.5 else "general"
+
+
+def _validated(doc: dict) -> RunConfig:
+    unknown = set(doc) - {"command", *_KEYS}
+    if unknown:
+        raise ConfigError(f"{sorted(unknown)[0]}: unknown key")
+    if "command" not in doc:
+        raise ConfigError("command: missing required key")
+    command = str(doc["command"])
+    _require(command in _READS, "command", f"must be one of {tuple(_READS)}")
+    values = {key: _checked(doc, key) for key in _KEYS if key in doc}
+    cfg = RunConfig(command, **values)
+    reads, reader = _READS[command], command
+    if command == "counterexample":
+        variant = _variant(cfg)
+        reads, reader = reads[variant], f"{command} --variant {variant}"
+    unread = [key for key in values if key not in (*reads, "output_dir")]
+    if unread:
+        raise ConfigError(f"{unread[0]}: not read by {reader}")
     return cfg
 
 
-def _load_field(spec: str, domain) -> ScalarField:
+def _load_field(spec: str) -> ScalarField:
     """Named loads: constant:V | poly:c0,c1,... | csv:path."""
     kind, _, rest = spec.partition(":")
     if kind == "constant":
@@ -144,16 +163,8 @@ def _load_field(spec: str, domain) -> ScalarField:
             raise ConfigError(f"f: bad polynomial coefficients {rest!r}") from exc
         if not coeffs:
             raise ConfigError("f: polynomial needs at least one coefficient")
-
-        poly = np.polynomial.polynomial
-        plus = tuple((c, float(k)) for k, c in enumerate(coeffs) if c != 0.0)
-        minus = tuple((c * (-1.0) ** k, float(k)) for k, c in enumerate(coeffs) if c != 0.0)
-        return ScalarField(
-            evaluate=lambda x: poly.polyval(x, coeffs),
-            second_derivative=lambda x: poly.polyval(x, poly.polyder(coeffs, 2)),
-            tail=TailExpansion(max(abs(domain[0]), abs(domain[1])), plus, minus),
-            name=f"poly({rest})",
-        )
+        return ScalarField(evaluate=lambda x: np.polynomial.polynomial.polyval(x, coeffs),
+                           name=f"poly({rest})")
     if kind == "csv":
         path = Path(rest)
         if not path.exists():
@@ -173,11 +184,7 @@ def _load_field(spec: str, domain) -> ScalarField:
         def ev(x):
             return np.interp(np.asarray(x, dtype=float), xs, ys, left=0.0, right=0.0)
 
-        return ScalarField(
-            evaluate=ev, kinks=tuple(xs),
-            tail=TailExpansion(float(np.max(np.abs(xs)))),
-            name=f"csv({rest})", graded_kinks=(),
-        )
+        return ScalarField(evaluate=ev, name=f"csv({rest})")
     raise ConfigError(f"f: unknown load kind {kind!r}")
 
 
@@ -191,7 +198,7 @@ def _run_solve(cfg: RunConfig, outdir: Path) -> int:
     mesh = assembly.build_mesh(a, b, cfg.n)
     params = OperatorParams(1, cfg.s)
     sys_ = assembly.build_system(mesh, params)
-    report = solve.solve_dirichlet(sys_, _load_field(cfg.f, cfg.domain))
+    report = solve.solve_dirichlet(sys_, _load_field(cfg.f))
     solve.export_solution_csv(outdir / "solution.csv", report)
     solve.export_report(outdir / "report.json", report)
     assembly.export_matrix(outdir / "stiffness.txt", sys_.row,
@@ -234,17 +241,13 @@ def _run_verify(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _run_counterexample(cfg: RunConfig, outdir: Path) -> int:
-    variant = cfg.variant
-    if variant == "auto":
-        variant = "ces" if cfg.s < 0.5 else "general"
+    variant = _variant(cfg)
     if variant == "ces":
         rep = verify.counterexample_ces(cfg.s)
     elif variant == "general":
         rep = verify.counterexample_general(cfg.s, cfg.dimension)
-    elif variant == "boundary":
+    else:
         rep = verify.counterexample_boundary_only(cfg.annulus_radius, cfg.s, cfg.n)
-    else:  # pragma: no cover - guarded by parse_config
-        raise ConfigError(f"variant: unknown {variant!r}")
     summary = rep.line() + "\n"
     (outdir / "counterexample_summary.txt").write_text(summary)
     sys.stdout.write(summary)
@@ -275,26 +278,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Mixed local/nonlocal Dirichlet solver and verification suite",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    options = {"domain": {"type": float, "nargs": 2, "metavar": ("A", "B")},
+               "f": {"help": "constant:V | poly:c0,c1,... | csv:path"},
+               "variant": {"choices": ("auto", *_READS["counterexample"])}}
+    for name, reads in _READS.items():
+        if isinstance(reads, dict):  # a flag for each key some variant reads
+            reads = {key for keys in reads.values() for key in keys}
         p = sub.add_parser(name)
         # argparse < 3.13 takes "-1e6" and "-inf" for options; no option here
         # starts with a digit, "inf" or "nan"
         p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
         p.add_argument("--config", type=str, default=None,
                        help="JSON config file; flags override its keys")
-        p.add_argument("--s", type=float, default=None)
-        p.add_argument("--domain", type=float, nargs=2, default=None,
-                       metavar=("A", "B"))
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--f", type=str, default=None,
-                       help="constant:V | poly:c0,c1,... | csv:path")
-        p.add_argument("--output-dir", type=str, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        if name == "counterexample":
-            p.add_argument("--variant", choices=("auto", "ces", "general", "boundary"),
-                           default=None)
-            p.add_argument("--dimension", type=int, default=None)
-            p.add_argument("--annulus-radius", type=float, default=None)
+        for key in _KEYS:
+            if key in reads or key == "output_dir":
+                p.add_argument("--" + key.replace("_", "-"),
+                               **(options.get(key) or {"type": _CHECKS[key][0]}))
     return ap
 
 
@@ -307,7 +306,7 @@ def _config_from_args(args) -> RunConfig:
             raise ConfigError(f"config: cannot read {args.config!r} ({exc})") from exc
         doc = _json_object(text)
     doc["command"] = args.command
-    for key in _CONFIG_KEYS - {"command"}:
+    for key in _KEYS:
         val = getattr(args, key, None)
         if val is not None:
             doc[key] = val

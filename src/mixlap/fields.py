@@ -64,9 +64,6 @@ class TailExpansion:
         powers = [p for _, p in self.plus_terms] + [p for _, p in self.minus_terms]
         return max(powers) if powers else -math.inf
 
-    def is_compact(self) -> bool:
-        return not self.plus_terms and not self.minus_terms
-
 
 @dataclass(frozen=True)
 class ScalarField:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -63,7 +62,6 @@ class SolveReport:
     ratio_energy: float
     iterations: int
     backward_error: float
-    f: Optional[ScalarField] = None
     meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -182,7 +180,6 @@ def solve_dirichlet(sys: StiffnessSystem, f: ScalarField) -> SolveReport:
         ratio_energy=(x_norm / fl2 if fl2 > 0 else math.inf if x_norm > 0 else 0.0),
         iterations=iterations,
         backward_error=err,
-        f=f,
         meta={"solver": "toeplitz-pcg"},
     )
 

@@ -248,7 +248,7 @@ def tail_kappa(R: float, g: Field, params: OperatorParams) -> float:
         return _radial_mass(g, _geometric_refine([R, g.support_radius], 4), params)
     if params.n_dim != 1:
         raise DomainError("dimension above 1 requires a radial field")
-    if g.tail.is_compact() and R >= g.tail.cutoff:
+    if not g.tail.plus_terms and not g.tail.minus_terms and R >= g.tail.cutoff:
         return 0.0
     if g.tail.max_power() >= 2.0 * s:
         return math.inf
@@ -308,7 +308,7 @@ def lift_nonhomogeneous(sys: StiffnessSystem, f: ScalarField,
     u_vals = report.solution.coeffs + g.evaluate(mesh.nodes)
     return dataclasses.replace(
         report, solution=GridFunction(mesh, u_vals), l2_f_norm=lp_norm(f, mesh, 2.0),
-        f=f, meta={**report.meta, "exterior": g})
+        meta={**report.meta, "exterior": g})
 
 
 def beta(x, p: BarrierParams):

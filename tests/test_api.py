@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import mixlap
+from mixlap.cli import _build_parser
 
 # the public surface of the package; a name added or removed shows up here as
 # a reviewed diff (w_alpha is gone: use fields.truncated_power(alpha, L))
@@ -49,9 +51,20 @@ SETTABLE = {
     "mixed_apply": ["u", "x", "params", "quad"],
 }
 
+# the options of each CLI command: --config and one flag for each key the
+# command reads (a counterexample: any of its variants); the CLI's counterpart
+# to SETTABLE, so a flag added shows up here as a reviewed diff
+CLI_OPTIONS = {
+    "solve": ["--config", "--s", "--domain", "--n", "--f", "--output-dir"],
+    "barrier": ["--config", "--s", "--output-dir"],
+    "verify": ["--config", "--s", "--domain", "--n", "--output-dir", "--seed"],
+    "counterexample": ["--config", "--s", "--n", "--output-dir", "--variant", "--dimension",
+                       "--annulus-radius"],
+}
+
 # the total line count of src/mixlap/*.py; growth shows up here as a reviewed
 # diff, as a public name does in PUBLIC_NAMES
-SOURCE_LINE_CEILING = 2803
+SOURCE_LINE_CEILING = 2793
 
 
 def _parameters(names):
@@ -72,6 +85,14 @@ def test_driver_parameters_snapshot():
 def test_settable_surface_snapshot():
     # a dataclass's signature lists its init fields: c_ns is derived
     assert _parameters(SETTABLE) == SETTABLE
+
+
+def test_cli_options_snapshot():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: [opt for action in p._actions for opt in action.option_strings
+                      if opt not in ("-h", "--help")]
+               for name, p in sub.choices.items()}
+    assert options == CLI_OPTIONS
 
 
 def test_source_line_ceiling():

@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from mixlap.cli import main, parse_config, run
+from mixlap.cli import _build_parser, _config_from_args, main, parse_config, run
 from mixlap.errors import ConfigError
 
 
@@ -281,7 +281,7 @@ def test_cli_refuses_a_mesh_too_large_to_index(tmp_path, capsys, argv):
 
 
 def test_parse_accepts_an_integral_float_for_an_integer():
-    cfg = parse_config(json.dumps({"command": "solve", "n": 7.0, "seed": 3.0}))
+    cfg = parse_config(json.dumps({"command": "verify", "n": 7.0, "seed": 3.0}))
     assert (cfg.n, cfg.seed) == (7, 3) and type(cfg.n) is int
 
 
@@ -328,3 +328,74 @@ def test_load_norm_holds_past_the_range_of_its_square(tmp_path, domain, c):
     doc = json.loads((tmp_path / "report.json").read_text(), parse_constant=_refuse_constant)
     expected = float(c) * (float(domain[1]) - float(domain[0])) ** 0.5
     assert doc["l2_f_norm"] == pytest.approx(expected, rel=1e-12)
+
+
+# each command with a value for every key it reads besides output_dir; a
+# counterexample reads the keys of its variant
+READ_KEYS = [
+    ("solve", {"s": 0.3, "domain": [0.0, 2.0], "n": 15, "f": "poly:1,2"}),
+    ("barrier", {"s": 0.3}),
+    ("verify", {"s": 0.3, "domain": [0.0, 2.0], "n": 15, "seed": 4}),
+    ("counterexample", {"s": 0.3, "variant": "ces"}),
+    ("counterexample", {"s": 0.7, "variant": "general", "dimension": 2}),
+    ("counterexample", {"s": 0.3, "variant": "boundary", "n": 15, "annulus_radius": 3.0}),
+]
+
+
+@pytest.mark.parametrize("command, doc", READ_KEYS)
+def test_each_command_accepts_the_keys_it_reads(tmp_path, command, doc):
+    doc = {**doc, "output_dir": str(tmp_path / "out")}
+    flags = [command]
+    for key, val in doc.items():
+        flags += [f"--{key.replace('_', '-')}", *map(str, val if key == "domain" else [val])]
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(doc))
+    for argv in (flags, [command, "--config", str(cfg_file)]):
+        cfg = _config_from_args(_build_parser().parse_args(argv))
+        assert cfg.command == command
+        for key, val in doc.items():
+            assert getattr(cfg, key) == (tuple(val) if key == "domain" else val), (argv, key)
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("solve", {"command": "solve", "dimension": 3, "variant": "ces", "n": 7},
+     "variant: not read by solve"),
+    ("barrier", {"s": 0.3, "n": 5, "f": "constant:2", "seed": 4, "domain": [0, 9]},
+     "domain: not read by barrier"),
+    # auto resolves to general at s = 1/2, and general reads no n
+    ("counterexample", {"s": 0.5, "n": 255}, "n: not read by counterexample --variant general"),
+    ("counterexample", {"variant": "ces", "s": 0.2, "dimension": 2},
+     "dimension: not read by counterexample --variant ces"),
+])
+def test_a_config_key_the_command_does_not_read_is_refused(tmp_path, capsys, command, doc,
+                                                          message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.glob("*.txt")) and not list(tmp_path.glob("*.csv"))
+    with pytest.raises(ConfigError, match=message):
+        parse_config(json.dumps({**doc, "command": command}))
+
+
+def test_a_flag_the_command_does_not_read_is_refused(tmp_path, capsys):
+    argv = ["barrier", "--s", "0.3", "--n", "5", "--f", "constant:2", "--seed", "4",
+            "--domain", "0", "9", "--output-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments: --n 5 --f constant:2 --seed 4 --domain 0 9" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--s", "0.5", "--n", "255"], "n: not read by counterexample --variant general"),
+    (["--variant", "ces", "--s", "0.2", "--dimension", "2"],
+     "dimension: not read by counterexample --variant ces"),
+])
+def test_a_counterexample_flag_its_variant_does_not_read_is_refused(tmp_path, capsys, argv,
+                                                                     message):
+    # every variant's keys have flags, so the refusal comes from the config check
+    assert main(["counterexample", *argv, "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "counterexample_summary.txt").exists()

@@ -14,7 +14,6 @@ import pytest
 from mixlap import fields
 from mixlap.barrier import (_corrector_for, beta_field, beta_sharp_field,
                             build_barrier, gamma_field, radial_cutoff)
-from mixlap.cli import _load_field
 from mixlap.verify import _radial_counterexample_profile, _ring_well
 
 from helpers import linear_combination, mollifier_bump, pure_power, scaled, translated
@@ -60,7 +59,6 @@ SCALAR_CASES = {
     "_radial_counterexample_profile": lambda p: (_radial_counterexample_profile(1),
                                                  [-1.5, -0.5, 0.3, 1.5]),
     "_ring_well": lambda p: (_ring_well(2.0), [-5.7, -3.3, 3.2, 4.5, 5.8]),
-    "poly load": lambda p: (_load_field("poly:1,0.5,-2,0.25", (-1.0, 1.0)), [-0.7, 0.1, 2.0]),
     "pure_power": lambda p: (pure_power(1.3), [0.5, 3.0]),
     "cap profile": lambda p: (_cap_profile_1d(0.5), [-0.6, 0.1, 0.8]),
 }

@@ -9,7 +9,6 @@ import pytest
 from mixlap import fields, kernel
 from mixlap.assembly import GridFunction, build_mesh, grid_interpolant
 from mixlap.barrier import beta_field, beta_sharp_field, build_barrier, gamma_field
-from mixlap.cli import _load_field
 from mixlap.errors import AccuracyError, DomainError, TailDivergenceError
 from mixlap.kernel import (OperatorParams, QuadratureSpec, frac_apply,
                            mixed_apply, normalization_constant)
@@ -298,15 +297,12 @@ def test_tail_integral_divergent_sentinel():
 # ---------------------------------------------------------------------------
 
 
-def test_constructors_declare_graded_kinks(tmp_path):
+def test_constructors_declare_graded_kinks():
     assert fields.truncated_power(1.5, 1.0).graded_kinks == (0.0,)
     assert pure_power(1.5).graded_kinks == (0.0,)
     assert fields.parabola_cap().graded_kinks == ()
     assert mollifier_bump(0.0, 1.0).graded_kinks is None
     assert grid_interpolant(build_mesh(-1.0, 1.0, 7), np.ones(7)).graded_kinks == ()
-    sample = tmp_path / "load.csv"
-    sample.write_text("x,u\n-0.5,1\n0.5,2\n")
-    assert _load_field(f"csv:{sample}", (-1.0, 1.0)).graded_kinks == ()
     assert _radial_counterexample_profile(1).graded_kinks == ()
     assert _ring_well(2.0).graded_kinks == ()
 
