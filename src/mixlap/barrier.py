@@ -46,28 +46,26 @@ _PROBE_POINTS = 8
 
 @dataclass(frozen=True)
 class ExponentLadder:
-    """Powers 1 + 2 j (1 - s); all but the last stay below 2s when s > 1/2."""
+    """Powers 1 + 2 j (1 - s), j = 0..J+1; all but the capped last stay below 2s."""
 
     s: float
     rho: float
     J: int
     alphas: Tuple[float, ...]
-    case: str  # "high_s" or "low_s"
+    case: str  # "high_s" or "low_s", from the sign of J
 
 
 def build_ladder(s: float) -> ExponentLadder:
     if not (0.0 < s < 1.0):
         raise DomainError("s must lie in (0, 1)")
     rho = (2.0 * s - 1.0) / (2.0 * (1.0 - s))
-    if s <= 0.5:
-        return ExponentLadder(s=s, rho=rho, J=0, alphas=(1.0,), case="low_s")
     near = round(rho)
     if abs(rho - near) < _INTEGER_TOL and near >= 1:
         J = near - 1
     else:
-        J = int(math.floor(rho))
+        J = math.ceil(rho) - 1  # floor(rho) off the integers; -1 for s <= 1/2
     alphas = tuple(1.0 + 2.0 * j * (1.0 - s) for j in range(J + 2))
-    ladder = ExponentLadder(s=s, rho=rho, J=J, alphas=alphas, case="high_s")
+    ladder = ExponentLadder(s, rho, J, alphas, "high_s" if J >= 0 else "low_s")
     for a in alphas[:-1]:
         if a >= 2.0 * s - 1e-12:
             raise AccuracyError("ladder exponent reached 2s prematurely")
@@ -92,8 +90,6 @@ def kappa(alpha: float, s: float) -> float:
 
 def coefficients(ladder: ExponentLadder, kappas) -> Tuple[float, ...]:
     """c_0 = 1 and c_j = -kappa_{j-1} c_{j-1} / (alpha_j (alpha_j - 1))."""
-    if ladder.case != "high_s":
-        raise DomainError("the recursion only runs in the high-order case")
     kappas = tuple(float(k) for k in kappas)
     if len(kappas) != ladder.J + 1:
         raise DomainError("need one kernel constant per uncapped ladder rung")
@@ -197,8 +193,6 @@ class _Corrector:
 
 def _barrier_monomials(p: BarrierParams) -> Tuple[Tuple[float, float], ...]:
     """(coef, power) pairs of the uncapped part of the barrier sum."""
-    if p.ladder.case == "low_s":
-        return ()
     return tuple((p.cs[j], p.ladder.alphas[j]) for j in range(p.ladder.J + 1))
 
 
@@ -208,6 +202,14 @@ def _corrector_for(p: BarrierParams) -> _Corrector:
         for j in range(1, len(p.cs))
     )
     return _Corrector(p.d, mono)
+
+
+def _barrier_field(p: BarrierParams, name, ev, d2, kinks, scale=1.0, drop=0.0):
+    """Zero on x <= 0, graded at 0; past x = 2, scale (monomials + cap - drop)."""
+    top = p.cs[-1] * 2.0 ** p.ladder.alphas[-1] - drop
+    plus = tuple((scale * c, a) for c, a in _barrier_monomials(p)) + ((scale * top, 0.0),)
+    return ScalarField(ev, d2, kinks, TailExpansion(2.0, plus, ()), name,
+                       graded_kinks=(0.0,), support=(0.0, math.inf))
 
 
 def beta_sharp_field(p: BarrierParams) -> ScalarField:
@@ -232,14 +234,7 @@ def beta_sharp_field(p: BarrierParams) -> ScalarField:
         top = np.where(xp < 2.0, c_top * a_top * (a_top - 1.0) * xp ** (a_top - 2.0), 0.0)
         return np.where(x > 0.0, _monomial_derivative(mono, xp, 2) + top, 0.0)
 
-    plus = tuple((c, a) for c, a in mono) + ((c_top * cap, 0.0),)
-    return ScalarField(
-        evaluate=ev, second_derivative=d2,
-        kinks=(0.0, 2.0), tail=TailExpansion(2.0, plus, ()),
-        name="beta_sharp",
-        graded_kinks=(0.0,),
-        support=(0.0, math.inf),
-    )
+    return _barrier_field(p, "beta_sharp", ev, d2, (0.0, 2.0))
 
 
 def beta_field(p: BarrierParams) -> ScalarField:
@@ -255,16 +250,7 @@ def beta_field(p: BarrierParams) -> ScalarField:
     def d2(x):
         return sharp.second_derivative(x) - cs_ * W.d2(x)
 
-    cutoff = max(2.0, 2.0 * p.d)
-    mono = _barrier_monomials(p)
-    plus = tuple(mono) + ((p.cs[-1] * 2.0 ** p.ladder.alphas[-1], 0.0),)
-    return ScalarField(
-        evaluate=ev, second_derivative=d2,
-        kinks=(0.0, p.d, 2.0 * p.d, 2.0), tail=TailExpansion(cutoff, plus, ()),
-        name="beta",
-        graded_kinks=(0.0,),
-        support=(0.0, math.inf),
-    )
+    return _barrier_field(p, "beta", ev, d2, (0.0, p.d, 2.0 * p.d, 2.0))
 
 
 def _beta_star(x, p: BarrierParams):
@@ -294,18 +280,8 @@ def gamma_field(p: BarrierParams) -> ScalarField:
         x = np.asarray(x, dtype=float)
         return M * (bf.second_derivative(x) - np.where((0.0 < x) & (x < p.ell), 2.0 * p.C2, 0.0))
 
-    cutoff = max(2.0, 2.0 * p.d)
-    mono = _barrier_monomials(p)
-    const = p.cs[-1] * 2.0 ** p.ladder.alphas[-1] - p.C2 * p.ell * (2.0 * p.d - p.ell)
-    plus = tuple((M * c, a) for c, a in mono) + ((M * const, 0.0),)
-    return ScalarField(
-        evaluate=ev, second_derivative=d2,
-        kinks=(0.0, p.ell, p.d, 2.0 * p.d, 2.0),
-        tail=TailExpansion(cutoff, plus, ()),
-        name="gamma",
-        graded_kinks=(0.0,),
-        support=(0.0, math.inf),
-    )
+    return _barrier_field(p, "gamma", ev, d2, (0.0, p.ell, p.d, 2.0 * p.d, 2.0),
+                          scale=M, drop=p.C2 * p.ell * (2.0 * p.d - p.ell))
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +302,8 @@ def build_barrier(s: float) -> BarrierParams:
     """
     ladder = build_ladder(s)
     params_op = OperatorParams(1, s)
-    if ladder.case == "high_s":
-        kappas = tuple(kappa(a, s) for a in ladder.alphas[: ladder.J + 1])
-        cs = coefficients(ladder, kappas)
-    else:
-        kappas = ()
-        cs = (1.0,)
+    kappas = tuple(kappa(a, s) for a in ladder.alphas[: ladder.J + 1])
+    cs = coefficients(ladder, kappas)
     a_top = ladder.alphas[-1]
     c_top = cs[-1]
     w_top = truncated_power(a_top, 1.0)
@@ -420,7 +392,6 @@ def _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d) -> Barrier
     if float(np.min(bvals)) <= 0.0:
         raise _AttemptFailed("corrected barrier lost positivity inside the window")
     c1 = 1.25 * float(max(np.max(bvals / bgrid), np.max(bgrid / bvals)))
-    c1 = max(c1, 1.0)
 
     # C0: floor past the window
     far_grid = np.concatenate((np.linspace(d, 4.0, 64), np.geomspace(4.0, 64.0, 16)))

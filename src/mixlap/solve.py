@@ -28,15 +28,9 @@ _EPS = np.finfo(float).eps
 _NORMAL_FLOOR = np.finfo(float).tiny / _EPS
 
 
-def lp_norm(f: ScalarField, mesh, p: float) -> float:
-    """||f||_{L^p(a,b)} by load_vector's Gauss rule, at the same samples."""
-    pts, w = mesh.gauss_points()
-    return _lp_of_samples(f.evaluate(pts.ravel()).reshape(pts.shape), w, p)
-
-
 def _lp_of_samples(vals: np.ndarray, w: np.ndarray, p: float) -> float:
-    """The Gauss rule of lp_norm on samples of shape (n+1, 6).  Where |f|^p
-    or the sum leaves the normal range, above or below, the samples are
+    """||f||_{L^p} by load_vector's Gauss rule on its (n+1, 6) samples.  Where
+    |f|^p or the sum leaves the normal range, above or below, the samples are
     divided by max |f| first; every other load keeps the plain sum's bits."""
     with np.errstate(over="ignore"):
         powers = np.abs(vals) ** p

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -475,14 +475,13 @@ def _midpoint_residual(report: SolveReport, targets, f: ScalarField,
 
 
 def residual_check(reports: Sequence[SolveReport], f: ScalarField,
-                   params: OperatorParams,
-                   halfwidth: Optional[float] = None) -> VerificationReport:
-    """Interior max |L u_h - f| must decrease across successive refinements."""
+                   params: OperatorParams) -> VerificationReport:
+    """Max |L u_h - f| on the middle half must decrease across refinements."""
     if len(reports) < 3:
         raise DomainError("need at least three refinements")
     mesh0 = reports[0].solution.mesh
     center = 0.5 * (mesh0.a + mesh0.b)
-    w = halfwidth if halfwidth is not None else (mesh0.b - mesh0.a) / 4.0
+    w = (mesh0.b - mesh0.a) / 4.0
     targets = np.linspace(center - w, center + w, 17)
     residuals = []
     skipped = 0

@@ -1,7 +1,7 @@
 """Test-only fields built from the library's ScalarField, single-part
 stiffness systems, and the functions only tests call: the far-field mass,
-the exterior-data lift, the barrier value wrappers, the bilinear form and
-the embedding index."""
+the load's L^p norm, the exterior-data lift, the barrier value wrappers, the
+bilinear form and the embedding index."""
 
 import dataclasses
 import math
@@ -14,7 +14,7 @@ from mixlap.errors import DomainError
 from mixlap.fields import RadialField, ScalarField, TailExpansion
 from mixlap.kernel import (_SPHERE_AREA, Field, OperatorParams, _gauss_nodes,
                            mixed_apply)
-from mixlap.solve import SolveReport, lp_norm, solve_dirichlet
+from mixlap.solve import SolveReport, _lp_of_samples, solve_dirichlet
 
 
 def pure_power(alpha: float) -> ScalarField:
@@ -287,6 +287,12 @@ def tail_integral(u: Field, params: OperatorParams) -> float:
 # ---------------------------------------------------------------------------
 # exterior data, barrier values, the bilinear form, the embedding index
 # ---------------------------------------------------------------------------
+
+
+def lp_norm(f: ScalarField, mesh, p: float) -> float:
+    """||f||_{L^p(a,b)} by load_vector's Gauss rule, at the same samples."""
+    pts, w = mesh.gauss_points()
+    return _lp_of_samples(f.evaluate(pts.ravel()).reshape(pts.shape), w, p)
 
 
 def lift_nonhomogeneous(sys: StiffnessSystem, f: ScalarField,

@@ -206,5 +206,5 @@ def test_criterion_10_manufactured_residual_decay():
     f = fields.ScalarField(evaluate=f_eval, name="manufactured image")
     reps = [solve_dirichlet(build_system(build_mesh(-1.0, 1.0, n), params), f)
             for n in (63, 127, 255)]
-    rep = residual_check(reps, f, params, halfwidth=0.5)
+    rep = residual_check(reps, f, params)
     _line(10, rep.passed, f"interior residual on |x|<=1/2: {rep.notes}")

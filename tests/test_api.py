@@ -34,7 +34,7 @@ DRIVER_PARAMETERS = {
     "check_strong_mp_contact": ["u", "params", "x0", "omega"],
     "counterexample_ces": ["s"],
     "counterexample_general": ["s", "n_dim"],
-    "residual_check": ["reports", "f", "params", "halfwidth"],
+    "residual_check": ["reports", "f", "params"],
     "run_suite": ["s", "n", "seed", "domain"],
 }
 
@@ -64,7 +64,7 @@ CLI_OPTIONS = {
 
 # the total line count of src/mixlap/*.py; growth shows up here as a reviewed
 # diff, as a public name does in PUBLIC_NAMES
-SOURCE_LINE_CEILING = 2793
+SOURCE_LINE_CEILING = 2757
 
 
 def _parameters(names):

@@ -60,6 +60,22 @@ def test_ladder_high_case_invariants():
         assert lad.alphas[0] == 1.0
 
 
+@pytest.mark.parametrize("s", [1e-6, 0.05, 0.3, 0.5])
+def test_low_order_ladder_has_no_uncapped_rung(s):
+    # s <= 1/2 is the general ladder with J = -1: only the capped x_+
+    lad = build_ladder(s)
+    assert lad.J == -1
+    assert lad.alphas == (1.0,)
+    assert lad.case == "low_s"
+    assert coefficients(lad, ()) == (1.0,)
+
+
+def test_ladder_gains_its_first_uncapped_rung_just_above_one_half():
+    lad = build_ladder(0.5 + 1e-6)
+    assert lad.J == 0
+    assert lad.case == "high_s"
+
+
 # ---------------------------------------------------------------------------
 # kernel constants and recursion
 # ---------------------------------------------------------------------------
@@ -305,6 +321,18 @@ def test_barrier_fields_grade_only_the_origin(p075):
     assert beta_sharp_field(p075).graded_kinks == (0.0,)
     assert beta_field(p075).graded_kinks == (0.0,)
     assert gamma_field(p075).graded_kinks == (0.0,)
+
+
+@pytest.mark.parametrize("which", ["p03", "p09"])
+@pytest.mark.parametrize("make", [beta_sharp_field, beta_field, gamma_field])
+def test_barrier_tail_is_exact_past_its_cutoff(make, which, request):
+    # the kernel images everything past the cutoff by these terms alone
+    u = make(request.getfixturevalue(which))
+    assert u.tail.minus_terms == ()
+    for x in (2.0002, 2.5, 7.0, 70.0, 1e3):
+        assert x > u.tail.cutoff
+        want = sum(c * x**a for c, a in u.tail.plus_terms)
+        assert abs(u(x) - want) <= 4.0 * np.finfo(float).eps * abs(want)
 
 
 def _grid_cases(p):

@@ -11,7 +11,7 @@ from mixlap.errors import DomainError, NumericalError
 from mixlap.kernel import OperatorParams
 from mixlap.solve import export_report, export_solution_csv, solve_dirichlet
 
-from helpers import lift_nonhomogeneous, mollifier_bump, without
+from helpers import lift_nonhomogeneous, lp_norm, mollifier_bump, without
 
 EPS = np.finfo(float).eps
 
@@ -179,7 +179,7 @@ def test_a_solve_samples_its_load_once(n):
     f = fields.ScalarField(evaluate=load, name="counted")
     rep = solve_dirichlet(sys_, f)
     assert calls == [6 * (n + 1)]
-    assert rep.l2_f_norm == solve.lp_norm(f, sys_.mesh, 2.0)
+    assert rep.l2_f_norm == lp_norm(f, sys_.mesh, 2.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 255, 511])

@@ -391,7 +391,7 @@ def test_residual_decay_constant_load():
     f = fields.constant(1.0)
     reps = [solve_dirichlet(build_system(build_mesh(-1.0, 1.0, n), params), f)
             for n in (63, 127, 255)]
-    r = residual_check(reps, f, params, halfwidth=0.5)
+    r = residual_check(reps, f, params)
     assert r.passed
 
 
