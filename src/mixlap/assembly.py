@@ -151,7 +151,6 @@ def grid_interpolant(mesh: Mesh, coeffs: Sequence[float]) -> ScalarField:
         kinks=tuple(xp),
         tail=TailExpansion(max(abs(mesh.a), abs(mesh.b))),
         name=f"interpolant(n={mesh.n})",
-        graded_kinks=(),
     )
 
 

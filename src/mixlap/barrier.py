@@ -209,7 +209,7 @@ def _barrier_field(p: BarrierParams, name, ev, d2, kinks, scale=1.0, drop=0.0):
     top = p.cs[-1] * 2.0 ** p.ladder.alphas[-1] - drop
     plus = tuple((scale * c, a) for c, a in _barrier_monomials(p)) + ((scale * top, 0.0),)
     return ScalarField(ev, d2, kinks, TailExpansion(2.0, plus, ()), name,
-                       graded_kinks=(0.0,), support=(0.0, math.inf))
+                       support=(0.0, math.inf))
 
 
 def beta_sharp_field(p: BarrierParams) -> ScalarField:

@@ -10,7 +10,8 @@ needs to evaluate nonlocal operators on an explicitly given function:
 * an exact far-field description (:class:`TailExpansion`) so that the
   integral beyond any finite radius can be resummed in closed form,
 * a ``support`` interval (lo, hi): the field is exactly 0 at and beyond
-  both ends, so the quadrature skips the nodes that fall there.
+  both ends, so the quadrature skips the nodes that fall there and grades
+  its panels into each finite end.
 
 Every callable a field carries (the evaluator, the second derivative, and a
 radial field's profile, its derivatives and its Laplacian) takes an array of
@@ -22,10 +23,10 @@ derivative, or an algebraic singularity.  The singular quadrature puts a
 panel break at the offset of every kink and never evaluates the operator
 within ``1e-12`` of one.  Where two analytic pieces join, such as the ends of
 a parabola cap or a polynomial fade meeting a constant, Gauss-Legendre
-panels that end at the break converge geometrically.  A *graded kink* is one
-where a piece itself is singular, such as x_+^alpha or x^2 log x at 0; there
-the panels next to the break are also refined dyadically toward it.
-``graded_kinks`` lists the graded ones; ``None`` grades every kink.
+panels that end at the break converge geometrically.  A piece that is itself
+singular, such as x_+^alpha or x^2 log x at 0, is singular at a finite end of
+the support: each such end is also a break, and the panels on the side where
+the field is nonzero are refined dyadically toward it.
 
 The tail description is *exact*, not asymptotic: beyond ``cutoff`` the
 function must equal the stated finite sum of power terms on each side
@@ -72,7 +73,8 @@ class ScalarField:
     ``support = (lo, hi)`` promises u(x) == 0.0 exactly for x <= lo and for
     x >= hi; the default is the whole line.  The 1D operator evaluates the
     field only at quadrature nodes strictly inside it and takes 0.0
-    elsewhere, so a wrong promise changes the image.
+    elsewhere, so a wrong promise changes the image.  Each finite end is
+    also a panel break, graded from the side where the field is nonzero.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -80,7 +82,6 @@ class ScalarField:
     kinks: Tuple[float, ...] = ()
     tail: TailExpansion = field(default_factory=lambda: TailExpansion(0.0))
     name: str = ""
-    graded_kinks: Optional[Tuple[float, ...]] = None
     support: Tuple[float, float] = (-math.inf, math.inf)
 
     def __call__(self, x):
@@ -147,7 +148,6 @@ def truncated_power(alpha: float, L: float) -> ScalarField:
         kinks=(0.0, 2.0 * L),
         tail=TailExpansion(2.0 * L, ((cap, 0.0),), ()),
         name=f"w_alpha({alpha},L={L})",
-        graded_kinks=(0.0,),
         support=(0.0, math.inf),
     )
 
@@ -165,7 +165,6 @@ def parabola_cap() -> ScalarField:
         kinks=(-1.0, 1.0),
         tail=TailExpansion(1.0),
         name="parabola_cap",
-        graded_kinks=(),
     )
 
 

@@ -36,7 +36,7 @@ _GAUSS_ORDER = 12
 _GX, _GW = leggauss(_GAUSS_ORDER)
 # 1D evaluation lays out the panels of up to _CHUNK_POINTS points at once and
 # evaluates the field on up to _BLOCK_NODES Gauss nodes a call.  On barrier
-# fields (up to 96 panels a point: 45 KB of panel ends a chunk, 32 KB of
+# fields (up to 63 panels a point: 29 KB of panel ends a chunk, 32 KB of
 # field values a call) every temporary so stays under glibc's 128 KB mmap
 # threshold and is reused from the heap, not mapped and faulted in anew.
 _CHUNK_POINTS = 64
@@ -123,15 +123,15 @@ def _ramp(n: np.ndarray):
     return i, np.arange(1, i.size + 1) - np.repeat(np.cumsum(n) - n, n)
 
 
-def _panel_layout(z0, r_in, offsets, graded, r_out):
+def _panel_layout(z0, r_in, offsets, below, above, r_out):
     """Gauss panels (lo, hi) of a chunk of points, in point order, and the
     panel count of each point.  Row i holds one point's core radius z0, core
-    zone end r_in, kink offsets, graded kink offsets and tail radius r_out.
-    Its breaks are z0, r_in, each offset in (z0, r_out) over 1e-13 relative
-    past the last break kept, and r_out, which replaces that break when it
-    does not clear it.  Gaps are split geometrically, one panel per factor
-    of 2 at most; the panel next to a break equal to a graded offset is
-    graded dyadically into it."""
+    zone end r_in, break offsets, offsets graded from below and from above,
+    and tail radius r_out.  Its breaks are z0, r_in, each offset in
+    (z0, r_out) over 1e-13 relative past the last break kept, and r_out,
+    which replaces that break when it does not clear it.  Gaps are split
+    geometrically, one panel per factor of 2 at most; the panel next to a
+    break is graded dyadically into it from each side it is graded from."""
     m, n_off = offsets.shape
     rows = np.arange(m)
     pts = np.column_stack((z0, r_in, np.sort(offsets, axis=1), r_out))
@@ -144,13 +144,12 @@ def _panel_layout(z0, r_in, offsets, graded, r_out):
     keep[:, -1] = r_out > pts[rows, last] * (1.0 + 1e-13)
     last = np.where(keep[:, -1], n_off + 2, last)  # or r_out replaces that break
     pts[rows, last] = r_out
-    grd = np.zeros(pts.shape, bool)
-    for g in graded.T:
-        grd |= pts == g[:, None]
+    from_below, from_above = ((pts[:, :, None] == g[:, None, :]).any(axis=2)[keep]
+                              for g in (below, above))
 
     # one segment per pair of consecutive breakpoints of a point
     owner = np.nonzero(keep)[0]
-    pts, grd = pts[keep], grd[keep]
+    pts = pts[keep]
     same = owner[1:] == owner[:-1]
     lo, hi = pts[:-1][same], pts[1:][same]
     q = hi / lo
@@ -161,10 +160,10 @@ def _panel_layout(z0, r_in, offsets, graded, r_out):
     # the point lo step^j
     step = np.array(list(map(math.pow, q.tolist(), (1.0 / k).tolist())))
     gap_lo = np.where(k > 1.0, lo * step, hi) - lo
-    n_lo = np.where(grd[:-1][same], _halvings(gap_lo, 1e-12 * np.maximum(1.0, lo)), 0)
+    n_lo = np.where(from_above[:-1][same], _halvings(gap_lo, 1e-12 * np.maximum(1.0, lo)), 0)
     gap_hi = hi - np.where(k > 1.0, lo * step ** (k - 1.0),
                            np.where(n_lo > 0, lo + 0.5 * gap_lo, lo))
-    n_hi = np.where(grd[1:][same], _halvings(gap_hi, 1e-12 * np.maximum(1.0, hi)), 0)
+    n_hi = np.where(from_below[1:][same], _halvings(gap_hi, 1e-12 * np.maximum(1.0, hi)), 0)
 
     # a segment's panel ends: lo + gap_lo 2^-j (j = n_lo..1), lo step^j
     # (j = 1..k-1), hi - gap_hi 2^-j (j = 1..n_hi), hi
@@ -310,8 +309,11 @@ def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams"):
                           "interpolant with GridFunction.frac_image")
     s = params.s
     c = params.c_ns
-    kinks = np.asarray(u.kinks, dtype=float)
-    graded = kinks if u.graded_kinks is None else np.asarray(u.graded_kinks, dtype=float)
+    # each finite support end is a break; seen from x, the field is nonzero
+    # below its offset when x is on the support's side of it, else above
+    finite = np.isfinite(u.support)
+    ends, side = np.asarray(u.support)[finite], np.array([-1.0, 1.0])[finite]
+    breaks = np.concatenate((np.asarray(u.kinks, dtype=float), ends))
     r_c2 = np.full(xs.size, math.inf)  # distance to the nearest kink
     for k in u.kinks:
         np.minimum(r_c2, np.abs(xs - k), out=r_c2)
@@ -338,11 +340,13 @@ def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams"):
             + u4 * z0 ** (4.0 - 2.0 * s) / (12.0 * (4.0 - 2.0 * s))
         )
 
-        # panels: graded [z0, r_in], then kink offsets out to the tail radius
+        # panels: [z0, r_in], then break offsets out to the tail radius
         r_out = np.maximum(np.maximum(_OUTER_RADIUS, 2.0 * np.abs(x) + 2.0),
                            u.tail.cutoff + np.abs(x) + 1.0)
-        lo, hi, counts = _panel_layout(z0, r_in, np.abs(kinks - x[:, None]),
-                                       np.abs(graded - x[:, None]), r_out)
+        off = side * (ends - x[:, None])  # > 0: the field is nonzero below |off|
+        lo, hi, counts = _panel_layout(z0, r_in, np.abs(breaks - x[:, None]),
+                                       np.where(off > 0.0, off, np.nan),
+                                       np.where(off < 0.0, -off, np.nan), r_out)
         middles = _middle_integrals(u, x, ux, lo, hi, counts, s)
         tails = -c * _tail_contributions(u, x, ux, r_out, s)
         out[chunk] = [math.fsum((core, -c * middle, tail)) for core, middle, tail
@@ -358,9 +362,9 @@ def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams"):
 def _line_field(u: RadialField, r: float, phi: float) -> ScalarField:
     """g(t) = u(|x + t theta|), |x| = r, on the line through x at the angle
     phi to x: |x + t theta| = sqrt((t - t0)^2 + b^2), t0 = -r cos(phi),
-    b = r sin(phi); at x = 0 it is t -> u(|t|) for every phi.  Its kinks,
-    all graded, are where the line crosses a kink sphere, and it vanishes
-    off the chord of the support ball."""
+    b = r sin(phi); at x = 0 it is t -> u(|t|) for every phi.  Its kinks
+    are where the line crosses a kink sphere, and it vanishes off the chord
+    of the support ball, whose ends are the only graded breaks."""
     t0, b = -r * math.cos(phi), r * math.sin(phi)
 
     def d2(t):

@@ -316,7 +316,6 @@ def _radial_counterexample_profile(n_dim: int):
             kinks=(-2.0, -1.0, 1.0, 2.0),
             tail=TailExpansion(2.0),
             name="capped paraboloid",
-            graded_kinks=(),
         )
     return RadialField(
         profile=prof, d_profile=d1, dd_profile=d2, support_radius=2.0,
@@ -366,7 +365,6 @@ def _ring_well(r: float) -> ScalarField:
         kinks=tuple(-k for k in kink_radii[::-1]) + kink_radii,
         tail=TailExpansion(r + 4.0),
         name=f"ring well(r={r})",
-        graded_kinks=(),
     )
 
 

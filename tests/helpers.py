@@ -37,7 +37,7 @@ def pure_power(alpha: float) -> ScalarField:
         kinks=(0.0,),
         tail=TailExpansion(1.0, ((1.0, alpha),), ()),
         name=f"x_+^{alpha}",
-        graded_kinks=(0.0,),
+        support=(0.0, math.inf),
     )
 
 
@@ -63,8 +63,7 @@ def scaled(u: ScalarField, eps: float) -> ScalarField:
         kinks=tuple(k * eps for k in u.kinks),
         tail=scaled_tail(u.tail, eps),
         name=f"{u.name}(x/{eps})",
-        graded_kinks=(None if u.graded_kinks is None
-                      else tuple(k * eps for k in u.graded_kinks)),
+        support=(u.support[0] * eps, u.support[1] * eps),
     )
 
 
@@ -81,8 +80,7 @@ def translated(u: ScalarField, t: float) -> ScalarField:
         kinks=tuple(k + t for k in u.kinks),
         tail=TailExpansion(u.tail.cutoff + abs(t), u.tail.plus_terms, u.tail.minus_terms),
         name=f"{u.name}(x-{t})",
-        graded_kinks=(None if u.graded_kinks is None
-                      else tuple(k + t for k in u.graded_kinks)),
+        support=(u.support[0] + t, u.support[1] + t),
     )
 
 
@@ -109,17 +107,13 @@ def linear_combination(coeffs, fields) -> ScalarField:
     plus = tuple((c * a, p) for c, f in zip(coeffs, fields) for a, p in f.tail.plus_terms)
     minus = tuple((c * a, p) for c, f in zip(coeffs, fields) for a, p in f.tail.minus_terms)
     kinks = tuple(sorted({k for f in fields for k in f.kinks}))
-    graded = None
-    if any(f.graded_kinks is not None for f in fields):
-        graded = tuple(sorted({k for f in fields for k in
-                               (f.kinks if f.graded_kinks is None else f.graded_kinks)}))
     return ScalarField(
         evaluate=ev,
         second_derivative=d2,
         kinks=kinks,
         tail=TailExpansion(cutoff, plus, minus),
         name="+".join(f"{c}*{f.name}" for c, f in zip(coeffs, fields)),
-        graded_kinks=graded,
+        support=(min(f.support[0] for f in fields), max(f.support[1] for f in fields)),
     )
 
 
@@ -150,14 +144,15 @@ def mollifier_bump(center: float, radius: float, height: float = 1.0) -> ScalarF
         val = np.exp(-1.0 / g) * (4.0 * t * t / g**4 - 2.0 / g**2 - 8.0 * t * t / g**3)
         return np.where(inside, h * val / radius**2, 0.0)
 
-    # the support edges are smooth but non-analytic; listing them as kinks,
-    # all graded by default, routes dyadic panel grading there
+    # the support edges are smooth but non-analytic; as support ends they
+    # get dyadic panel grading from inside
     return ScalarField(
         evaluate=ev,
         second_derivative=d2,
         kinks=(center - radius, center + radius),
         tail=TailExpansion(abs(center) + radius),
         name=f"bump(c={center},r={radius})",
+        support=(center - radius, center + radius),
     )
 
 

@@ -342,6 +342,33 @@ def mp_frac_truncated_power(alpha: float, L: float, s: float, x: float,
         return float(-c * (core + body + tail))
 
 
+def mp_frac_truncated_power_left(alpha: float, L: float, s: float, x: float,
+                                 dps: int = 30) -> float:
+    """(-Delta)^s of x_+^alpha capped at (2L)^alpha from 2L on, at x < 0.
+
+    There u(x) = 0 and no kink is near, so the image is the plain integral
+    -c int_0^inf u(y) (y - x)^(-1-2s) dy: tanh-sinh on the power piece
+    [0, 2L], whose endpoint singularity it absorbs, and the cap's share
+    (2L)^alpha (2L - x)^(-2s) / (2s) in closed form."""
+    with mp.workdps(dps):
+        a, L_, s_, x_ = mp.mpf(alpha), mp.mpf(L), mp.mpf(s), mp.mpf(x)
+        c = s_ * 4**s_ * mp.gamma(mp.mpf(1) / 2 + s_) / (mp.sqrt(mp.pi) * mp.gamma(1 - s_))
+        body = mp.quad(lambda y: y**a * (y - x_) ** (-1 - 2 * s_), [0, 2 * L_])
+        cap = (2 * L_) ** a * (2 * L_ - x_) ** (-2 * s_) / (2 * s_)
+        return float(-c * (body + cap))
+
+
+def mp_frac_cap_outside(p: float, s: float, x: float, dps: int = 30) -> float:
+    """(-Delta)^s (1 - y^2)_+^p at |x| > 1 in one dimension: u(x) = 0, so the
+    image is -c int_{-1}^{1} (1 - y^2)^p |x - y|^(-1-2s) dy, by tanh-sinh,
+    which absorbs the algebraic singularities at y = +-1."""
+    with mp.workdps(dps):
+        p_, s_, x_ = mp.mpf(p), mp.mpf(s), mp.mpf(x)
+        c = s_ * 4**s_ * mp.gamma(mp.mpf(1) / 2 + s_) / (mp.sqrt(mp.pi) * mp.gamma(1 - s_))
+        body = mp.quad(lambda y: (1 - y * y) ** p_ * abs(x_ - y) ** (-1 - 2 * s_), [-1, 1])
+        return float(-c * body)
+
+
 def _geometric_refine(breaks, panels_per_octave: int):
     """Insert points so consecutive breakpoints have ratio <= 2^(1/panels)."""
     ratio = 2.0 ** (1.0 / panels_per_octave)
@@ -372,14 +399,16 @@ def _dyadic_into(lo: float, hi: float, toward: float, floor: float):
     return [lo] + inner + [hi]
 
 
-def assemble_breaks(z0, r_in, offsets, r_out, panels, graded):
+def assemble_breaks(z0, r_in, offsets, r_out, panels, below, above):
     """Scalar reference for one point's panel breakpoints, as the kernel laid
     them out one point at a time with Python lists.
 
-    ``offsets`` are the sorted kink offsets in (z0, r_out) and ``graded`` the
-    set of graded offsets.  Every offset is a panel break (dropped within
-    1e-13 relative of the last one kept, r_out replacing the last one kept
-    likewise); the graded ones also get dyadic accumulation from both sides.
+    ``offsets`` are the sorted break offsets in (z0, r_out); ``below`` and
+    ``above`` are the sets of offsets graded from below and from above.
+    Every offset is a panel break (dropped within 1e-13 relative of the last
+    one kept, r_out replacing the last one kept likewise); the segment just
+    below a break in ``below`` gets dyadic accumulation up into it, and the
+    segment just above a break in ``above`` down into it.
     """
     pts = [z0, r_in]
     for b in offsets:
@@ -392,10 +421,10 @@ def assemble_breaks(z0, r_in, offsets, r_out, panels, graded):
     breaks = [pts[0]]
     for lo, hi in zip(pts[:-1], pts[1:]):
         seg = _geometric_refine([lo, hi], panels)
-        if lo in graded and len(seg) >= 2:
+        if lo in above and len(seg) >= 2:
             floor = 1e-12 * max(1.0, lo)
             seg = _dyadic_into(seg[0], seg[1], seg[0], floor) + seg[2:]
-        if hi in graded and len(seg) >= 2:
+        if hi in below and len(seg) >= 2:
             floor = 1e-12 * max(1.0, hi)
             seg = seg[:-2] + _dyadic_into(seg[-2], seg[-1], seg[-1], floor)
         breaks.extend(seg[1:])

@@ -44,7 +44,7 @@ def _cap_profile_1d(s: float) -> fields.ScalarField:
 
     return fields.ScalarField(
         evaluate=ev, second_derivative=lambda x: _cap_d2(s, x), kinks=(-1.0, 1.0),
-        tail=fields.TailExpansion(1.0), name=f"(1-x^2)^{s}",
+        tail=fields.TailExpansion(1.0), name=f"(1-x^2)^{s}", support=(-1.0, 1.0),
     )
 
 
@@ -75,6 +75,17 @@ def test_profile_image_is_constant_1d(s, quad):
     for x in (-0.8, -0.3, 0.0, 0.45, 0.9):
         val = frac_apply(u, x, params, quad)
         assert val == pytest.approx(lam, rel=1e-8)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_profile_image_outside_the_support_1d(s):
+    # from x = 1.5 the end 1 is graded from above its offset 0.5 and the
+    # end -1 from below its offset 2.5, and the other way round at -1.5
+    params = OperatorParams(1, s)
+    u = _cap_profile_1d(s)
+    for x in (-1.5, 1.5):
+        ref = oracles.mp_frac_cap_outside(s, s, x)
+        assert frac_apply(u, x, params) == pytest.approx(ref, rel=1e-10, abs=0.0), x
 
 
 @pytest.mark.parametrize("n_dim", [2, 3])

@@ -190,7 +190,7 @@ def test_truncated_power_matches_mpmath_oracle(alpha, s, quad):
 
 @pytest.mark.parametrize("s", [0.01, 0.3, 0.6, 0.9, 0.99])
 def test_truncated_power_meets_the_tolerance_near_its_kink(s):
-    # near the graded kink at 0, u^(k) grows like x^(alpha-k) and the Taylor
+    # near the graded support end 0, u^(k) grows like x^(alpha-k) and the Taylor
     # core's truncation decides: a core radius that followed the noise floor
     # out to r_in/8 missed by 6.7e-7 at (s, alpha, x) = (0.9, 1.2, 1e-6)
     tol = QuadratureSpec.tolerance
@@ -293,34 +293,72 @@ def test_tail_integral_divergent_sentinel():
 
 
 # ---------------------------------------------------------------------------
-# graded kinks
+# support ends: the breaks graded from the side where the field is nonzero
 # ---------------------------------------------------------------------------
 
-
-def test_constructors_declare_graded_kinks():
-    assert fields.truncated_power(1.5, 1.0).graded_kinks == (0.0,)
-    assert pure_power(1.5).graded_kinks == (0.0,)
-    assert fields.parabola_cap().graded_kinks == ()
-    assert mollifier_bump(0.0, 1.0).graded_kinks is None
-    assert grid_interpolant(build_mesh(-1.0, 1.0, 7), np.ones(7)).graded_kinks == ()
-    assert _radial_counterexample_profile(1).graded_kinks == ()
-    assert _ring_well(2.0).graded_kinks == ()
+WHOLE_LINE = (-math.inf, math.inf)
 
 
-def test_graded_kinks_follow_scaling_translation_and_sums():
+def test_constructors_declare_their_support():
+    assert fields.truncated_power(1.5, 1.0).support == (0.0, math.inf)
+    assert pure_power(1.5).support == (0.0, math.inf)
+    assert fields.parabola_cap().support == WHOLE_LINE
+    assert mollifier_bump(0.0, 1.0).support == (-1.0, 1.0)
+    assert grid_interpolant(build_mesh(-1.0, 1.0, 7), np.ones(7)).support == WHOLE_LINE
+    assert _radial_counterexample_profile(1).support == WHOLE_LINE
+    assert _ring_well(2.0).support == WHOLE_LINE
+
+
+def test_support_follows_scaling_translation_and_sums():
     w = fields.truncated_power(1.5, 1.0)
     bump = mollifier_bump(0.0, 1.0)
     cap = fields.parabola_cap()
-    assert scaled(w, 0.5).graded_kinks == (0.0,)
-    assert scaled(translated(w, 0.5), 0.5).graded_kinks == (0.25,)
-    assert scaled(bump, 0.5).graded_kinks is None
-    assert translated(cap, 0.3).graded_kinks == ()
-    assert translated(w, 0.25).graded_kinks == (0.25,)
-    assert translated(bump, 0.3).graded_kinks is None
-    # None grades every kink of its field, so a sum with one takes them all
-    assert linear_combination([1.0, 2.0], [w, cap]).graded_kinks == (0.0,)
-    assert linear_combination([1.0, 1.0], [w, bump]).graded_kinks == (-1.0, 0.0, 1.0)
-    assert linear_combination([1.0, 1.0], [bump, bump]).graded_kinks is None
+    assert scaled(w, 0.5).support == (0.0, math.inf)
+    assert scaled(translated(w, 0.5), 0.5).support == (0.25, math.inf)
+    assert scaled(bump, 0.5).support == (-0.5, 0.5)
+    assert translated(cap, 0.3).support == WHOLE_LINE
+    assert translated(w, 0.25).support == (0.25, math.inf)
+    assert translated(bump, 0.5).support == (-0.5, 1.5)
+    # a sum vanishes only where every term does
+    assert linear_combination([1.0, 2.0], [w, cap]).support == WHOLE_LINE
+    assert linear_combination([1.0, 1.0], [w, bump]).support == (-1.0, math.inf)
+    assert linear_combination([1.0, 1.0], [bump, translated(bump, 0.5)]).support == (-1.0, 1.5)
+
+
+def test_support_end_is_graded_from_inside_only(monkeypatch):
+    # at x = 0.3 the lower end 0 of x_+^1.5 sits at offset 0.3: u(x - z) is
+    # singular as z rises to 0.3 and 0 past it, so the span (0.15, 0.3) is
+    # graded up into 0.3, 37 halvings of its length 0.15 over the floor
+    # 1e-12, and (0.3, 1.7), up to the cap's offset, has its 3 geometric
+    # panels and no dyadic ones
+    real, layouts = kernel._panel_layout, []
+
+    def spy(*args):
+        layouts.append(real(*args))
+        return layouts[-1]
+
+    monkeypatch.setattr(kernel, "_panel_layout", spy)
+    frac_apply(fields.truncated_power(1.5, 1.0), 0.3, OperatorParams(1, 0.6))
+    lo, hi, counts = layouts[0]
+    assert counts.tolist() == [lo.size]
+    below = (lo >= 0.15) & (hi <= 0.3)
+    assert below.sum() == 38
+    np.testing.assert_array_equal(hi[below][:-1], 0.3 - np.ldexp(0.15, -np.arange(1, 38)))
+    above = (lo >= 0.3) & (hi <= 1.7)
+    assert above.sum() == 3
+    np.testing.assert_allclose(hi[above], 0.3 * (1.7 / 0.3) ** (np.arange(1, 4) / 3.0),
+                               rtol=1e-15)
+
+
+@pytest.mark.parametrize("alpha,s", [(1.0, 0.3), (1.5, 0.6), (1.8, 0.9)])
+def test_truncated_power_left_of_its_support_matches_mpmath_oracle(alpha, s):
+    # the lower end 0 is graded from above its offset |x|: u(x + z) is 0
+    # below it and singular as z falls to it
+    xs = np.array([-3.0, -0.4, -1e-3])
+    mine = frac_apply(fields.truncated_power(alpha, 1.0), xs, OperatorParams(1, s))
+    for x, v in zip(xs, mine):
+        ref = oracles.mp_frac_truncated_power_left(alpha, 1.0, s, float(x))
+        assert v == pytest.approx(ref, rel=1e-10, abs=0.0), x
 
 
 # ---------------------------------------------------------------------------
@@ -454,19 +492,19 @@ def test_evaluation_is_bitwise_deterministic(quad):
 # ---------------------------------------------------------------------------
 
 
-def _assert_layout_matches_scalar(z0, r_in, offsets, graded, r_out):
+def _assert_layout_matches_scalar(z0, r_in, offsets, below, above, r_out):
     """The array layout of a chunk of points against the scalar reference
     at one panel per factor-2 span: the same number of panels per point,
     and breaks equal to 4 ulp."""
     z0, r_in, r_out = (np.asarray(a, dtype=float) for a in (z0, r_in, r_out))
-    offsets, graded = (np.asarray(a, dtype=float).reshape(z0.size, -1)
-                       for a in (offsets, graded))
-    lo, hi, counts = kernel._panel_layout(z0, r_in, offsets, graded, r_out)
+    offsets, below, above = (np.asarray(a, dtype=float).reshape(z0.size, -1)
+                             for a in (offsets, below, above))
+    lo, hi, counts = kernel._panel_layout(z0, r_in, offsets, below, above, r_out)
     first = 0
     for i in range(z0.size):
         inside = sorted({b for b in offsets[i].tolist() if z0[i] < b < r_out[i]})
-        ref = oracles.assemble_breaks(float(z0[i]), float(r_in[i]), inside,
-                                      float(r_out[i]), 1, set(graded[i].tolist()))
+        ref = oracles.assemble_breaks(float(z0[i]), float(r_in[i]), inside, float(r_out[i]),
+                                      1, set(below[i].tolist()), set(above[i].tolist()))
         assert counts[i] == len(ref) - 1, i
         np.testing.assert_array_max_ulp(lo[first:first + counts[i]], ref[:-1], maxulp=4)
         np.testing.assert_array_max_ulp(hi[first:first + counts[i]], ref[1:], maxulp=4)
@@ -475,15 +513,22 @@ def _assert_layout_matches_scalar(z0, r_in, offsets, graded, r_out):
 
 
 def _field_layout_inputs(u, xs):
-    """Each point's layout inputs, as frac_apply_1d derives them."""
-    kinks = np.asarray(u.kinks, dtype=float)
-    graded = kinks if u.graded_kinks is None else np.asarray(u.graded_kinks)
+    """Each point's layout inputs, as frac_apply_1d derives them: a lower
+    support end lo is graded from below its offset at x > lo and from above
+    at x < lo, an upper end hi from below at x < hi and from above at x > hi."""
+    lo = u.support[0]
+    ends = [e for e in u.support if math.isfinite(e)]
     r_c2 = np.array([u.c2_distance(x) for x in xs])
     r_in = np.minimum(kernel._INNER_RADIUS, 0.5 * r_c2)
     z0 = kernel._analytic_core(u, xs, r_c2, r_in)[0]
     r_out = np.maximum(np.maximum(kernel._OUTER_RADIUS, 2.0 * np.abs(xs) + 2.0),
                        u.tail.cutoff + np.abs(xs) + 1.0)
-    return z0, r_in, np.abs(kinks - xs[:, None]), np.abs(graded - xs[:, None]), r_out
+    offsets = [[abs(k - x) for k in (*u.kinks, *ends)] for x in xs.tolist()]
+    below = [[abs(e - x) if (e == lo) == (x > e) else math.nan for e in ends]
+             for x in xs.tolist()]
+    above = [[abs(e - x) if (e == lo) == (x < e) else math.nan for e in ends]
+             for x in xs.tolist()]
+    return z0, r_in, offsets, below, above, r_out
 
 
 @pytest.fixture(scope="module")
@@ -508,10 +553,11 @@ def test_layout_matches_scalar_on_truncated_power_and_hat():
                               second_derivative=np.zeros_like)
     xs = np.linspace(-1.2, 1.2, 97) + 1e-4
     _assert_layout_matches_scalar(*_field_layout_inputs(hat, xs))
-    # a hat whose every kink is graded
-    hat = fields.ScalarField(evaluate=hat.evaluate, second_derivative=np.zeros_like,
-                             kinks=hat.kinks, tail=hat.tail)
+    # a hat that declares its support: its end knots graded from inside
+    hat = dataclasses.replace(hat, support=(mesh.a, mesh.b))
     _assert_layout_matches_scalar(*_field_layout_inputs(hat, xs))
+    # a bump's two support ends, from inside, outside and between them
+    _assert_layout_matches_scalar(*_field_layout_inputs(mollifier_bump(0.2, 0.5), xs))
 
 
 @pytest.mark.parametrize("offsets,graded", [
@@ -530,8 +576,25 @@ def test_layout_matches_scalar_on_truncated_power_and_hat():
     ([1e-9, 0.7, 80.0], [1e-9, 0.7, 80.0]),
 ])
 def test_layout_edge_cases_match_scalar(offsets, graded):
+    # each graded offset graded from both sides
     _assert_layout_matches_scalar([1e-4, 2e-5], [0.25, 0.2], [offsets, offsets],
-                                  [graded, graded], [64.0, 64.0])
+                                  [graded, graded], [graded, graded], [64.0, 64.0])
+
+
+@pytest.mark.parametrize("offsets,below,above", [
+    # a gap narrower than one geometric step whose ends are graded away
+    # from it, and one whose ends are graded into it
+    ([1.0, 1.2], [1.0], [1.2]),
+    ([1.0, 1.2], [1.2], [1.0]),
+    # one break graded from one side, then from the other
+    ([0.3, 5.0], [0.3], [math.nan]),
+    ([0.3, 5.0], [math.nan], [0.3]),
+    # equal offsets, one from each side
+    ([0.5, 0.5, 2.0], [0.5], [0.5]),
+])
+def test_one_sided_layout_edge_cases_match_scalar(offsets, below, above):
+    _assert_layout_matches_scalar([1e-4, 2e-5], [0.25, 0.2], [offsets, offsets],
+                                  [below, below], [above, above], [64.0, 64.0])
 
 
 @pytest.mark.parametrize("s,p", [(0.3, 0.5), (0.6, 1.0), (0.9, 1.2), (0.99, 1.7)])
@@ -615,7 +678,7 @@ def test_grid_image_is_the_concatenation_of_its_slices(which, name, apply, reque
 
 @pytest.mark.parametrize("which", ["barrier_03", "barrier_09"])
 @pytest.mark.parametrize("name", ["beta_sharp", "beta", "gamma", "truncated power"])
-def test_support_skip_is_exact(which, name, request):
+def test_support_skip_is_exact(which, name, request, monkeypatch):
     p = request.getfixturevalue(which)
     u = {"beta_sharp": beta_sharp_field(p), "beta": beta_field(p), "gamma": gamma_field(p),
          "truncated power": fields.truncated_power(p.ladder.alphas[-1], 1.0)}[name]
@@ -631,8 +694,10 @@ def test_support_skip_is_exact(which, name, request):
         return u.evaluate(x)
 
     image = mixed_apply(dataclasses.replace(u, evaluate=spy), xs, params)
-    whole_line = dataclasses.replace(u, support=(-math.inf, math.inf))
-    assert image.tobytes() == mixed_apply(whole_line, xs, params).tobytes()
+    # the same panels with every node evaluated: the field is exactly 0.0
+    # off its support, so skipping those nodes changes no bit
+    monkeypatch.setattr(kernel, "_on_support", lambda f, y: f.evaluate(y))
+    assert image.tobytes() == mixed_apply(u, xs, params).tobytes()
     # besides the evaluation points themselves, every node the field sees
     # lies inside its support
     nodes = np.concatenate(seen)
