@@ -35,12 +35,13 @@ import numpy as np
 from .errors import AccuracyError, ConstructionError, DomainError
 from .fields import RadialField, ScalarField, TailExpansion, smoothstep
 from .fields import _smoothstep_d1, _smoothstep_d2, truncated_power
-from .kernel import (OperatorParams, QuadratureSpec, frac_apply,
+from .kernel import (_MIN_C2_ZONE, OperatorParams, QuadratureSpec, frac_apply,
                      mixed_apply)
 
 _INTEGER_TOL = 1e-9
-# the window gates first read the top end of their grids, where every
-# failing window measured so far had its deciding maximum
+# the window gate d <= 1/(4 C1 C2) first reads the top end of the C2 grid,
+# where every failing window measured so far had its deciding maximum; it
+# rejects d = 1/2 at s <= 1/2, which no closed form decides
 _PROBE_POINTS = 8
 
 
@@ -296,10 +297,24 @@ class _AttemptFailed(Exception):
 def build_barrier(s: float) -> BarrierParams:
     """Assemble and certify the full barrier parameter set for the order s.
 
-    The window d is halved (at most 12 times) until all shrink conditions
-    hold simultaneously; measured constants carry a 25% margin and are
-    re-certified on finer grids before the parameters are returned.
+    The window d is halved from 1/2 until all shrink conditions hold
+    simultaneously, down to the floor where the certification grids' lower
+    end d 1e-6 meets the kernel's kink guard.  A window whose ladder
+    monomials alone break the corrector-size gate is skipped without imaging
+    anything.  Measured constants carry a 25% margin and are re-certified on
+    finer grids before the parameters are returned.
     """
+    # the kernel's kink guard needs the grids' lower end d 1e-6 >= _MIN_C2_ZONE
+    d_floor = _MIN_C2_ZONE / 1e-6
+    if 0.5 < s < 1.0:
+        # every term of S(d) is positive, so the first rung must fit alone:
+        # 2 c_1 d^(3-2s) <= d/4 with c_1 = -kappa(1, s) / ((3-2s)(2-2s)),
+        # checked before the ladder, which has ~1/(2-2s) rungs, is built
+        c_1 = -kappa(1.0, s) / ((3.0 - 2.0 * s) * (2.0 - 2.0 * s))
+        if 8.0 * c_1 * d_floor ** (2.0 - 2.0 * s) > 1.0:
+            log2_bound = -math.log2(8.0 * c_1) / (2.0 - 2.0 * s)
+            raise ConstructionError(f"the first ladder rung needs d <= 2^{log2_bound:.4g}, "
+                                    f"below the window floor {d_floor:.3g}")
     ladder = build_ladder(s)
     params_op = OperatorParams(1, s)
     kappas = tuple(kappa(a, s) for a in ladder.alphas[: ladder.J + 1])
@@ -310,52 +325,28 @@ def build_barrier(s: float) -> BarrierParams:
 
     trace = []
     d = 0.5
-    for _attempt in range(13):
-        try:
-            return _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d)
-        except _AttemptFailed as exc:
-            trace.append(f"d={d:.6g}: {exc}")
-            d *= 0.5
+    while d >= d_floor:
+        # C# S(d) = C# logpot(d) + 2 sum_{j>=1} c_j d^alpha_j with C# logpot(d) > 0,
+        # so S(d) <= d/(4 C#) fails wherever the monomial part exceeds d/4
+        mono = 2.0 * math.fsum(c * d**a for c, a in zip(cs[1:], ladder.alphas[1:]))
+        if mono > 0.25 * d * (1.0 + 1e-9):
+            trace.append(f"d={d:.6g}: 2 Σ c_j d^α_j = {mono:.3g} > d/4 = {0.25 * d:.3g}")
+        else:
+            try:
+                return _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d)
+            except _AttemptFailed as exc:
+                trace.append(f"d={d:.6g}: {exc}")
+        d *= 0.5
     raise ConstructionError(
-        "barrier construction failed after 12 window halvings", trace=trace
-    )
-
-
-def _top_first(apply, u, grid, params_op, gate):
-    """apply(u, grid, params_op), its top _PROBE_POINTS points first.
-
-    ``gate(top)`` sees the image there and raises _AttemptFailed if a bound
-    from it already fails; the rest of the grid is then never evaluated.  A
-    point's image does not depend on the points that share its call, so the
-    concatenation equals the image of the whole grid.
-    """
-    top = apply(u, grid[-_PROBE_POINTS:], params_op)
-    gate(top)
-    return np.concatenate((apply(u, grid[:-_PROBE_POINTS], params_op), top))
+        f"barrier construction failed at every window down to the floor {d_floor:.3g}",
+        trace=trace)
 
 
 def _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d) -> BarrierParams:
     # C_sharp: log-normalized bound of the capped power's nonlocal output
     grid = np.geomspace(d * 1e-6, d * 0.999, 64)
-
-    def c_sharp_of(vals, pts):
-        return 1.25 * float(np.max(np.abs(c_top * vals) / (1.0 + np.abs(np.log(pts)))))
-
-    def s_d_gate(vals):
-        # S(d) > d / (4 C#), with S(d) = logpot(d) + (2 / C#) sum_{j>=1} c_j d^alpha_j,
-        # reads C# logpot(d) + 2 sum_{j>=1} c_j d^alpha_j > d / 4: increasing
-        # in C#, so a lower bound that fails it by a margin decides the window
-        c_lb = c_sharp_of(vals, grid[-_PROBE_POINTS:])
-        lhs = c_lb * float(_log_potential(d)) + 2.0 * math.fsum(
-            c * d**a for c, a in zip(cs[1:], ladder.alphas[1:]))
-        if lhs > 0.25 * d * (1.0 + 1e-9):
-            raise _AttemptFailed(
-                f"C# ≥ {c_lb:.3g} on the top {_PROBE_POINTS} grid points puts "
-                f"C# S(d) ≥ {lhs:.3g} above d/4 = {0.25 * d:.3g}"
-            )
-
-    top_vals = _top_first(frac_apply, w_top, grid, params_op, s_d_gate)
-    c_sharp = c_sharp_of(top_vals, grid)
+    c_sharp = 1.25 * float(np.max(np.abs(c_top * frac_apply(w_top, grid, params_op))
+                                  / (1.0 + np.abs(np.log(grid)))))
 
     # provisional parameter shell so the field builders can be reused;
     # beta_field reads none of the constants measured below
@@ -368,8 +359,6 @@ def _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d) -> Barrier
 
     # the explicit potential is increasing on (0, d] for d < 1, so its
     # maximum over (-inf, d] sits at d
-    if d >= 1.0:
-        raise _AttemptFailed("window must sit below 1")
     s_d = float(corr.w_tilde(np.asarray(d)))
     if corr.w_tilde_d(d, 1) <= 0.0:
         raise _AttemptFailed("corrector potential not increasing at the window edge")
@@ -402,17 +391,18 @@ def _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d) -> Barrier
     def c2_of(vals):
         return max(1.25 * float(np.max(np.maximum(-vals, 0.0))), 0.05)
 
-    def window_gate(vals):
-        # d > 1/(4 C1 C2) only gets truer as C2 grows
-        c2_lb = c2_of(vals)
-        if d > 1.0 / (4.0 * c1 * c2_lb):
-            raise _AttemptFailed(
-                f"C2 ≥ {c2_lb:.3g} on the top {_PROBE_POINTS} grid points puts "
-                f"1/(4 C1 C2) ≤ {1.0 / (4 * c1 * c2_lb):.3g} below the window {d:.3g}"
-            )
-
+    # d > 1/(4 C1 C2) only gets truer as C2 grows, so the grid's top
+    # _PROBE_POINTS points, imaged first, can reject the window on their own;
+    # a point's image does not depend on the points that share its call
     lgrid = np.geomspace(d * 1e-6, d * 0.999, 400)
-    lbeta = _top_first(mixed_apply, bf, lgrid, params_op, window_gate)
+    top = mixed_apply(bf, lgrid[-_PROBE_POINTS:], params_op)
+    c2_lb = c2_of(top)
+    if d > 1.0 / (4.0 * c1 * c2_lb):
+        raise _AttemptFailed(
+            f"C2 ≥ {c2_lb:.3g} on the top {_PROBE_POINTS} grid points puts "
+            f"1/(4 C1 C2) ≤ {1.0 / (4 * c1 * c2_lb):.3g} below the window {d:.3g}"
+        )
+    lbeta = np.concatenate((mixed_apply(bf, lgrid[:-_PROBE_POINTS], params_op), top))
     c2 = c2_of(lbeta)
 
     ell = min(d / 4.0, 0.999 / (2.0 * c1 * c2))

@@ -32,7 +32,9 @@ class NumericalError(MixlapError):
 class ConstructionError(MixlapError):
     """The barrier builder could not satisfy its inequalities.
 
-    ``trace`` holds one diagnostic line per attempted window size.
+    ``trace`` holds one diagnostic line per window size down to the floor,
+    skipped or imaged; it is empty when the first ladder rung already rules
+    out every window.
     """
 
     def __init__(self, message, trace=()):

@@ -182,7 +182,7 @@ def test_criterion_09_linf_stability():
     for name, f in families.items():
         fam = [solve_dirichlet(build_system(build_mesh(-1.0, 1.0, n), params), f)
                for n in (63, 127, 255)]
-        rep = check_linf_bound(fam, p=2.0)
+        rep = check_linf_bound(fam)
         ok = ok and rep.passed
         msgs.append(f"{name}: spread {rep.measured:.2%}")
     _line(9, ok, "sup-norm/load-norm stability (limit 50%): " + "; ".join(msgs))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mixlap import fields
+from mixlap import barrier, fields
 from mixlap.assembly import GridFunction, build_mesh
 from mixlap.barrier import (_AttemptFailed, _attempt_build, _beta_star,
                             _corrector_for, _log_potential, beta_field,
@@ -387,14 +387,55 @@ def test_build_barrier_rejects_bad_order():
 
 
 def test_failed_construction_traces_every_window():
-    # every window at s = 0.95 fails the S(d) gate, which the top of the C#
-    # grid already decides: each trace line gives C# as a lower bound
-    with pytest.raises(ConstructionError) as info:
+    # at s = 0.95 the ladder monomials alone break the S(d) gate at every
+    # window from 1/2 down to the floor 1e-6 where the grids' lower end
+    # d 1e-6 meets the kernel's kink guard; each window still gets a line
+    with pytest.raises(ConstructionError, match="floor 1e-06") as info:
         build_barrier(0.95)
     trace = info.value.trace
     assert [line.split(":")[0] for line in trace] == [
-        f"d={0.5 * 2.0**-k:.6g}" for k in range(13)]
-    assert all("C# ≥" in line for line in trace)
+        f"d={0.5 * 2.0**-k:.6g}" for k in range(19)]
+    assert 0.5 * 2.0**-18 >= 1e-6 > 0.5 * 2.0**-19
+    assert all("2 Σ c_j d^α_j = " in line and " > d/4 = " in line for line in trace)
+
+
+@pytest.mark.parametrize("s, log2_d", [(0.92, -14), (0.93, -16), (0.94, -19),
+                                       (0.5001, -14), (0.50001, -17)])
+def test_barrier_certifies_near_both_ends_of_the_order_range(s, log2_d):
+    # the skipped windows cost no image, so the window may fall to the floor
+    p = build_barrier(s)
+    assert p.d == 2.0**log2_d
+    assert p.certificate["lgamma_min"] >= 1.0 - 1e-6
+
+
+def _last_skipped_window(s):
+    """The ladder, its coefficients and the least window the monomials skip."""
+    lad = build_ladder(s)
+    cs = coefficients(lad, tuple(kappa(a, s) for a in lad.alphas[: lad.J + 1]))
+    windows = (0.5 * 2.0**-k for k in range(19))
+    d = min(d for d in windows if 2.0 * math.fsum(
+        c * d**a for c, a in zip(cs[1:], lad.alphas[1:])) > 0.25 * d * (1.0 + 1e-9))
+    return lad, cs, d
+
+
+@pytest.mark.parametrize("s", [0.55, 0.75, 0.9, 0.915, 0.5001])
+def test_skipped_window_fails_the_imaged_corrector_gate(s):
+    # the skip is conservative: C# logpot(d) > 0 only adds to what it tests
+    lad, cs, d = _last_skipped_window(s)
+    kappas = tuple(kappa(a, s) for a in lad.alphas[: lad.J + 1])
+    with pytest.raises(_AttemptFailed, match="corrector size S\\(d\\)"):
+        _attempt_build(s, OperatorParams(1, s), lad, kappas, cs,
+                       fields.truncated_power(lad.alphas[-1], 1.0), cs[-1], d)
+
+
+def test_unfit_first_rung_is_refused_before_the_ladder(monkeypatch):
+    # at s = 1 - 1e-6 the ladder would have about 5e5 rungs
+    def no_ladder(s):
+        raise AssertionError("build_ladder called")
+
+    monkeypatch.setattr(barrier, "build_ladder", no_ladder)
+    with pytest.raises(ConstructionError, match="first ladder rung .* floor 1e-06"):
+        build_barrier(0.999999)
 
 
 def test_probe_rejects_the_window_from_the_top_of_the_c2_grid():

@@ -157,7 +157,7 @@ def test_boundary_counterexample_gate_scales_with_the_order(tmp_path, s):
 @pytest.mark.parametrize("s", ["0.01", "0.5", "0.99"])
 def test_subcommands_run_across_the_order_range(tmp_path, s):
     jobs = [["solve", "--n", "31"], ["verify", "--n", "31"], ["counterexample"]]
-    if s != "0.99":  # the barrier is certified up to s = 0.91
+    if s != "0.99":  # the barrier is certified up to s = 0.941
         jobs.append(["barrier"])
     for job in jobs:
         assert main(job + ["--s", s, "--output-dir", str(tmp_path / job[0])]) == 0, job
@@ -171,6 +171,16 @@ def test_barrier_dump(tmp_path):
     assert len(lines) == 51
     cert = (tmp_path / "certificate.txt").read_text()
     assert "C_sharp" in cert and "certificate.lgamma_min" in cert
+
+
+@pytest.mark.parametrize("s", ["0.99", "0.999999"])
+def test_barrier_refuses_an_order_without_a_window(tmp_path, capsys, s):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # only the typed error reaches the user
+        assert main(["barrier", "--s", s, "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "floor 1e-06" in err
 
 
 def test_cli_reports_config_errors(capsys):
