@@ -9,10 +9,10 @@ which removes the principal value for C^2 integrands.  In one dimension the
 integral is split into an analytic core around z = 0 (second-order Taylor
 resummation on the field's u'', which also steps over the floating-point
 cancellation floor of the raw second difference), a graded-panel Gauss zone
-out to a finite radius, and an exact tail resummation driven by the field's
-:class:`~mixlap.fields.TailExpansion`.  A radial field in dimension 2 or 3
-is imaged as the sphere average of the 1D images of its restrictions to the
-lines through the point, so one quadrature serves every dimension.
+out to where the field's :class:`~mixlap.fields.TailExpansion` is exact, and
+an exact resummation of that expansion beyond.  A radial field in dimension
+2 or 3 is imaged as the sphere average of the 1D images of its restrictions
+to the lines through the point, so one quadrature serves every dimension.
 
 The normalization constant c_{N,s} is taken in its Gamma-function closed
 form.
@@ -46,20 +46,17 @@ _TAIL_TERMS = 120
 _TAIL_BLOCK = 16
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
-# the core zone ends at z = _INNER_RADIUS (or half the distance to the
-# nearest kink), and the Gauss panels reach at least z = _OUTER_RADIUS
-_INNER_RADIUS = 0.25
-_OUTER_RADIUS = 64.0
+_INNER_RADIUS = 0.25  # where the core zone ends, or half the way to a kink
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """The tolerance of the singular quadrature, its one setting, which
-    reaches no computation: the panel layout is fixed (_INNER_RADIUS,
-    _OUTER_RADIUS, one panel per factor-2 span), every field takes the core
-    radius z0 = r_in/64 (see :func:`_analytic_core`), and a radial field is
-    imaged through the same 1D quadrature.  ``frac_apply`` and
-    ``mixed_apply`` still accept one.
+    reaches no computation: the panel layout is fixed (_INNER_RADIUS, the
+    field's exact tail from its cutoff on, one panel per factor-2 span),
+    every field takes the core radius z0 = r_in/64 (see
+    :func:`_analytic_core`), and a radial field is imaged through the same
+    1D quadrature.  ``frac_apply`` and ``mixed_apply`` still accept one.
     """
 
     tolerance: float = 1e-8
@@ -232,7 +229,8 @@ def _tail_contributions(u: ScalarField, xs: np.ndarray, uxs: np.ndarray,
     R = radius, u(x) = uxs, resummed exactly."""
     plus = sum(c * _tail_power_moments(p, xs, radius, s) for c, p in u.tail.plus_terms)
     minus = sum(c * _tail_power_moments(p, -xs, radius, s) for c, p in u.tail.minus_terms)
-    return plus + minus - 2.0 * uxs * radius ** (-2.0 * s) / (2.0 * s)
+    # the p = 0 moment as the series gives it, so a constant cancels exactly
+    return plus + minus - 2.0 * uxs * (radius ** (-2.0 * s) / (2.0 * s))
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +338,9 @@ def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams"):
             + u4 * z0 ** (4.0 - 2.0 * s) / (12.0 * (4.0 - 2.0 * s))
         )
 
-        # panels: [z0, r_in], then break offsets out to the tail radius
-        r_out = np.maximum(np.maximum(_OUTER_RADIUS, 2.0 * np.abs(x) + 2.0),
-                           u.tail.cutoff + np.abs(x) + 1.0)
+        # panels: [z0, r_in], then break offsets out to where the field's tail
+        # is exact on both sides and its series ratio |x| / r_out is <= 1/2
+        r_out = np.maximum(2.0 * np.abs(x) + 2.0, u.tail.cutoff + np.abs(x) + 1.0)
         off = side * (ends - x[:, None])  # > 0: the field is nonzero below |off|
         lo, hi, counts = _panel_layout(z0, r_in, np.abs(breaks - x[:, None]),
                                        np.where(off > 0.0, off, np.nan),

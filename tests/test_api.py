@@ -64,7 +64,7 @@ CLI_OPTIONS = {
 
 # the total line count of src/mixlap/*.py; growth shows up here as a reviewed
 # diff, as a public name does in PUBLIC_NAMES
-SOURCE_LINE_CEILING = 2747
+SOURCE_LINE_CEILING = 2746
 
 
 def _parameters(names):
@@ -101,25 +101,27 @@ def test_source_line_ceiling():
     assert lines <= SOURCE_LINE_CEILING
 
 
+def _fresh_interpreter(code: str) -> str:
+    """What ``code`` prints when run by a new interpreter with mixlap on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code],
+                          env=env, capture_output=True, text=True, check=True).stdout
+
+
 def test_import_leaves_scipy_integrate_unloaded():
     # the constants are closed forms and the preconditioner's DST-I is a
     # numpy rfft; importing mixlap and building the first operator pulls in
     # neither scipy's quadrature nor its FFT package
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, mixlap; mixlap.OperatorParams(1, 0.25); "
-         "print('scipy.integrate' in sys.modules, 'scipy.fft' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "False"]
+    out = _fresh_interpreter(
+        "import sys, mixlap; mixlap.OperatorParams(1, 0.25); "
+        "print('scipy.integrate' in sys.modules, 'scipy.fft' in sys.modules)")
+    assert out.split() == ["False", "False"]
 
 
 def test_import_and_dense_builders_leave_scipy_unloaded():
     # the dense Toeplitz matrices are built with numpy: no scipy module at all
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = (
         "import sys, mixlap, mixlap.cli\n"
         "p = mixlap.OperatorParams(1, 0.25)\n"
@@ -129,9 +131,15 @@ def test_import_and_dense_builders_leave_scipy_unloaded():
         "mixlap.assembly.nonlocal_stiffness(mesh, p)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
-    out = subprocess.run([sys.executable, "-c", code],
-                         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_interpreter(code).strip() == "[]"
+
+
+def test_verify_suite_leaves_numpy_ma_unloaded():
+    # the boundary check takes its median by hand: np.median imports numpy.ma
+    code = ("import sys, mixlap\n"
+            "mixlap.run_suite(0.5, 63, seed=7)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    assert _fresh_interpreter(code).strip() == "False"
 
 
 def test_operator_constant_is_derived_not_passed():

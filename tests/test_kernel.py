@@ -147,9 +147,18 @@ def test_kink_evaluation_rejected(quad):
 
 
 def test_tail_series_far_out_converges_or_refuses(quad):
+    # (-Delta)^s x_+^1.2 = kappa(1.2, s) x^(1.2 - 2s) (Dyda); the measured
+    # errors, 2.1e-13 at x = 1 and 7.8e-12 at x = 10, set the bounds at
+    # about 5x.  They grow with x (2.9e-9 at 100, 6.5e-3 at 1e7), likely
+    # because u(x) grows while the core radius stays r_in/64 and the second
+    # difference cancels
+    p = OperatorParams(1, 0.9)
+    kappa = oracles.mp_frac_power(1.2, 0.9)
+    for x, rel in ((1.0, 1e-12), (10.0, 5e-11)):
+        assert frac_apply(pure_power(1.2), x, p, quad) == pytest.approx(
+            kappa * x**-0.6, rel=rel, abs=0.0)
     # the tail series of x_+^1.2 converges before shift^k overflows at
     # x = 1e7, though later terms of its block do; at 1e9 it cannot
-    p = OperatorParams(1, 0.9)
     assert math.isfinite(frac_apply(pure_power(1.2), 1e7, p, quad))
     with pytest.raises(AccuracyError):
         frac_apply(pure_power(1.2), 1e9, p, quad)
@@ -521,8 +530,7 @@ def _field_layout_inputs(u, xs):
     r_c2 = np.array([u.c2_distance(x) for x in xs])
     r_in = np.minimum(kernel._INNER_RADIUS, 0.5 * r_c2)
     z0 = kernel._analytic_core(u, xs, r_c2, r_in)[0]
-    r_out = np.maximum(np.maximum(kernel._OUTER_RADIUS, 2.0 * np.abs(xs) + 2.0),
-                       u.tail.cutoff + np.abs(xs) + 1.0)
+    r_out = np.maximum(2.0 * np.abs(xs) + 2.0, u.tail.cutoff + np.abs(xs) + 1.0)
     offsets = [[abs(k - x) for k in (*u.kinks, *ends)] for x in xs.tolist()]
     below = [[abs(e - x) if (e == lo) == (x > e) else math.nan for e in ends]
              for x in xs.tolist()]
