@@ -30,13 +30,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, InputError
 from .fields import ScalarField, TailExpansion
-from .kernel import _MIN_C2_ZONE, OperatorParams
+from .kernel import _MIN_C2_ZONE, OperatorParams, _legendre_rule
 
-_LOAD_GAUSS_X, _LOAD_GAUSS_W = leggauss(6)
+_LOAD_GAUSS_X, _LOAD_GAUSS_W = _legendre_rule(
+    "0x1.e8b12d03675c5p-3 0x1.528a09655c95ep-1 0x1.dd6ca4e80a01dp-1",
+    "0x1.df24d499545e8p-2 0x1.716b7b5794c1ep-2 0x1.5edf601e2dbf5p-3")
 _IMAGE_BLOCK = 2**13  # distances a chunk of image rows holds: 64 KiB a temporary
 
 
@@ -85,6 +86,9 @@ def build_mesh(a: float, b: float, n: int) -> Mesh:
         nodes = a + h * np.arange(1, n + 1)
     except (ValueError, MemoryError) as exc:
         raise DomainError(f"mesh of n = {n} nodes cannot be allocated ({exc})") from exc
+    if not (a < nodes[0] and nodes[-1] < b and np.all(nodes[1:] > nodes[:-1])):
+        raise DomainError(f"mesh spacing h = {h!r} is too fine for doubles on ({a!r}, {b!r}), "
+                          f"which are {math.ulp(max(abs(a), abs(b)))!r} apart there")
     return Mesh(a=float(a), b=float(b), n=int(n), h=h, nodes=nodes)
 
 

@@ -163,8 +163,15 @@ def _load_field(spec: str) -> ScalarField:
             raise ConfigError(f"f: bad polynomial coefficients {rest!r}") from exc
         if not coeffs:
             raise ConfigError("f: polynomial needs at least one coefficient")
-        return ScalarField(evaluate=lambda x: np.polynomial.polynomial.polyval(x, coeffs),
-                           name=f"poly({rest})")
+
+        def horner(x):  # an overflow is refused as a non-finite load sample
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = coeffs[-1] + x * 0
+                for c in coeffs[-2::-1]:
+                    out = c + out * x
+            return out
+
+        return ScalarField(evaluate=horner, name=f"poly({rest})")
     if kind == "csv":
         path = Path(rest)
         if not path.exists():

@@ -25,15 +25,27 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import AccuracyError, DomainError, TailDivergenceError
 from .fields import RadialField, ScalarField, TailExpansion
 
 _MIN_C2_ZONE = 1e-12
 
-_GAUSS_ORDER = 12
-_GX, _GW = leggauss(_GAUSS_ORDER)
+
+def _legendre_rule(nodes: str, weights: str):
+    """The Gauss-Legendre rule on [-1, 1] mirrored from the float.hex digits of
+    its positive nodes, ascending, and their weights: bit for bit the
+    symmetrised rule of numpy's Legendre module, with no eigenvalue solve."""
+    x, w = (np.array([float.fromhex(v) for v in t.split()]) for t in (nodes, weights))
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+
+
+_GX, _GW = _legendre_rule(
+    "0x1.007a5f8f630e4p-3 0x1.78a8d20a8b19dp-2 0x1.2cb4f05c077f9p-1"
+    " 0x1.8a30aeed88f36p-1 0x1.cee874ffb88b3p-1 0x1.f68f1d8e42e81p-1",
+    "0x1.fe40ce6d4f022p-3 0x1.de3155c256aaep-3 0x1.a0163e6b1ab6bp-3"
+    " 0x1.47d7258f22d96p-3 0x1.b60602bce61afp-4 0x1.8275d9dea6d53p-5")
+_GAUSS_ORDER = _GX.size
 # 1D evaluation lays out the panels of up to _CHUNK_POINTS points at once and
 # evaluates the field on up to _BLOCK_NODES Gauss nodes a call.  On barrier
 # fields (up to 63 panels a point: 29 KB of panel ends a chunk, 32 KB of

@@ -166,19 +166,19 @@ def _distance_to_boundary(mesh) -> np.ndarray:
 def fit_boundary_exponent(report: SolveReport, band: float) -> float:
     """Least-squares slope of log |u| against log dist over the boundary band.
 
-    Returns nan when the band holds too few nonzero values to fit."""
+    Returns nan when the band holds too few nonzero values to fit, or when
+    their log-distances have no spread."""
     mesh = report.solution.mesh
     d = _distance_to_boundary(mesh)
     if not np.any(d <= band):
         raise DomainError("no nodes inside the boundary band")
     u = np.abs(report.solution.coeffs)
     mask = (d <= band) & (u > 0.0)
-    if int(np.sum(mask)) < 4:
-        return math.nan
     X = np.log(d[mask])
-    A = np.vstack([X, np.ones_like(X)]).T
-    slope = np.linalg.lstsq(A, np.log(u[mask]), rcond=None)[0][0]
-    return float(slope)
+    if X.size < 4 or X.min() == X.max():
+        return math.nan
+    dX = X - X.mean()  # the closed-form least-squares slope
+    return float(dX @ np.log(u[mask]) / (dX @ dX))
 
 
 def check_boundary_lipschitz(reports: Sequence[SolveReport],

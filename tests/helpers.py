@@ -340,6 +340,20 @@ def bilinear_eval(u: GridFunction, v: GridFunction, sys: StiffnessSystem) -> flo
     return float(u.coeffs @ sys.apply(v.coeffs))
 
 
+def lstsq_boundary_exponent(report: SolveReport, band: float) -> float:
+    """fit_boundary_exponent by LAPACK: the least-squares line through
+    (log dist, log |u|) over the band's nonzero values, nan below 4 of them."""
+    mesh = report.solution.mesh
+    d = np.minimum(mesh.nodes - mesh.a, mesh.b - mesh.nodes)
+    u = np.abs(report.solution.coeffs)
+    mask = (d <= band) & (u > 0.0)
+    if int(np.sum(mask)) < 4:
+        return math.nan
+    X = np.log(d[mask])
+    A = np.vstack([X, np.ones_like(X)]).T
+    return float(np.linalg.lstsq(A, np.log(u[mask]), rcond=None)[0][0])
+
+
 def sobolev_index(m: int, n_dim: int):
     """Continuity order granted by the embedding of H^{m+2}: floor(m - N/2)
     off the integer lattice, one less on it; ``None`` when nothing follows.

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.linalg import toeplitz
 
-from mixlap import fields
+from mixlap import assembly, fields, kernel
 from mixlap.assembly import (GridFunction, _fourth_difference_moments,
                              build_mesh, build_system, export_matrix,
                              grid_interpolant, load_vector, local_stiffness,
@@ -78,6 +79,30 @@ def test_build_mesh_refuses_a_node_count_it_cannot_allocate(n):
     # 8 n bytes at 2^58 are more than any machine maps (MemoryError)
     with pytest.raises(DomainError, match="cannot be allocated"):
         build_mesh(-1.0, 1.0, n)
+
+
+def test_build_mesh_refuses_a_spacing_the_doubles_cannot_hold():
+    # h = 1/64 on an interval where doubles are 1/8 apart: 15 nodes would
+    # take only 3 distinct values
+    with pytest.raises(DomainError, match=r"h = 0\.015625 .* 0\.125 apart"):
+        build_mesh(1e15, 1.0000000000000002e15, 15)
+
+
+@pytest.mark.parametrize("a, b, n", [(0.0, 1e-150, 63), (-1e100, 1e100, 15),
+                                     (1e15, 1e15 + 16.0, 15), (-1.0, 1.0, 100_001)])
+def test_build_mesh_keeps_every_spacing_the_doubles_hold(a, b, n):
+    mesh = build_mesh(a, b, n)
+    edges = mesh.element_edges()
+    assert np.all(np.diff(edges) > 0.0) and np.array_equal(edges[1:-1], mesh.nodes)
+
+
+@pytest.mark.parametrize("nodes, weights, order", [
+    (kernel._GX, kernel._GW, 12),
+    (assembly._LOAD_GAUSS_X, assembly._LOAD_GAUSS_W, 6),
+], ids=["kernel", "assembly"])
+def test_gauss_tables_are_the_bits_of_leggauss(nodes, weights, order):
+    x, w = leggauss(order)
+    assert nodes.tobytes() == x.tobytes() and weights.tobytes() == w.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,24 @@ def test_cli_refuses_a_mesh_too_large_to_index(tmp_path, capsys, argv):
     assert "too large to index" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_cli_refuses_a_mesh_the_doubles_cannot_hold(tmp_path, capsys, command):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # only the typed error reaches the user
+        assert main([command, "--domain", "1e15", "1.0000000000000002e15", "--n", "15",
+                     "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: mesh spacing h = ") and err.count("\n") == 1
+    assert "apart there" in err and "Traceback" not in err
+
+
+def test_cli_refuses_a_poly_load_that_overflows_without_a_warning(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # only the typed error reaches the user
+        assert main(["solve", "--f", "poly:1e308,1e308", "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: load function produced non-finite samples\n"
+
+
 def test_parse_accepts_an_integral_float_for_an_integer():
     cfg = parse_config(json.dumps({"command": "verify", "n": 7.0, "seed": 3.0}))
     assert (cfg.n, cfg.seed) == (7, 3) and type(cfg.n) is int

@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from mixlap.verify import (check_boundary_lipschitz, check_linf_bound,
                            residual_check, run_suite)
 
 import oracles
-from helpers import mollifier_bump, scaled, sobolev_index, without
+from helpers import (lstsq_boundary_exponent, mollifier_bump, scaled, sobolev_index,
+                     without)
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +162,31 @@ def test_boundary_exponents_at_32767(s):
     frac = solve_dirichlet(without(build_system(mesh, params), "local_row"), f)
     assert abs(fit_boundary_exponent(mixed, 0.01) - 1.0) <= 0.03
     assert abs(fit_boundary_exponent(frac, 0.01) - s) <= 0.01
+
+
+@pytest.mark.parametrize("a, b", [(-1.0, 1.0), (0.0, 3.0)])
+@pytest.mark.parametrize("s", [0.05, 0.25, 0.5, 0.75, 0.99])
+def test_boundary_exponent_is_the_lstsq_slope(s, a, b):
+    band = (b - a) / 20.0  # the band run_suite fits over
+    for n in (63, 127, 255):
+        rep = solve_dirichlet(build_system(build_mesh(a, b, n), OperatorParams(1, s)),
+                              fields.constant(1.0))
+        ref = lstsq_boundary_exponent(rep, band)
+        assert abs(fit_boundary_exponent(rep, band) - ref) <= 1e-13 * abs(ref)
+
+
+def test_boundary_exponent_is_nan_below_four_band_points():
+    rep = _family(0.5, fields.constant(1.0), ns=(63,))[0]
+    assert np.isnan(fit_boundary_exponent(rep, 1.5 / 32))  # one node a side
+
+
+def test_boundary_exponent_is_nan_silently_without_spread():
+    # four values at one distance from the boundary: no slope to fit
+    mesh = assembly.Mesh(a=0.0, b=1.0, n=4, h=0.2, nodes=np.full(4, 0.1))
+    rep = SimpleNamespace(solution=assembly.GridFunction(mesh, np.arange(1.0, 5.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(fit_boundary_exponent(rep, 0.2))
 
 
 # ---------------------------------------------------------------------------
