@@ -191,7 +191,7 @@ def _smoothstep_d2(t):
 def plateau(lo_inner, lo_outer, hi_inner, hi_outer, depth: float = 1.0) -> ScalarField:
     """C^2 plateau: depth on [lo_outer, hi_inner], 0 outside (lo_inner, hi_outer).
 
-    Ramps are quintic smoothsteps; the result is C^2 on all of R.
+    Ramps are quintic smoothsteps, C^2 on all of R; each ramp end is a kink.
     """
     if not (lo_inner < lo_outer <= hi_inner < hi_outer):
         raise DomainError("plateau breakpoints must be increasing")
@@ -219,7 +219,7 @@ def plateau(lo_inner, lo_outer, hi_inner, hi_outer, depth: float = 1.0) -> Scala
     return ScalarField(
         evaluate=ev,
         second_derivative=d2,
-        kinks=(),
+        kinks=(lo_inner, lo_outer, hi_inner, hi_outer),
         tail=TailExpansion(max(abs(lo_inner), abs(hi_outer))),
         name=f"plateau[{lo_inner},{lo_outer},{hi_inner},{hi_outer}]",
     )

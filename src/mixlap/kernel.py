@@ -6,13 +6,14 @@ second-difference form
     (-Delta)^s u(x) = -(c_{N,s}/2) * int (u(x+z) + u(x-z) - 2 u(x)) / |z|^{N+2s} dz,
 
 which removes the principal value for C^2 integrands.  In one dimension the
-integral is split into an analytic core around z = 0 (second-order Taylor
-resummation on the field's u'', which also steps over the floating-point
-cancellation floor of the raw second difference), a graded-panel Gauss zone
-out to where the field's :class:`~mixlap.fields.TailExpansion` is exact, and
-an exact resummation of that expansion beyond.  A radial field in dimension
-2 or 3 is imaged as the sphere average of the 1D images of its restrictions
-to the lines through the point, so one quadrature serves every dimension.
+integral is split into a core (0, z0] inside the point's C^2 zone, which
+two integrations by parts put on the field's u'' (the local form of the du'
+definition: Kwasnicki, Fract. Calc. Appl. Anal. 20, 2017), a graded-panel
+Gauss zone out to where the field's :class:`~mixlap.fields.TailExpansion`
+is exact, and an exact resummation of that expansion beyond; every length
+follows the point.  A radial field in dimension 2 or 3 is imaged as the
+sphere average of the 1D images of its restrictions to the lines through
+the point, so one quadrature serves every dimension.
 
 The normalization constant c_{N,s} is taken in its Gamma-function closed
 form.
@@ -20,13 +21,14 @@ form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, TailDivergenceError
+from .errors import DomainError, TailDivergenceError
 from .fields import RadialField, ScalarField, TailExpansion
 
 _MIN_C2_ZONE = 1e-12
@@ -46,6 +48,7 @@ _GX, _GW = _legendre_rule(
     "0x1.fe40ce6d4f022p-3 0x1.de3155c256aaep-3 0x1.a0163e6b1ab6bp-3"
     " 0x1.47d7258f22d96p-3 0x1.b60602bce61afp-4 0x1.8275d9dea6d53p-5")
 _GAUSS_ORDER = _GX.size
+_CORE_NODES = 0.5 + 0.5 * _GX  # the Gauss nodes on [0, 1]
 # 1D evaluation lays out the panels of up to _CHUNK_POINTS points at once and
 # evaluates the field on up to _BLOCK_NODES Gauss nodes a call.  On barrier
 # fields (up to 63 panels a point: 29 KB of panel ends a chunk, 32 KB of
@@ -54,21 +57,17 @@ _GAUSS_ORDER = _GX.size
 _CHUNK_POINTS = 64
 _BLOCK_NODES = 2**12
 _MAX_HALVINGS = 48
-_TAIL_TERMS = 120
-_TAIL_BLOCK = 16
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
-_INNER_RADIUS = 0.25  # where the core zone ends, or half the way to a kink
+_INNER_RADIUS = 0.25  # where the core zone ends on a field with no kink
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """The tolerance of the singular quadrature, its one setting, which
-    reaches no computation: the panel layout is fixed (_INNER_RADIUS, the
-    field's exact tail from its cutoff on, one panel per factor-2 span),
-    every field takes the core radius z0 = r_in/64 (see
-    :func:`_analytic_core`), and a radial field is imaged through the same
-    1D quadrature.  ``frac_apply`` and ``mixed_apply`` still accept one.
+    reaches no computation: the 1D panel layout and core rule are fixed (see
+    :func:`frac_apply_1d`), and a radial field is imaged through the same 1D
+    quadrature.  ``frac_apply`` and ``mixed_apply`` still accept one.
     """
 
     tolerance: float = 1e-8
@@ -195,44 +194,26 @@ def _panel_layout(z0, r_in, offsets, below, above, r_out):
 
 def _gauss_nodes(lo, hi):
     """Gauss nodes/weights for the panels [lo[i], hi[i]]."""
-    a = np.asarray(lo)
-    b = np.asarray(hi)
-    mid = 0.5 * (a + b)[:, None]
-    half = 0.5 * (b - a)[:, None]
-    nodes = mid + half * _GX[None, :]
-    weights = half * _GW[None, :]
-    return nodes.ravel(), weights.ravel()
+    a, b = np.asarray(lo)[:, None], np.asarray(hi)[:, None]
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b) + half * _GX).ravel(), (half * _GW).ravel()
 
 
 def _tail_power_moments(p: float, shift: np.ndarray, radius: np.ndarray,
                         s: float) -> np.ndarray:
     """int_R^inf (t + shift)^p t^(-1-2s) dt at each shift, R = radius, for
-    |shift| < R and p < 2s.
-
-    Expands (t + shift)^p = t^p sum_k C(p,k) (shift/t)^k; the series
-    converges geometrically since |shift| / R < 1.  Each point sums its
-    terms in order until one falls below 1e-18 of the sum (k > 2), over at
-    most _TAIL_TERMS terms, taken _TAIL_BLOCK at a time.
+    |shift| <= R/2 and p < 2s: R^(p-2s) sum_k C(p,k) q^k / (2s+k-p) with
+    q = shift/R.  Each point sums its terms with |q|^k >= 2^-60 (at most 60)
+    by Horner's rule, so its value does not depend on the call's other points.
     """
-    k = np.arange(float(_TAIL_TERMS))
-    binom = np.cumprod(np.concatenate(([1.0], (p - k[1:] + 1.0) / k[1:])))
-    total, todo = np.zeros(shift.size), np.arange(shift.size)
-    for k0 in range(0, _TAIL_TERMS, _TAIL_BLOCK):
-        kk = k[k0:k0 + _TAIL_BLOCK]
-        with np.errstate(over="ignore", invalid="ignore"):  # only past a stop
-            terms = (binom[k0:k0 + _TAIL_BLOCK] * shift[todo, None] ** kk
-                     * radius[todo, None] ** (p - kk - 2.0 * s) / (2.0 * s + kk - p))
-            sums = np.cumsum(np.column_stack((total[todo], terms)), axis=1)[:, 1:]
-        stop = (np.abs(terms) < 1e-18 * np.maximum(np.abs(sums), 1e-300)) & (kk > 2)
-        hit = stop.any(axis=1)
-        total[todo] = sums[np.arange(todo.size), np.where(hit, stop.argmax(axis=1), -1)]
-        todo = todo[~hit]
-        if not todo.size:
-            break
-    if not np.isfinite(total).all():
-        raise AccuracyError("tail series overflows before it converges at offset "
-                            f"{float(shift[~np.isfinite(total)][0])}")
-    return total
+    q = shift / radius
+    n = np.ceil(-60.0 / np.log2(np.maximum(np.abs(q), 2.0**-60))).astype(int)
+    k = np.arange(float(n.max()))
+    coef = np.cumprod(np.concatenate(([1.0], (p - k[1:] + 1.0) / k[1:]))) / (2.0 * s + k - p)
+    total = np.zeros(q.size)
+    for j in range(k.size - 1, -1, -1):
+        total = np.where(j < n, coef[j] + q * total, 0.0)
+    return radius ** (p - 2.0 * s) * total
 
 
 def _tail_contributions(u: ScalarField, xs: np.ndarray, uxs: np.ndarray,
@@ -242,7 +223,7 @@ def _tail_contributions(u: ScalarField, xs: np.ndarray, uxs: np.ndarray,
     plus = sum(c * _tail_power_moments(p, xs, radius, s) for c, p in u.tail.plus_terms)
     minus = sum(c * _tail_power_moments(p, -xs, radius, s) for c, p in u.tail.minus_terms)
     # the p = 0 moment as the series gives it, so a constant cancels exactly
-    return plus + minus - 2.0 * uxs * (radius ** (-2.0 * s) / (2.0 * s))
+    return plus + minus - 2.0 * uxs * (radius ** (-2.0 * s) * (1.0 / (2.0 * s)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +231,23 @@ def _tail_contributions(u: ScalarField, xs: np.ndarray, uxs: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _analytic_core(u: ScalarField, x, r, r_in):
-    """Each point's core radius z0 = r_in/64, inside its C^2 zone of radius
-    r_in (r to the nearest kink), and the upp, u4 of the two-term Taylor
-    core delta2(z) ~ upp z^2 + u4 z^4 / 12 on (0, z0]: upp = u''(x), u4 from
-    u'' at x +- d (d > 0: r > _MIN_C2_ZONE).  Its error is truncation, not
-    roundoff, so z0 does not depend on the tolerance.
-    """
-    z0 = r_in / 64.0
-    d = np.minimum(np.maximum(z0, 1e-5), r / 4.0)
-    upp, right, left = u.second_derivative(np.concatenate((x, x + d, x - d))).reshape(3, -1)
-    return z0, upp, (right + left - 2.0 * upp) / d**2
+@functools.lru_cache(maxsize=64)
+def _core_weights(s: float) -> np.ndarray:
+    """Weights of the product rule int_0^1 g(t) k(t) dt ~ sum_i w_i g(t_i) on
+    the Gauss nodes t_i of [0, 1], exact for g of degree < 12, with
+    k(t) = (1 - t^a)/a + (t - t^a)/(2s), a = 1 - 2s.  w_i is the Gauss weight
+    times sum_j (2j+1) mu_j P_j(2 t_i - 1), mu_j the moment of k against
+    P_j(2t - 1), closed by int_0^1 P_j(2t - 1) t^b dt = prod_{m<j} (b - m) /
+    prod_{m<=j} (b + m + 1): a cancels from every mu_j, so s = 1/2 is plain."""
+    a = 1.0 - 2.0 * s
+    mu = [0.5 / (a + 1.0), -(a + 4.0) / (6.0 * (a + 1.0) * (a + 2.0))] + [
+        math.prod(a - m for m in range(2, j)) / math.prod(a + m + 1.0 for m in range(j + 1))
+        for j in range(2, _GAUSS_ORDER)]
+    legendre, prev, total = np.ones(_GAUSS_ORDER), np.zeros(_GAUSS_ORDER), mu[0]
+    for j in range(1, _GAUSS_ORDER):
+        legendre, prev = ((2 * j - 1) * _GX * legendre - (j - 1) * prev) / j, legendre
+        total = total + (2 * j + 1) * mu[j] * legendre
+    return 0.5 * _GW * total
 
 
 def _on_support(u: ScalarField, y: np.ndarray) -> np.ndarray:
@@ -304,7 +291,7 @@ def _middle_integrals(u: ScalarField, xs: np.ndarray, uxs: np.ndarray, lo, hi,
 
 def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams"):
     """(-Delta)^s u and u'' at each point of the 1-D array ``xs``, as a pair
-    of arrays: u'' is the value the analytic core used.
+    of arrays: u'' comes from the field call that samples the core.
 
     The field must carry its second derivative; a hat interpolant, which has
     none, is imaged in closed form by ``GridFunction.frac_image``.  Each
@@ -341,14 +328,15 @@ def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams"):
     for i in range(0, xs.size, _CHUNK_POINTS):
         chunk = slice(i, i + _CHUNK_POINTS)
         x, ux, r = xs[chunk], uxs[chunk], r_c2[chunk]
-        r_in = np.minimum(_INNER_RADIUS, 0.5 * r)
-        # analytic core on (0, z0], then its share of the integral
-        z0, upp, u4 = _analytic_core(u, x, r, r_in)
-        upps[chunk] = upp
-        cores = -c * (
-            upp * z0 ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-            + u4 * z0 ** (4.0 - 2.0 * s) / (12.0 * (4.0 - 2.0 * s))
-        )
+        # the C^2 zone reaches half the way to the nearest kink, and the core
+        # (0, z0] its first quarter, integrated by parts on u'' at x +- z0 t
+        r_in = np.where(np.isfinite(r), 0.5 * r, _INNER_RADIUS)
+        z0 = 0.25 * r_in
+        dz = z0[:, None] * np.concatenate((_CORE_NODES, -_CORE_NODES))
+        upp = u.second_derivative(np.concatenate((x, (x[:, None] + dz).ravel())))
+        upps[chunk] = upp[:x.size]
+        pair = upp[x.size:].reshape(-1, 2, _GAUSS_ORDER).sum(axis=1)
+        cores = -c * z0 ** (2.0 - 2.0 * s) * np.sum(pair * _core_weights(s), axis=1)
 
         # panels: [z0, r_in], then break offsets out to where the field's tail
         # is exact on both sides and its series ratio |x| / r_out is <= 1/2

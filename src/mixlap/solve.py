@@ -96,9 +96,10 @@ def _tau_eigenvalues(row: np.ndarray) -> np.ndarray:
     n = row.size
     ext = np.zeros(2 * n + 2)
     ext[1:n + 1] = row - np.concatenate([row[2:], np.zeros(min(n, 2))])
-    lam = -_odd_rfft(ext, n) / (2.0 * np.sin(np.pi * np.arange(1, n + 1) / (n + 1)))
-    if not lam.min() > 0.0:
-        raise NumericalError("the tau spectrum of the Toeplitz row is not positive",
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        lam = -_odd_rfft(ext, n) / (2.0 * np.sin(np.pi * np.arange(1, n + 1) / (n + 1)))
+    if not (lam.min() > 0.0 and lam.max() < math.inf):
+        raise NumericalError("the tau spectrum of the Toeplitz row is not positive and finite",
                              eigenvalue_estimate=float(lam.min()))
     return lam
 

@@ -15,7 +15,11 @@ the mpmath sum of its power terms, and by pairing it with a hat by mpmath
 quadrature, which must give the stiffness row.  Radial images are checked
 against Dyda's hypergeometric closed form, and in dimension 3 against the
 intertwining identity, the one reference here that calls the library: its
-1D quadrature on a single odd function, not the radial path.
+1D quadrature on a single odd function, not the radial path.  The 1D core's
+product-rule weights are checked against tanh-sinh integrals of its kernel,
+the tail series against Euler's hypergeometric form, and the barrier's
+mixed image against its second-difference form with the field written out
+again.
 """
 
 import math
@@ -431,19 +435,139 @@ def assemble_breaks(z0, r_in, offsets, r_out, panels, below, above):
     return breaks
 
 
-def tail_power_moment(p: float, shift: float, radius: float, s: float) -> float:
-    """Scalar reference for int_R^inf (t + shift)^p t^(-1-2s) dt, the
-    binomial series summed term by term as the kernel summed it per point."""
-    total, binom = 0.0, 1.0
-    for k in range(0, 120):
-        if k:
-            binom *= (p - k + 1) / k
-        term = binom * shift**k * radius ** (p - k - 2.0 * s) / (2.0 * s + k - p)
-        total += term
-        if k > 2 and abs(term) < 1e-18 * max(abs(total), 1e-300):
-            break
-    return total
+def tail_power_moment(p: float, shift: float, radius: float, s: float,
+                      dps: int = 30) -> float:
+    """int_R^inf (t + shift)^p t^(-1-2s) dt, R = radius, for |shift| < R and
+    p < 2s: with t = R/v it is R^(p-2s) int_0^1 v^(2s-p-1) (1 + q v)^p dv,
+    q = shift/R, which is Euler's integral
+    R^(p-2s) / (2s-p) 2F1(-p, 2s-p; 2s-p+1; -q)."""
+    with mp.workdps(dps):
+        return float(_mp_tail_moment(mp.mpf(p), mp.mpf(shift), mp.mpf(radius), mp.mpf(s)))
 
+
+def mp_dyda_power(p: float, s: float, x: float, dps: int = 30) -> float:
+    """(-Delta)^s x_+^p at x > 0 in Dyda's closed form kappa x^(p-2s),
+    kappa = Gamma(1+p) Gamma(2s-p) sin(pi (s-p)) / pi (Fract. Calc. Appl.
+    Anal. 15, 2012), for -1 < p < 2s."""
+    with mp.workdps(dps):
+        p_, s_ = mp.mpf(p), mp.mpf(s)
+        kappa = mp.gamma(1 + p_) * mp.gamma(2 * s_ - p_) * mp.sin(mp.pi * (s_ - p_)) / mp.pi
+        return float(kappa * mp.mpf(x) ** (p_ - 2 * s_))
+
+
+def mp_core_integrals(s: float, dps: int = 30) -> list:
+    """int_0^1 g(t) k(t) dt for g = 1, e^t and 1/(t + 4), with the core
+    kernel k(t) = (1 - t^a)/a + (t - t^a)/(2s), a = 1 - 2s (-log t + t - 1
+    at s = 1/2).  k ~ t^a near 0 is nearly non-integrable at s -> 1, so
+    tanh-sinh runs in v = t^(1+a), where dt = t^(-a) dv / (1 + a) makes the
+    integrand bounded."""
+    with mp.workdps(dps):
+        s_ = mp.mpf(s)
+        a = 1 - 2 * s_
+
+        def k(t):
+            first = (1 - t**a) / a if a else -mp.log(t)
+            return first + (t - t**a) / (2 * s_)
+
+        def integral(g):
+            def f(v):
+                t = v ** (1 / (1 + a))
+                return g(t) * k(t) * t ** (-a) / (1 + a)
+            return float(mp.quad(f, [0, 1]))
+
+        return [integral(g) for g in (lambda t: 1, mp.exp, lambda t: 1 / (t + 4))]
+
+
+def mp_frac_plateau(s: float, x: float, dps: int = 30) -> float:
+    """(-Delta)^s of fields.plateau(-2, -1, 1, 3, depth=1.5) at x: quintic
+    smoothstep ramps on [-2, -1] and [1, 3].  Below z = 1e-4 the second
+    difference is its two-term Taylor series (u^(2) and u^(4) by mp.diff;
+    the next term is below 1e-20 of the image); tanh-sinh takes the body,
+    split where x +- z meets a ramp end, out to z = 10, past which both
+    shifted points are off the support."""
+    def step(t):
+        return 0 if t <= 0 else (1 if t >= 1 else t**3 * (10 - 15 * t + 6 * t * t))
+
+    with mp.workdps(dps):
+        s_, x_, d = mp.mpf(s), mp.mpf(x), mp.mpf(10) ** -4
+        c = s_ * 4**s_ * mp.gamma(mp.mpf(1) / 2 + s_) / (mp.sqrt(mp.pi) * mp.gamma(1 - s_))
+
+        def u(y):
+            return mp.mpf(1.5) * step(y + 2) * step((3 - y) / 2)
+
+        core = (mp.diff(u, x_, 2) * d ** (2 - 2 * s_) / (2 - 2 * s_)
+                + mp.diff(u, x_, 4) / 12 * d ** (4 - 2 * s_) / (4 - 2 * s_))
+        breaks = sorted({d, *(abs(x_ - k) for k in (-2, -1, 1, 3)), mp.mpf(10)})
+        body = mp.quad(lambda z: (u(x_ + z) + u(x_ - z) - 2 * u(x_)) * z ** (-1 - 2 * s_),
+                       breaks)
+        return float(-c * (core + body - 2 * u(x_) * mp.mpf(10) ** (-2 * s_) / (2 * s_)))
+
+
+def _mp_tail_moment(p, shift, T, s):
+    """int_T^inf (t + shift)^p t^(-1-2s) dt in Euler's closed form (see
+    :func:`tail_power_moment`), on mpf arguments."""
+    b = 2 * s - p
+    return T ** (-b) / b * mp.hyp2f1(-p, b, b + 1, -shift / T)
+
+
+def mp_barrier_mixed_image(p, x: float, dps: int = 40) -> float:
+    """-beta'' + (-Delta)^s beta at 0 < x < d for the barrier parameters p,
+    from the second-difference form with every piece of beta written out
+    again: beta = sum_{j<=J} c_j y^alpha_j + c_top min(y, 2)^alpha_top
+    - C# W(y) for y > 0, 0 below, where W = y^2 (3 - 2 log y)/4
+    + sum_{j>=1} (2 c_j / C#) y^alpha_j on (0, d], times the quintic fade
+    1 - S((y - d)/d) on (d, 2d), and 0 from 2d on.
+
+    On z < delta = (d - x)/4 both shifted points stay in (0, d), where beta
+    is analytic, and the Taylor series of its second difference is
+    integrated term by term (its derivatives are closed).  Tanh-sinh takes
+    the body, split where x + z meets d, 2d and 2 and where x - z meets 0;
+    past 2 - x the field is its monomials plus a constant, in closed form."""
+    with mp.workdps(dps):
+        s_, x_, d, cs_ = mp.mpf(p.ladder.s), mp.mpf(x), mp.mpf(p.d), mp.mpf(p.C_sharp)
+        J, alphas, cs = p.ladder.J, [mp.mpf(a) for a in p.ladder.alphas], [mp.mpf(c) for c in p.cs]
+        c1s = s_ * 4**s_ * mp.gamma(mp.mpf(1) / 2 + s_) / (mp.sqrt(mp.pi) * mp.gamma(1 - s_))
+        # beta on (0, d]: powers minus C# times the log potential
+        powers = ([(cs[j], alphas[j]) for j in range(J + 2)]
+                  + [(-2 * cs[j], alphas[j]) for j in range(1, J + 2)])
+
+        def log_potential(y):
+            return y * y * max(3 - 2 * mp.log(y), 0) / 4
+
+        def beta(y):
+            if y <= 0:
+                return mp.mpf(0)
+            out = sum(c * y**a for c, a in zip(cs[:J + 1], alphas))
+            out += cs[J + 1] * min(y, 2) ** alphas[J + 1]
+            if y < 2 * d:
+                w = log_potential(y) + sum(2 * cs[j] / cs_ * y ** alphas[j]
+                                           for j in range(1, J + 2))
+                if y > d:
+                    t = (y - d) / d
+                    w *= 1 - t**3 * (10 - 15 * t + 6 * t * t)
+                out -= cs_ * w
+            return out
+
+        def derivative(n, y):  # of beta on (0, d), n >= 2
+            out = sum(c * mp.ff(a, n) * y ** (a - n) for c, a in powers)
+            pot = -mp.log(y) if n == 2 else (-1) ** n * mp.factorial(n - 3) * y ** (2 - n)
+            return out - cs_ * pot
+
+        delta = (d - x_) / 4
+        core, k = mp.mpf(0), 1
+        while True:
+            term = (2 * derivative(2 * k, x_) / mp.factorial(2 * k)
+                    * delta ** (2 * k - 2 * s_) / (2 * k - 2 * s_))
+            core += term
+            if abs(term) < mp.mpf(10) ** (-dps) * abs(core):
+                break
+            k += 1
+        bx, T = beta(x_), 2 - x_
+        body = mp.quad(lambda z: (beta(x_ + z) + beta(x_ - z) - 2 * bx) * z ** (-1 - 2 * s_),
+                       [delta, d - x_, x_, 2 * d - x_, T])
+        tail = (sum(c * _mp_tail_moment(a, x_, T, s_) for c, a in zip(cs[:J + 1], alphas))
+                + (cs[J + 1] * 2 ** alphas[J + 1] - 2 * bx) * T ** (-2 * s_) / (2 * s_))
+        return float(-derivative(2, x_) - c1s * (core + body + tail))
 
 
 def mp_frac_hat(knots, values, s: float, xs, dps: int = 30) -> list:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -235,6 +236,37 @@ def test_certified_lower_bound_on_beta(p075, quad):
     bf = beta_field(p075)
     for x in np.geomspace(p075.d * 1e-4, p075.d * 0.98, 25):
         assert mixed_apply(bf, float(x), params, quad) >= -p075.C2 - 10.0 * quad.tolerance
+
+
+def _c2_grid_image(p):
+    """The C2 grid of p and Lbeta on it, as the builder images them."""
+    xs = np.geomspace(p.d * 1e-6, p.d * 0.999, 400)
+    return xs, mixed_apply(beta_field(p), xs, OperatorParams(1, p.ladder.s))
+
+
+@pytest.mark.parametrize("s, rel", [(0.6, 5e-11), (0.75, 3e-10), (0.9, 1e-8)])
+def test_image_that_sets_c2_matches_the_mpmath_oracle(s, rel, request):
+    # Lbeta at the grid point that sets C2, x = 0.999 d, 0.001 d below the
+    # corrector's fade, against the 40-digit oracle: within 7.8e-12,
+    # 5.7e-11 and 1.8e-9 (off by 5.1e-10, 3.4e-9 and 2.6e-7 before the core
+    # was integrated by parts).  What is left at s = 0.9 grows as the core
+    # radius shrinks: the second difference's roundoff on the first panels
+    p = request.getfixturevalue("p09") if s == 0.9 else build_barrier(s)
+    xs, lbeta = _c2_grid_image(p)
+    i = int(np.argmax(-lbeta))
+    assert lbeta[i] == pytest.approx(oracles.mp_barrier_mixed_image(p, float(xs[i])),
+                                     rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [0.9, 0.91])
+def test_c2_is_well_conditioned_in_c_sharp(s, request):
+    # one ulp of C# moves C2 by 2.6e-10 at s = 0.9 and 8.6e-11 at 0.91
+    # (2.6e-8 and 4.7e-8 before the core was integrated by parts)
+    p = request.getfixturevalue("p09") if s == 0.9 else build_barrier(s)
+    moved = dataclasses.replace(p, C_sharp=float(np.nextafter(p.C_sharp, math.inf)))
+    lbeta = _c2_grid_image(moved)[1]
+    c2 = max(1.25 * float(np.max(np.maximum(-lbeta, 0.0))), 0.05)
+    assert c2 == pytest.approx(p.C2, rel=1e-9, abs=0.0)
 
 
 def test_telescoping_cancellation(p075, quad):

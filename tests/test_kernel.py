@@ -9,7 +9,7 @@ import pytest
 from mixlap import fields, kernel
 from mixlap.assembly import GridFunction, build_mesh, grid_interpolant
 from mixlap.barrier import beta_field, beta_sharp_field, build_barrier, gamma_field
-from mixlap.errors import AccuracyError, DomainError, TailDivergenceError
+from mixlap.errors import DomainError, TailDivergenceError
 from mixlap.kernel import (OperatorParams, QuadratureSpec, frac_apply,
                            mixed_apply, normalization_constant)
 from mixlap.verify import _radial_counterexample_profile, _ring_well
@@ -147,21 +147,14 @@ def test_kink_evaluation_rejected(quad):
 
 
 def test_tail_series_far_out_converges_or_refuses(quad):
-    # (-Delta)^s x_+^1.2 = kappa(1.2, s) x^(1.2 - 2s) (Dyda); the measured
-    # errors, 2.1e-13 at x = 1 and 7.8e-12 at x = 10, set the bounds at
-    # about 5x.  They grow with x (2.9e-9 at 100, 6.5e-3 at 1e7), likely
-    # because u(x) grows while the core radius stays r_in/64 and the second
-    # difference cancels
-    p = OperatorParams(1, 0.9)
-    kappa = oracles.mp_frac_power(1.2, 0.9)
-    for x, rel in ((1.0, 1e-12), (10.0, 5e-11)):
-        assert frac_apply(pure_power(1.2), x, p, quad) == pytest.approx(
-            kappa * x**-0.6, rel=rel, abs=0.0)
-    # the tail series of x_+^1.2 converges before shift^k overflows at
-    # x = 1e7, though later terms of its block do; at 1e9 it cannot
-    assert math.isfinite(frac_apply(pure_power(1.2), 1e7, p, quad))
-    with pytest.raises(AccuracyError):
-        frac_apply(pure_power(1.2), 1e9, p, quad)
+    # (-Delta)^s x_+^alpha = kappa x^(alpha - 2s) (Dyda) at every scale: the
+    # core and the tail series take only lengths relative to x.  Measured
+    # within 1.3e-14; below x = 1e-6 the absolute grading floor 1e-12 of the
+    # break at 0 leaves errors near 3e-9 at x = 1e-11
+    for s, alpha in ((0.6, 1.1), (0.9, 1.2), (0.95, 1.5)):
+        for x in (1e-6, 1.0, 1e6, 1e12, 1e100):
+            assert frac_apply(pure_power(alpha), x, OperatorParams(1, s), quad) == pytest.approx(
+                oracles.mp_dyda_power(alpha, s, x), rel=1e-13, abs=0.0), (s, alpha, x)
 
 
 @pytest.mark.parametrize("n_dim", [2, 3])
@@ -197,11 +190,22 @@ def test_truncated_power_matches_mpmath_oracle(alpha, s, quad):
         assert v == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
+@pytest.mark.parametrize("s", [0.3, 0.9])
+def test_plateau_matches_mpmath_oracle_near_its_ramp_ends(s, quad):
+    # the ramp ends are kinks, so the core stays inside each point's C^2
+    # zone and panels end at them: within 5.4e-12, where undeclared ends
+    # left errors of 1e-2 at s = 0.9
+    xs = np.array([-1.03, -0.98, -0.5, 0.97, 1.02, 2.5])
+    mine = frac_apply(fields.plateau(-2.0, -1.0, 1.0, 3.0, depth=1.5), xs,
+                      OperatorParams(1, s), quad)
+    for x, v in zip(xs.tolist(), mine.tolist()):
+        assert v == pytest.approx(oracles.mp_frac_plateau(s, x), rel=1e-10, abs=0.0), x
+
+
 @pytest.mark.parametrize("s", [0.01, 0.3, 0.6, 0.9, 0.99])
 def test_truncated_power_meets_the_tolerance_near_its_kink(s):
-    # near the graded support end 0, u^(k) grows like x^(alpha-k) and the Taylor
-    # core's truncation decides: a core radius that followed the noise floor
-    # out to r_in/8 missed by 6.7e-7 at (s, alpha, x) = (0.9, 1.2, 1e-6)
+    # near the graded support end 0, u^(k) grows like x^(alpha-k), so the
+    # core's product rule and the panels graded into 0 decide the error
     tol = QuadratureSpec.tolerance
     for alpha in (1.0, 1.2, 1.5, 1.8):
         for x in (1e-6, 1e-3, 0.5):
@@ -211,7 +215,7 @@ def test_truncated_power_meets_the_tolerance_near_its_kink(s):
 
 
 def test_tolerance_does_not_move_a_taylor_core():
-    # with u'' the core radius is r_in/64 at any tolerance
+    # the core radius r_in/4 and its product rule are the same at any tolerance
     u, p = fields.truncated_power(1.8, 1.0), OperatorParams(1, 0.9)
     tight = frac_apply(u, 0.05, p, QuadratureSpec(tolerance=1e-12))
     assert np.float64(tight).tobytes() == np.float64(frac_apply(u, 0.05, p)).tobytes()
@@ -251,7 +255,7 @@ def test_mixed_requires_second_derivative(quad):
 
 @pytest.mark.parametrize("apply", [frac_apply, mixed_apply])
 def test_field_without_second_derivative_is_refused(apply):
-    # the 1D quadrature has one core, the Taylor core on u''; a hat
+    # the 1D quadrature has one core, integrated by parts on u''; a hat
     # interpolant, which has no u'', is imaged in closed form instead
     mesh = build_mesh(-1.0, 1.0, 15)
     hat = grid_interpolant(mesh, 1.0 - mesh.nodes**2)
@@ -528,8 +532,8 @@ def _field_layout_inputs(u, xs):
     lo = u.support[0]
     ends = [e for e in u.support if math.isfinite(e)]
     r_c2 = np.array([u.c2_distance(x) for x in xs])
-    r_in = np.minimum(kernel._INNER_RADIUS, 0.5 * r_c2)
-    z0 = kernel._analytic_core(u, xs, r_c2, r_in)[0]
+    r_in = np.where(np.isfinite(r_c2), 0.5 * r_c2, kernel._INNER_RADIUS)
+    z0 = 0.25 * r_in
     r_out = np.maximum(2.0 * np.abs(xs) + 2.0, u.tail.cutoff + np.abs(xs) + 1.0)
     offsets = [[abs(k - x) for k in (*u.kinks, *ends)] for x in xs.tolist()]
     below = [[abs(e - x) if (e == lo) == (x > e) else math.nan for e in ends]
@@ -555,7 +559,7 @@ def test_layout_matches_scalar_on_barrier_fields(barrier_03):
 def test_layout_matches_scalar_on_truncated_power_and_hat():
     xs = np.linspace(-3.0, 3.0, 301) + 1e-3
     _assert_layout_matches_scalar(*_field_layout_inputs(fields.truncated_power(1.4, 1.0), xs))
-    # a hat's 33 kinks, with the zero u'' the Taylor core needs
+    # a hat's 33 kinks, with the zero u'' the core needs
     mesh = build_mesh(-1.0, 1.0, 31)
     hat = dataclasses.replace(grid_interpolant(mesh, np.sin(np.arange(31.0))),
                               second_derivative=np.zeros_like)
@@ -605,10 +609,20 @@ def test_one_sided_layout_edge_cases_match_scalar(offsets, below, above):
                                   [below, below], [above, above], [64.0, 64.0])
 
 
+@pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 0.7, 0.9, 0.99])
+def test_core_weights_match_mpmath_kernel_integrals(s):
+    # the 12-node product rule for int_0^1 g k, k(t) = (1 - t^a)/a +
+    # (t - t^a)/(2s), on g = 1, e^t and 1/(t + 4); measured within 1.9e-14,
+    # at s = 0.99, where int k = 1/(4 - 4s) = 25
+    t, w = kernel._CORE_NODES, kernel._core_weights(s)
+    mine = [np.sum(w), np.sum(w * np.exp(t)), np.sum(w / (t + 4.0))]
+    np.testing.assert_allclose(mine, oracles.mp_core_integrals(s), rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("s,p", [(0.3, 0.5), (0.6, 1.0), (0.9, 1.2), (0.99, 1.7)])
 def test_tail_series_matches_scalar(s, p):
-    # the chunk's tail series sums the scalar series' terms in its order;
-    # only numpy's pow may differ in the last bit
+    # the chunk's tail series against the hypergeometric closed form, at
+    # ratios |shift| / radius up to 0.49
     xs = np.linspace(-40.0, 40.0, 161)
     radius = np.maximum(64.0, 2.0 * np.abs(xs) + 2.0)
     ref = [oracles.tail_power_moment(p, x, r, s) for x, r in zip(xs.tolist(), radius.tolist())]
@@ -635,9 +649,9 @@ def test_barrier_image_temporaries_stay_small(barrier_03):
 
 
 def test_mixed_image_evaluates_the_second_derivative_once(barrier_03):
-    # u''(x) serves the local part and the fractional core both; with x +- d
-    # for the core's fourth-derivative estimate that is 3 points a point, in
-    # one call per chunk of points
+    # u''(x) serves the local part, and u'' at x +- z0 t on the core's 12
+    # nodes t serves the fractional core: 25 points a point, in one call per
+    # chunk of points
     p = barrier_03
     bf = beta_field(p)
     sizes = []
@@ -650,7 +664,7 @@ def test_mixed_image_evaluates_the_second_derivative_once(barrier_03):
     params = OperatorParams(1, 0.3)
     image = mixed_apply(dataclasses.replace(bf, second_derivative=counted), xs, params)
     assert image.tobytes() == mixed_apply(bf, xs, params).tobytes()
-    assert sum(sizes) == 3 * xs.size
+    assert sum(sizes) == (1 + 2 * kernel._GAUSS_ORDER) * xs.size
     assert len(sizes) == math.ceil(xs.size / kernel._CHUNK_POINTS)
 
 
