@@ -11,7 +11,7 @@ needs to evaluate nonlocal operators on an explicitly given function:
   integral beyond any finite radius can be resummed in closed form,
 * a ``support`` interval (lo, hi): the field is exactly 0 at and beyond
   both ends, so the quadrature skips the nodes that fall there and grades
-  its panels into each finite end.
+  into each finite end.
 
 Every callable a field carries (the evaluator, the second derivative, and a
 radial field's profile, its derivatives and its Laplacian) takes an array of
@@ -19,14 +19,14 @@ any shape and returns an array of that shape, so the kernel asks for each
 quantity once per array of points.
 
 A *kink* is a point the field lists as a smoothness break: a jump in some
-derivative, or an algebraic singularity.  The singular quadrature puts a
-panel break at the offset of every kink and never evaluates the operator
-within ``1e-12`` of one.  Where two analytic pieces join, such as the ends of
-a parabola cap or a polynomial fade meeting a constant, Gauss-Legendre
-panels that end at the break converge geometrically.  A piece that is itself
-singular, such as x_+^alpha or x^2 log x at 0, is singular at a finite end of
-the support: each such end is also a break, and the panels on the side where
-the field is nonzero are refined dyadically toward it.
+derivative, or an algebraic singularity.  The singular quadrature breaks its
+rules at the offset of every kink and never evaluates the operator within
+``1e-12`` of one.  Where two analytic pieces join, such as the ends of a
+parabola cap or a polynomial fade meeting a constant, a Gauss-Legendre rule
+that ends at the break converges geometrically.  A piece that is itself
+singular, such as x_+^alpha or x^2 log x at 0, is singular at a finite end
+of the support: each such end is also a break, and on the side where the
+field is nonzero the rules next to it run in log |z - b| down to 2^-60 b.
 
 The tail description is *exact*, not asymptotic: beyond ``cutoff`` the
 function must equal the stated finite sum of power terms on each side
@@ -74,7 +74,7 @@ class ScalarField:
     x >= hi; the default is the whole line.  The 1D operator evaluates the
     field only at quadrature nodes strictly inside it and takes 0.0
     elsewhere, so a wrong promise changes the image.  Each finite end is
-    also a panel break, graded from the side where the field is nonzero.
+    also a break, graded from the side where the field is nonzero.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]

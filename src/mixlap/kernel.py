@@ -8,8 +8,8 @@ second-difference form
 which removes the principal value for C^2 integrands.  In one dimension the
 integral is split into a core (0, z0] inside the point's C^2 zone, which
 two integrations by parts put on the field's u'' (the local form of the du'
-definition: Kwasnicki, Fract. Calc. Appl. Anal. 20, 2017), a graded-panel
-Gauss zone out to where the field's :class:`~mixlap.fields.TailExpansion`
+definition: Kwasnicki, Fract. Calc. Appl. Anal. 20, 2017), Gauss-Legendre
+rules in log variables out to where the field's :class:`~mixlap.fields.TailExpansion`
 is exact, and an exact resummation of that expansion beyond; every length
 follows the point.  A radial field in dimension 2 or 3 is imaged as the
 sphere average of the 1D images of its restrictions to the lines through
@@ -49,14 +49,17 @@ _GX, _GW = _legendre_rule(
     " 0x1.47d7258f22d96p-3 0x1.b60602bce61afp-4 0x1.8275d9dea6d53p-5")
 _GAUSS_ORDER = _GX.size
 _CORE_NODES = 0.5 + 0.5 * _GX  # the Gauss nodes on [0, 1]
-# 1D evaluation lays out the panels of up to _CHUNK_POINTS points at once and
+# 1D evaluation lays out the parts of up to _CHUNK_POINTS points at once and
 # evaluates the field on up to _BLOCK_NODES Gauss nodes a call.  On barrier
-# fields (up to 63 panels a point: 29 KB of panel ends a chunk, 32 KB of
-# field values a call) every temporary so stays under glibc's 128 KB mmap
-# threshold and is reused from the heap, not mapped and faulted in anew.
-_CHUNK_POINTS = 64
-_BLOCK_NODES = 2**12
-_MAX_HALVINGS = 48
+# fields (about 10 parts, 300 nodes a point) every temporary so stays under
+# glibc's 128 KB mmap threshold and is reused from the heap, not mapped anew.
+_CHUNK_POINTS, _BLOCK_NODES = 64, 2**12
+# a middle-zone part gets the first size n with rho^(-2n) <= 2^(-1.2 * 53),
+# rho <= _MAX_RHO its Bernstein ellipse; 3072 covers z0 >= 1e-13 to 1e308
+_RULE_SIZES = np.array([8, 12, 16, 20, 24, 32, 40, 48, 64, 80, 96, 128, 160, 192, 256,
+                        384, 512, 768, 1024, 1536, 2048, 3072])
+_DIGITS, _MAX_RHO = 1.2 * 53.0 * math.log(2.0), 6.0
+_END_FLOOR, _END_SPLIT = 2.0**-60, 3.0  # see _part_layout
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 _INNER_RADIUS = 0.25  # where the core zone ends on a field with no kink
@@ -65,9 +68,9 @@ _INNER_RADIUS = 0.25  # where the core zone ends on a field with no kink
 @dataclass(frozen=True)
 class QuadratureSpec:
     """The tolerance of the singular quadrature, its one setting, which
-    reaches no computation: the 1D panel layout and core rule are fixed (see
-    :func:`frac_apply_1d`), and a radial field is imaged through the same 1D
-    quadrature.  ``frac_apply`` and ``mixed_apply`` still accept one.
+    reaches no computation: the 1D rules are fixed (see :func:`frac_apply_1d`),
+    and a radial field is imaged through the same 1D quadrature.
+    ``frac_apply`` and ``mixed_apply`` still accept one.
     """
 
     tolerance: float = 1e-8
@@ -110,88 +113,6 @@ def normalization_constant(n_dim: int, s: float) -> float:
             / (math.pi ** (0.5 * n_dim) * math.gamma(1.0 - s)))
 
 
-# ---------------------------------------------------------------------------
-# panel machinery
-# ---------------------------------------------------------------------------
-
-
-def _halvings(gap: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """How many of gap/2, gap/4, ... exceed floor, at most _MAX_HALVINGS:
-    the dyadic points graded into a panel of length gap.  The log2 estimate
-    is corrected by exact power-of-two comparisons."""
-    n = np.maximum(np.ceil(np.log2(gap / floor)).astype(int) - 1, 0)
-    n -= (n > 0) & (np.ldexp(gap, -n) <= floor)
-    n += np.ldexp(gap, -n - 1) > floor
-    return np.minimum(n, _MAX_HALVINGS)
-
-
-def _ramp(n: np.ndarray):
-    """Each index i repeated n[i] times, alongside the counter 1..n[i]."""
-    i = np.repeat(np.arange(n.size), n)
-    return i, np.arange(1, i.size + 1) - np.repeat(np.cumsum(n) - n, n)
-
-
-def _panel_layout(z0, r_in, offsets, below, above, r_out):
-    """Gauss panels (lo, hi) of a chunk of points, in point order, and the
-    panel count of each point.  Row i holds one point's core radius z0, core
-    zone end r_in, break offsets, offsets graded from below and from above,
-    and tail radius r_out.  Its breaks are z0, r_in, each offset in
-    (z0, r_out) over 1e-13 relative past the last break kept, and r_out,
-    which replaces that break when it does not clear it.  Gaps are split
-    geometrically, one panel per factor of 2 at most; the panel next to a
-    break is graded dyadically into it from each side it is graded from."""
-    m, n_off = offsets.shape
-    rows = np.arange(m)
-    pts = np.column_stack((z0, r_in, np.sort(offsets, axis=1), r_out))
-    keep = np.ones(pts.shape, bool)
-    last = np.ones(m, int)  # column of the last breakpoint kept
-    for j in range(2, n_off + 2):
-        b = pts[:, j]
-        keep[:, j] = (z0 < b) & (b < r_out) & (b > pts[rows, last] * (1.0 + 1e-13))
-        last = np.where(keep[:, j], j, last)
-    keep[:, -1] = r_out > pts[rows, last] * (1.0 + 1e-13)
-    last = np.where(keep[:, -1], n_off + 2, last)  # or r_out replaces that break
-    pts[rows, last] = r_out
-    from_below, from_above = ((pts[:, :, None] == g[:, None, :]).any(axis=2)[keep]
-                              for g in (below, above))
-
-    # one segment per pair of consecutive breakpoints of a point
-    owner = np.nonzero(keep)[0]
-    pts = pts[keep]
-    same = owner[1:] == owner[:-1]
-    lo, hi = pts[:-1][same], pts[1:][same]
-    q = hi / lo
-    # np.log(q) / log 2, not np.log2(q): the two round apart near q = 2^j,
-    # and k places the nodes
-    k = np.where(q > 2.0, np.ceil(np.log(q) / math.log(2.0)), 1.0)
-    # libm's pow, not numpy's: a last-bit change in the step grows j-fold in
-    # the point lo step^j
-    step = np.array(list(map(math.pow, q.tolist(), (1.0 / k).tolist())))
-    gap_lo = np.where(k > 1.0, lo * step, hi) - lo
-    n_lo = np.where(from_above[:-1][same], _halvings(gap_lo, 1e-12 * np.maximum(1.0, lo)), 0)
-    gap_hi = hi - np.where(k > 1.0, lo * step ** (k - 1.0),
-                           np.where(n_lo > 0, lo + 0.5 * gap_lo, lo))
-    n_hi = np.where(from_below[1:][same], _halvings(gap_hi, 1e-12 * np.maximum(1.0, hi)), 0)
-
-    # a segment's panel ends: lo + gap_lo 2^-j (j = n_lo..1), lo step^j
-    # (j = 1..k-1), hi - gap_hi 2^-j (j = 1..n_hi), hi
-    k = k.astype(int)
-    sizes = n_lo + k + n_hi
-    base = np.cumsum(sizes) - sizes + n_lo  # where the geometric ends start
-    ends = np.empty(sizes.sum())
-    i, j = _ramp(n_lo)
-    ends[base[i] - j] = lo[i] + np.ldexp(gap_lo[i], -j)
-    i, j = _ramp(k - 1)
-    ends[base[i] + j - 1] = lo[i] * step[i] ** j
-    i, j = _ramp(n_hi)
-    ends[base[i] + k[i] - 2 + j] = hi[i] - np.ldexp(gap_hi[i], -j)
-    ends[base + k - 1 + n_hi] = hi
-    starts = np.empty_like(ends)
-    starts[1:] = ends[:-1]
-    starts[base - n_lo] = lo
-    return starts, ends, np.bincount(owner[1:][same], sizes, m).astype(int)
-
-
 def _gauss_nodes(lo, hi):
     """Gauss nodes/weights for the panels [lo[i], hi[i]]."""
     a, b = np.asarray(lo)[:, None], np.asarray(hi)[:, None]
@@ -231,6 +152,85 @@ def _tail_contributions(u: ScalarField, xs: np.ndarray, uxs: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1], n even, built on first use:
+    6 Newton steps (4 reach the last bit) on the three-term recurrence from
+    cos(pi (k - 1/4) / (n + 1/2)), mirrored; each weight 2 / ((1 - x^2) P_n'^2)
+    is moved to the root x - step by its log derivative -2x / (1 - x^2)."""
+    x, step = np.cos(math.pi * (np.arange(n // 2, 0, -1) - 0.25) / (n + 0.5)), 0.0
+    for _ in range(6):
+        x = x - step
+        prev, p = np.ones_like(x), x
+        for j in range(2, n + 1):
+            prev, p = p, ((2 * j - 1) * x * p - (j - 1) * prev) / j
+        one_minus_x2, dp = (1.0 - x) * (1.0 + x), n * (prev - x * p)  # (1 - x^2) P_n'
+        step = p * one_minus_x2 / dp
+    w = 2.0 * one_minus_x2 / (dp * dp) * (1.0 + 2.0 * x * step / one_minus_x2)
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+
+
+def _part_layout(z0, r_in, offsets, below, above, r_out):
+    """The middle-zone parts of a chunk of points, in point order and then
+    in z: each part's point, anchor b, ends near and far in e = z - b, with
+    |near| < |far|, and rule size.  Row i holds one point's z0, r_in, break
+    offsets, offsets graded from below and from above, and r_out.
+
+    Its breaks are z0, r_in, each offset over 1e-13 relative past the last
+    break kept and short of r_out, and r_out.  A break b graded from below
+    takes [b/2, b) of the segment below it, one graded from above (b, 2b] of
+    the one above (a narrower segment whole, or half of it), in log |e| down
+    to |e| = _END_FLOOR b, split _END_SPLIT below its top; the rest of a
+    segment, its body, is a part in t = log z (b = 0).  A graded break is a
+    singular point on the axis of the log variable for the term u(x -+ z)
+    graded there and pi off it for the other; a body keeps to a strip of
+    half width pi, which also bounds its growth."""
+    rows, tol = np.arange(z0.size), 1.0 + 1e-13
+    pts = np.column_stack((z0, r_in, np.sort(offsets, axis=1), r_out))
+    keep = np.ones(pts.shape, bool)
+    last = np.ones_like(rows)  # column of the last breakpoint kept
+    for j in range(2, pts.shape[1] - 1):
+        b = pts[:, j]
+        keep[:, j] = (z0 < b) & (b * tol < r_out) & (b > pts[rows, last] * tol)
+        last = np.where(keep[:, j], j, last)
+    from_below, from_above = ((pts[:, :, None] == g[:, None, :]).any(axis=2)[keep]
+                              for g in (below, above))
+
+    # one segment [lo, hi] per pair of consecutive breakpoints of a point
+    owner, pts = np.nonzero(keep)[0], pts[keep]
+    same = owner[1:] == owner[:-1]
+    lo, hi, owner = pts[:-1][same], pts[1:][same], owner[1:][same]
+    up, down = from_above[:-1][same], from_below[1:][same]
+    body = hi > lo * np.where(up & down, 4.0, np.where(up | down, 2.0, 1.0))
+    share = np.where(up & down, 0.5, 1.0) * (hi - lo)
+    top_lo, top_hi = np.where(body, lo, share), np.where(body, 0.5 * hi, share)
+    start, stop = np.where(up, 2.0 * lo, lo), np.where(down, 0.5 * hi, hi)
+    split_lo, split_hi = top_lo * math.exp(-_END_SPLIT), top_hi * math.exp(-_END_SPLIT)
+    # how far past each part its nearest singular point on the axis lies, in
+    # its log variable, and where one pi off it does: a body's middle, or the
+    # next break out from a w-part; [z0, r_in] is a factor 2 short of a kink
+    past_body = np.where(up | down | (lo == z0[owner]), math.log(2.0), np.inf)
+    past_lo = np.where(down, np.log((hi - lo) / top_lo), np.inf)
+    past_hi = np.log(np.where(up, hi - lo, hi) / top_hi)
+    gaps = np.log(np.concatenate(([1.0], hi - lo, [1.0])))  # the segments either side
+    # a segment's parts in z: the two w-ranges above lo, its body, the two below hi
+    owner, anchor, near, far, past, pi_at = np.concatenate((
+        owner, owner, owner, owner, owner, lo, lo, 0.0 * lo, hi, hi,
+        _END_FLOOR * lo, split_lo, start, -split_hi, -_END_FLOOR * hi,
+        split_lo, top_lo, stop, -top_hi, -split_hi,
+        past_lo + _END_SPLIT, past_lo, past_body, past_hi, past_hi + _END_SPLIT,
+        gaps[:-2], gaps[:-2], 0.5 * (np.log(start) + np.log(stop)), gaps[2:], gaps[2:],
+    )).reshape(6, 5, -1).transpose(0, 2, 1)[:, np.array((up, up, body, down, down)).T]
+    # the Bernstein ellipse through xi + i eta (the part on [-1, 1]) has rho =
+    # a + sqrt(a^2 - 1), a half the summed distance from xi + i eta to -1 and 1
+    log_near, length = np.log(np.abs(near)), np.log(far / near)
+    xi = np.array([1.0 + 2.0 * past / length, 2.0 * (pi_at - log_near) / length - 1.0])
+    eta = np.array([[0.0], [2.0 * math.pi]]) / length
+    log_rho = np.arccosh(0.5 * (np.hypot(xi + 1.0, eta) + np.hypot(xi - 1.0, eta))).min(axis=0)
+    need = _DIGITS / (2.0 * np.minimum(log_rho, math.log(_MAX_RHO)))
+    return owner.astype(int), anchor, near, far, _RULE_SIZES[np.searchsorted(_RULE_SIZES, need)]
+
+
 @functools.lru_cache(maxsize=64)
 def _core_weights(s: float) -> np.ndarray:
     """Weights of the product rule int_0^1 g(t) k(t) dt ~ sum_i w_i g(t_i) on
@@ -262,31 +262,32 @@ def _on_support(u: ScalarField, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _middle_integrals(u: ScalarField, xs: np.ndarray, uxs: np.ndarray, lo, hi,
-                      counts, s: float):
+def _middle_integrals(u: ScalarField, xs: np.ndarray, uxs: np.ndarray, parts, s: float):
     """int_{z0}^{r_out} (u(x+z) + u(x-z) - 2 u(x)) z^(-1-2s) dz at each point
-    x of ``xs``, on its ``counts`` panels [lo, hi], in blocks of at most
-    _BLOCK_NODES Gauss nodes.  Nodes outside the field's support are not
-    evaluated: on a field supported on (0, inf), every node past z = x of a
-    point x > 0 has u(x - z) = 0."""
-    ends = np.cumsum(counts)
-    panel_sums = np.empty(lo.size)
-    step = _BLOCK_NODES // _GAUSS_ORDER
-    for i in range(0, lo.size, step):
-        z, w = _gauss_nodes(lo[i:i + step], hi[i:i + step])
-        at = np.searchsorted(ends, np.arange(i, i + z.size // _GAUSS_ORDER), side="right")
-        y = np.repeat(xs[at], _GAUSS_ORDER)
+    x of ``xs``, on its ``parts``, in blocks of at most _BLOCK_NODES nodes.
+    Nodes outside the field's support are not evaluated: on a field
+    supported on (0, inf), every node past z = x > 0 has u(x - z) = 0."""
+    owner, anchor, near, far, size = parts
+    half, x_of, twice_ux_of = 0.5 * np.log(far / near), xs[owner], 2.0 * uxs[owner]
+    ends, sums, a = np.cumsum(size), np.empty(size.size), 0
+    while a < size.size:
+        b = int(np.searchsorted(ends, ends[a] - size[a] + _BLOCK_NODES, side="right"))
+        t, tw = (np.concatenate(c) for c in zip(*(_legendre(n) for n in size[a:b].tolist())))
+        at = np.repeat(np.arange(a, b), size[a:b])
+        e = near[at] * np.exp(half[at] * (1.0 + t))
+        z, y = anchor[at] + e, x_of[at]
         # (u(x+z) + u(x-z) - 2 u(x)) w z^(-1-2s), from two half-size field
         # calls and in place, to keep the temporaries few and small
         delta2 = _on_support(u, y + z) + _on_support(u, y - z)
-        delta2 -= 2.0 * np.repeat(uxs[at], _GAUSS_ORDER)
-        delta2 *= w
-        delta2 *= z ** (-1.0 - 2.0 * s)
-        panel_sums[i:i + step] = delta2.reshape(-1, _GAUSS_ORDER).sum(axis=1)
-    # one fsum per point over its panel sums keeps the inner-to-outer
-    # summation order explicit
-    ends = ends.tolist()
-    return [math.fsum(panel_sums[a:b].tolist()) for a, b in zip([0] + ends, ends)]
+        delta2 -= twice_ux_of[at]
+        root = z ** -s  # z^(-2s) in two factors, so none underflows before delta2 does
+        delta2 *= half[at] * tw * np.abs(e) / z * root
+        delta2 *= root
+        sums[a:b] = np.add.reduceat(delta2, ends[a:b] - size[a:b] - ends[a] + size[a])
+        a = b
+    # one fsum per point over its part sums rounds it once
+    bounds = np.cumsum(np.bincount(owner, minlength=xs.size)).tolist()
+    return [math.fsum(sums[i:j].tolist()) for i, j in zip([0] + bounds, bounds)]
 
 
 def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams"):
@@ -295,17 +296,15 @@ def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams"):
 
     The field must carry its second derivative; a hat interpolant, which has
     none, is imaged in closed form by ``GridFunction.frac_image``.  Each
-    point gets its own core radius, panels and tail.  They are laid out as
-    arrays for a chunk of at most _CHUNK_POINTS points at a time, and the
-    field is evaluated on blocks of at most _BLOCK_NODES nodes.
+    point gets its own core radius, middle-zone parts and tail, laid out as
+    arrays for a chunk of at most _CHUNK_POINTS points at a time.
     """
     if not isinstance(u, ScalarField):
         raise DomainError("dimension 1 requires a ScalarField")
     if u.second_derivative is None:
         raise DomainError(f"field {u.name!r} has no second derivative; image a hat "
                           "interpolant with GridFunction.frac_image")
-    s = params.s
-    c = params.c_ns
+    s, c = params.s, params.c_ns
     # each finite support end is a break; seen from x, the field is nonzero
     # below its offset when x is on the support's side of it, else above
     finite = np.isfinite(u.support)
@@ -319,9 +318,8 @@ def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams"):
         raise DomainError(f"evaluation point {float(xs[near[0]])} is within "
                           f"{_MIN_C2_ZONE} of a smoothness break")
     if u.tail.max_power() >= 2.0 * s:
-        raise TailDivergenceError(
-            "field grows at least like |x|^(2s); the defining integral diverges"
-        )
+        raise TailDivergenceError("field grows at least like |x|^(2s); "
+                                  "the defining integral diverges")
 
     uxs = u.evaluate(xs)
     out, upps = np.empty(xs.size), np.empty(xs.size)
@@ -338,14 +336,14 @@ def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams"):
         pair = upp[x.size:].reshape(-1, 2, _GAUSS_ORDER).sum(axis=1)
         cores = -c * z0 ** (2.0 - 2.0 * s) * np.sum(pair * _core_weights(s), axis=1)
 
-        # panels: [z0, r_in], then break offsets out to where the field's tail
-        # is exact on both sides and its series ratio |x| / r_out is <= 1/2
+        # the middle zone, out to where the field's tail is exact on both
+        # sides and its series ratio |x| / r_out is <= 1/2
         r_out = np.maximum(2.0 * np.abs(x) + 2.0, u.tail.cutoff + np.abs(x) + 1.0)
         off = side * (ends - x[:, None])  # > 0: the field is nonzero below |off|
-        lo, hi, counts = _panel_layout(z0, r_in, np.abs(breaks - x[:, None]),
-                                       np.where(off > 0.0, off, np.nan),
-                                       np.where(off < 0.0, -off, np.nan), r_out)
-        middles = _middle_integrals(u, x, ux, lo, hi, counts, s)
+        parts = _part_layout(z0, r_in, np.abs(breaks - x[:, None]),
+                             np.where(off > 0.0, off, np.nan),
+                             np.where(off < 0.0, -off, np.nan), r_out)
+        middles = _middle_integrals(u, x, ux, parts, s)
         tails = -c * _tail_contributions(u, x, ux, r_out, s)
         out[chunk] = [math.fsum((core, -c * middle, tail)) for core, middle, tail
                       in zip(cores.tolist(), middles, tails.tolist())]

@@ -522,6 +522,8 @@ def run_suite(s: float, n: int, seed: int, domain=(-1.0, 1.0)) -> list:
     out = []
 
     mesh = build_mesh(a, b, n)
+    if mesh.h < np.finfo(float).tiny:  # the random hat loads' slopes would overflow
+        raise DomainError(f"verify needs a normal mesh spacing; h = {mesh.h!r} is subnormal")
     sys_ = build_system(mesh, params)
     for _ in range(5):
         f = _random_nonneg_load(mesh, rng)

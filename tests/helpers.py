@@ -145,7 +145,7 @@ def mollifier_bump(center: float, radius: float, height: float = 1.0) -> ScalarF
         return np.where(inside, h * val / radius**2, 0.0)
 
     # the support edges are smooth but non-analytic; as support ends they
-    # get dyadic panel grading from inside
+    # get log-variable rules from inside
     return ScalarField(
         evaluate=ev,
         second_derivative=d2,

@@ -22,6 +22,7 @@ mixed image against its second-difference form with the field written out
 again.
 """
 
+import cmath
 import math
 import warnings
 
@@ -373,66 +374,76 @@ def mp_frac_cap_outside(p: float, s: float, x: float, dps: int = 30) -> float:
         return float(-c * body)
 
 
-def _geometric_refine(breaks, panels_per_octave: int):
-    """Insert points so consecutive breakpoints have ratio <= 2^(1/panels)."""
-    ratio = 2.0 ** (1.0 / panels_per_octave)
-    out = [breaks[0]]
-    for b in breaks[1:]:
-        a = out[-1]
-        if a > 0 and b / a > ratio:
-            k = int(math.ceil(math.log(b / a) / math.log(ratio)))
-            step = (b / a) ** (1.0 / k)
-            for j in range(1, k):
-                out.append(a * step**j)
-        out.append(b)
-    return out
+def _bernstein_rho(zeta: complex) -> float:
+    """The parameter of the Bernstein ellipse of [-1, 1] through zeta."""
+    return abs(zeta + cmath.sqrt(zeta - 1) * cmath.sqrt(zeta + 1))
 
 
-def _dyadic_into(lo: float, hi: float, toward: float, floor: float):
-    """Breakpoints on [lo, hi] accumulating dyadically toward one endpoint."""
-    gap = hi - lo
-    pts = []
-    d = gap / 2.0
-    while d > floor and len(pts) < 48:
-        pts.append(d)
-        d /= 2.0
-    if toward == lo:
-        inner = [lo + t for t in reversed(pts)]
-    else:
-        inner = [hi - t for t in pts]
-    return [lo] + inner + [hi]
+def _rule_size(near, far, past, pi_at, sizes):
+    """The first of ``sizes`` with rho^(-2n) <= 2^(-1.2 * 53) on the part
+    from near to far in log |e|, rho <= 6 the Bernstein ellipse through a
+    singular point ``past`` log-units past the part on the axis and one pi
+    off the axis at log |e| = pi_at (None: a body's middle)."""
+    length = math.log(far / near)
+    rho = 6.0
+    if past < math.inf:
+        rho = min(rho, _bernstein_rho(1 + 2 * past / length))
+    center = 0.0 if pi_at is None else (2 * (pi_at - math.log(abs(near))) - length) / length
+    if center < math.inf:
+        rho = min(rho, _bernstein_rho(complex(center, 2 * math.pi / length)))
+    need = 1.2 * 53 * math.log(2.0) / (2 * math.log(rho))
+    return next(n for n in sizes if n >= need)
 
 
-def assemble_breaks(z0, r_in, offsets, r_out, panels, below, above):
-    """Scalar reference for one point's panel breakpoints, as the kernel laid
-    them out one point at a time with Python lists.
+def assemble_parts(z0, r_in, offsets, r_out, below, above, sizes):
+    """Scalar reference for one point's middle-zone parts, in z order, each
+    as (anchor b, near, far, rule size), near and far its ends in e = z - b.
 
-    ``offsets`` are the sorted break offsets in (z0, r_out); ``below`` and
-    ``above`` are the sets of offsets graded from below and from above.
-    Every offset is a panel break (dropped within 1e-13 relative of the last
-    one kept, r_out replacing the last one kept likewise); the segment just
-    below a break in ``below`` gets dyadic accumulation up into it, and the
-    segment just above a break in ``above`` down into it.
+    ``offsets`` are the sorted break offsets; ``below`` and ``above`` are the
+    sets of offsets graded from below and from above.  The breaks are z0,
+    r_in, every offset over 1e-13 relative past the last one kept and short
+    of r_out, and r_out.  A break graded from below takes the factor 2 of
+    its segment below it (all of it when narrower, half of it when the
+    segment is also graded at its lower end and narrower than a factor 4)
+    in log |e| down to |e| = 2^-60 b, split 3 units below its top, and one
+    graded from above likewise the segment above; the rest is one part in
+    log z.  Singular points: graded breaks, on the axis in a w-part's
+    own segment and pi off it in the neighbouring one, z = 0 for a w-part
+    (on the axis below b, pi off above), a factor 2 past the body of the
+    first segment or next to a graded end, and the strip about a body.
     """
+    tol = 1.0 + 1e-13
     pts = [z0, r_in]
     for b in offsets:
-        if b > pts[-1] * (1.0 + 1e-13):
+        if z0 < b and b > pts[-1] * tol and b * tol < r_out:
             pts.append(b)
-    if r_out > pts[-1] * (1.0 + 1e-13):
-        pts.append(r_out)
-    else:
-        pts[-1] = r_out
-    breaks = [pts[0]]
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        seg = _geometric_refine([lo, hi], panels)
-        if lo in above and len(seg) >= 2:
-            floor = 1e-12 * max(1.0, lo)
-            seg = _dyadic_into(seg[0], seg[1], seg[0], floor) + seg[2:]
-        if hi in below and len(seg) >= 2:
-            floor = 1e-12 * max(1.0, hi)
-            seg = seg[:-2] + _dyadic_into(seg[-2], seg[-1], seg[-1], floor)
-        breaks.extend(seg[1:])
-    return breaks
+    pts.append(r_out)
+    floor, cut = 2.0**-60, math.exp(-3.0)
+    parts = []
+    for i, (lo, hi) in enumerate(zip(pts[:-1], pts[1:])):
+        up, down = lo in above, hi in below
+        width = hi - lo
+        if up and down:
+            body = hi > 4 * lo
+            top_lo, top_hi = (lo, hi / 2) if body else (width / 2, width / 2)
+        else:
+            body = hi > 2 * lo if (up or down) else True
+            top_lo, top_hi = (lo, hi / 2) if body else (width, width)
+        if up:
+            past = math.log(width / top_lo) if down else math.inf
+            pi_at = math.log(lo - pts[i - 1])
+            for near, far, extra in ((floor * lo, top_lo * cut, 3.0), (top_lo * cut, top_lo, 0.0)):
+                parts.append((lo, near, far, _rule_size(near, far, past + extra, pi_at, sizes)))
+        if body:
+            start, stop = (2 * lo if up else lo), (hi / 2 if down else hi)
+            past = math.log(2.0) if (up or down or i == 0) else math.inf
+            parts.append((0.0, start, stop, _rule_size(start, stop, past, None, sizes)))
+        if down:
+            past = math.log((width if up else hi) / top_hi)
+            pi_at = math.log(pts[i + 2] - hi) if i + 2 < len(pts) else math.inf
+            for near, far, extra in ((top_hi * cut, top_hi, 0.0), (floor * hi, top_hi * cut, 3.0)):
+                parts.append((hi, -near, -far, _rule_size(near, far, past + extra, pi_at, sizes)))
+    return parts
 
 
 def tail_power_moment(p: float, shift: float, radius: float, s: float,

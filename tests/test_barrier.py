@@ -247,10 +247,10 @@ def _c2_grid_image(p):
 @pytest.mark.parametrize("s, rel", [(0.6, 5e-11), (0.75, 3e-10), (0.9, 1e-8)])
 def test_image_that_sets_c2_matches_the_mpmath_oracle(s, rel, request):
     # Lbeta at the grid point that sets C2, x = 0.999 d, 0.001 d below the
-    # corrector's fade, against the 40-digit oracle: within 7.8e-12,
-    # 5.7e-11 and 1.8e-9 (off by 5.1e-10, 3.4e-9 and 2.6e-7 before the core
+    # corrector's fade, against the 40-digit oracle: within 8.4e-12,
+    # 4.1e-11 and 2.2e-9 (off by 5.1e-10, 3.4e-9 and 2.6e-7 before the core
     # was integrated by parts).  What is left at s = 0.9 grows as the core
-    # radius shrinks: the second difference's roundoff on the first panels
+    # radius shrinks: the second difference's roundoff on the first rules
     p = request.getfixturevalue("p09") if s == 0.9 else build_barrier(s)
     xs, lbeta = _c2_grid_image(p)
     i = int(np.argmax(-lbeta))

@@ -466,7 +466,7 @@ _KNOWN_EXITS = {
        for s in ("0.5", "0.5000000001", "0.999999")},
     # no scaled system for a subnormal spacing yet
     ("solve", "--domain", "0", "1e-310", "--n", "1"): (2, "tau spectrum"),
-    ("verify", "--domain", "0", "1e-310", "--n", "3"): (2, "non-finite samples"),
+    ("verify", "--domain", "0", "1e-310", "--n", "3"): (2, "h = 2.5e-311 is subnormal"),
     ("verify", "--domain", "1e15", "1.0000000000000002e15", "--n", "3"):
         (2, "too fine for doubles"),
     # the boundary Lipschitz gate fails a bound the paper proves

@@ -148,11 +148,10 @@ def test_kink_evaluation_rejected(quad):
 
 def test_tail_series_far_out_converges_or_refuses(quad):
     # (-Delta)^s x_+^alpha = kappa x^(alpha - 2s) (Dyda) at every scale: the
-    # core and the tail series take only lengths relative to x.  Measured
-    # within 1.3e-14; below x = 1e-6 the absolute grading floor 1e-12 of the
-    # break at 0 leaves errors near 3e-9 at x = 1e-11
+    # core, the middle zone's rules and the tail series take only lengths
+    # relative to x.  Measured within 1.3e-14
     for s, alpha in ((0.6, 1.1), (0.9, 1.2), (0.95, 1.5)):
-        for x in (1e-6, 1.0, 1e6, 1e12, 1e100):
+        for x in (1e-11, 1e-6, 1.0, 1e6, 1e12, 1e100):
             assert frac_apply(pure_power(alpha), x, OperatorParams(1, s), quad) == pytest.approx(
                 oracles.mp_dyda_power(alpha, s, x), rel=1e-13, abs=0.0), (s, alpha, x)
 
@@ -182,7 +181,7 @@ def test_power_values_match_high_precision_oracle(alpha, s, quad):
 
 @pytest.mark.parametrize("alpha,s", [(1.0, 0.3), (1.8, 0.9), (1.2, 0.6)])
 def test_truncated_power_matches_mpmath_oracle(alpha, s, quad):
-    # the cap at 2L is an ungraded kink: plain panels end there
+    # the cap at 2L is an ungraded kink: plain rules end there
     xs = np.array([0.01, 0.2, 0.5])
     mine = frac_apply(fields.truncated_power(alpha, 1.0), xs, OperatorParams(1, s), quad)
     for x, v in zip(xs, mine):
@@ -193,8 +192,9 @@ def test_truncated_power_matches_mpmath_oracle(alpha, s, quad):
 @pytest.mark.parametrize("s", [0.3, 0.9])
 def test_plateau_matches_mpmath_oracle_near_its_ramp_ends(s, quad):
     # the ramp ends are kinks, so the core stays inside each point's C^2
-    # zone and panels end at them: within 5.4e-12, where undeclared ends
-    # left errors of 1e-2 at s = 0.9
+    # zone and rules end at them: within 8.8e-12, the second difference's
+    # roundoff near x = 1.02, where undeclared ends left errors of 1e-2 at
+    # s = 0.9
     xs = np.array([-1.03, -0.98, -0.5, 0.97, 1.02, 2.5])
     mine = frac_apply(fields.plateau(-2.0, -1.0, 1.0, 3.0, depth=1.5), xs,
                       OperatorParams(1, s), quad)
@@ -205,7 +205,7 @@ def test_plateau_matches_mpmath_oracle_near_its_ramp_ends(s, quad):
 @pytest.mark.parametrize("s", [0.01, 0.3, 0.6, 0.9, 0.99])
 def test_truncated_power_meets_the_tolerance_near_its_kink(s):
     # near the graded support end 0, u^(k) grows like x^(alpha-k), so the
-    # core's product rule and the panels graded into 0 decide the error
+    # core's product rule and the rules graded into 0 decide the error
     tol = QuadratureSpec.tolerance
     for alpha in (1.0, 1.2, 1.5, 1.8):
         for x in (1e-6, 1e-3, 0.5):
@@ -340,27 +340,27 @@ def test_support_follows_scaling_translation_and_sums():
 
 def test_support_end_is_graded_from_inside_only(monkeypatch):
     # at x = 0.3 the lower end 0 of x_+^1.5 sits at offset 0.3: u(x - z) is
-    # singular as z rises to 0.3 and 0 past it, so the span (0.15, 0.3) is
-    # graded up into 0.3, 37 halvings of its length 0.15 over the floor
-    # 1e-12, and (0.3, 1.7), up to the cap's offset, has its 3 geometric
-    # panels and no dyadic ones
-    real, layouts = kernel._panel_layout, []
+    # singular as z rises to 0.3 and 0 past it, so the segment (0.15, 0.3),
+    # a factor 2 wide, is taken whole by rules in log(0.3 - z), from 0.15
+    # down to 2^-60 0.3 and split 3 units below the top; (0.3, 1.7), up to
+    # the cap's offset, is one body in log z, and no rule runs in log(z - 0.3)
+    real, layouts = kernel._part_layout, []
 
     def spy(*args):
         layouts.append(real(*args))
         return layouts[-1]
 
-    monkeypatch.setattr(kernel, "_panel_layout", spy)
+    monkeypatch.setattr(kernel, "_part_layout", spy)
     frac_apply(fields.truncated_power(1.5, 1.0), 0.3, OperatorParams(1, 0.6))
-    lo, hi, counts = layouts[0]
-    assert counts.tolist() == [lo.size]
-    below = (lo >= 0.15) & (hi <= 0.3)
-    assert below.sum() == 38
-    np.testing.assert_array_equal(hi[below][:-1], 0.3 - np.ldexp(0.15, -np.arange(1, 38)))
-    above = (lo >= 0.3) & (hi <= 1.7)
-    assert above.sum() == 3
-    np.testing.assert_allclose(hi[above], 0.3 * (1.7 / 0.3) ** (np.arange(1, 4) / 3.0),
-                               rtol=1e-15)
+    owner, anchor, near, far, size = layouts[0]
+    assert owner.tolist() == [0] * owner.size
+    at_end = anchor == 0.3
+    assert at_end.sum() == 2
+    np.testing.assert_array_equal(far[at_end], [-0.15, -0.15 * math.exp(-3.0)])
+    np.testing.assert_array_equal(near[at_end], [-0.15 * math.exp(-3.0), -0.3 * 2.0**-60])
+    assert np.all(anchor[~at_end] == 0.0)
+    np.testing.assert_array_equal(near[~at_end], [0.0375, 0.3, 1.7])
+    np.testing.assert_array_equal(far[~at_end], [0.15, 1.7, 3.3])
 
 
 @pytest.mark.parametrize("alpha,s", [(1.0, 0.3), (1.5, 0.6), (1.8, 0.9)])
@@ -501,28 +501,28 @@ def test_evaluation_is_bitwise_deterministic(quad):
 
 
 # ---------------------------------------------------------------------------
-# panel layout
+# middle-zone parts
 # ---------------------------------------------------------------------------
 
 
 def _assert_layout_matches_scalar(z0, r_in, offsets, below, above, r_out):
-    """The array layout of a chunk of points against the scalar reference
-    at one panel per factor-2 span: the same number of panels per point,
-    and breaks equal to 4 ulp."""
+    """The array layout of a chunk of points against the scalar reference:
+    the same parts per point in the same order, each with its anchor and
+    its ends equal to 4 ulp and its rule size equal."""
     z0, r_in, r_out = (np.asarray(a, dtype=float) for a in (z0, r_in, r_out))
     offsets, below, above = (np.asarray(a, dtype=float).reshape(z0.size, -1)
                              for a in (offsets, below, above))
-    lo, hi, counts = kernel._panel_layout(z0, r_in, offsets, below, above, r_out)
-    first = 0
+    owner, anchor, near, far, size = kernel._part_layout(z0, r_in, offsets, below, above, r_out)
+    assert np.all(np.diff(owner) >= 0)
     for i in range(z0.size):
-        inside = sorted({b for b in offsets[i].tolist() if z0[i] < b < r_out[i]})
-        ref = oracles.assemble_breaks(float(z0[i]), float(r_in[i]), inside, float(r_out[i]),
-                                      1, set(below[i].tolist()), set(above[i].tolist()))
-        assert counts[i] == len(ref) - 1, i
-        np.testing.assert_array_max_ulp(lo[first:first + counts[i]], ref[:-1], maxulp=4)
-        np.testing.assert_array_max_ulp(hi[first:first + counts[i]], ref[1:], maxulp=4)
-        first += counts[i]
-    assert first == lo.size
+        ref = oracles.assemble_parts(float(z0[i]), float(r_in[i]), sorted(offsets[i].tolist()),
+                                     float(r_out[i]), set(below[i].tolist()),
+                                     set(above[i].tolist()), kernel._RULE_SIZES.tolist())
+        mine = owner == i
+        assert mine.sum() == len(ref), i
+        for got, want in zip((anchor[mine], near[mine], far[mine]), list(zip(*ref))[:3]):
+            np.testing.assert_array_max_ulp(got, np.array(want), maxulp=4)
+        assert size[mine].tolist() == [n for *_, n in ref], i
 
 
 def _field_layout_inputs(u, xs):
@@ -573,16 +573,18 @@ def test_layout_matches_scalar_on_truncated_power_and_hat():
 
 
 @pytest.mark.parametrize("offsets,graded", [
-    # both ends of a gap narrower than one geometric step (k = 1) graded
+    # a segment graded at both ends is halved between them when narrower
+    # than a factor 4, and keeps a body when wider
     ([1.0, 1.2], [1.0, 1.2]),
     ([0.3, 0.33, 5.0], [0.3, 0.33]),
+    ([0.5, 2.5], [0.5, 2.5]),
     # symmetric kinks give equal offsets; grading either grades the break
     ([0.5, 0.5, 2.0], [0.5]),
     # offsets within 1e-13 relative of the last one kept are dropped, their
     # grading with them; the third is kept against the first, not the second
     ([1.0, 1.0 + 5e-14, 3.0], [1.0 + 5e-14]),
     ([1.0, 1.0 + 6e-14, 1.0 + 1.2e-13], [1.0 + 6e-14, 1.0 + 1.2e-13]),
-    # r_out replaces an offset within 1e-13 relative below it
+    # so is an offset within 1e-13 relative below r_out
     ([1.0, 64.0 * (1.0 - 5e-14)], [1.0, 64.0 * (1.0 - 5e-14)]),
     # offsets outside (z0, r_out) are not breaks
     ([1e-9, 0.7, 80.0], [1e-9, 0.7, 80.0]),
@@ -594,8 +596,8 @@ def test_layout_edge_cases_match_scalar(offsets, graded):
 
 
 @pytest.mark.parametrize("offsets,below,above", [
-    # a gap narrower than one geometric step whose ends are graded away
-    # from it, and one whose ends are graded into it
+    # a segment narrower than a factor 2 whose ends are graded away from
+    # it, and one whose ends are graded into it, which one end takes whole
     ([1.0, 1.2], [1.0], [1.2]),
     ([1.0, 1.2], [1.2], [1.0]),
     # one break graded from one side, then from the other
@@ -607,6 +609,28 @@ def test_layout_edge_cases_match_scalar(offsets, graded):
 def test_one_sided_layout_edge_cases_match_scalar(offsets, below, above):
     _assert_layout_matches_scalar([1e-4, 2e-5], [0.25, 0.2], [offsets, offsets],
                                   [below, below], [above, above], [64.0, 64.0])
+
+
+@pytest.mark.parametrize("n", kernel._RULE_SIZES.tolist())
+def test_generated_rules_are_gauss_legendre(n):
+    # each rule integrates every Legendre polynomial of degree < 2n exactly
+    # (measured within 4.1 eps), and up to n = 512 its nodes are numpy's
+    # within 3 ulp; numpy's weights are the less exact: they differ from
+    # these by up to 88 eps, and their degree-0 sum is renormalized to 2
+    x, w = kernel._legendre(n)
+    eps = np.finfo(float).eps
+    assert x.size == n and np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+    assert abs(w.sum() - 2.0) <= 8 * eps
+    prev, p = np.ones(n), x
+    for k in range(1, 2 * n):
+        assert abs(np.sum(w * p)) <= 8 * eps, k
+        prev, p = p, ((2 * k + 1) * x * p - k * prev) / (k + 1)
+    if n <= 512:
+        from numpy.polynomial.legendre import leggauss
+
+        ref_x, ref_w = leggauss(n)
+        np.testing.assert_array_max_ulp(x, ref_x, maxulp=4)
+        np.testing.assert_allclose(w, ref_w, rtol=0.0, atol=128 * eps)
 
 
 @pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 0.7, 0.9, 0.99])
@@ -673,6 +697,21 @@ def barrier_09():
     return build_barrier(0.9)
 
 
+@pytest.mark.parametrize("s,nodes", [(0.3, 118_756), (0.9, 120_168)])
+def test_barrier_build_evaluates_few_nodes(s, nodes, monkeypatch):
+    # the Gauss nodes a build evaluates, each at x + z and at x - z, may not
+    # grow: 118,756 at s = 0.3 and 120,168 at s = 0.9 when this bound was set
+    real, seen = kernel._on_support, []
+
+    def counted(u, y):
+        seen.append(y.size)
+        return real(u, y)
+
+    monkeypatch.setattr(kernel, "_on_support", counted)
+    build_barrier(s)
+    assert sum(seen) <= 2 * nodes
+
+
 def _barrier_grid_cases(p):
     """(field, grid) pairs on the grids the barrier builder measures."""
     return {
@@ -716,7 +755,7 @@ def test_support_skip_is_exact(which, name, request, monkeypatch):
         return u.evaluate(x)
 
     image = mixed_apply(dataclasses.replace(u, evaluate=spy), xs, params)
-    # the same panels with every node evaluated: the field is exactly 0.0
+    # the same parts with every node evaluated: the field is exactly 0.0
     # off its support, so skipping those nodes changes no bit
     monkeypatch.setattr(kernel, "_on_support", lambda f, y: f.evaluate(y))
     assert image.tobytes() == mixed_apply(u, xs, params).tobytes()
