@@ -121,10 +121,10 @@ def _gauss_nodes(lo, hi):
 
 
 def _tail_power_moments(p: float, shift: np.ndarray, radius: np.ndarray,
-                        s: float) -> np.ndarray:
+                        s: float, lift=0.0) -> np.ndarray:
     """int_R^inf (t + shift)^p t^(-1-2s) dt at each shift, R = radius, for
-    |shift| <= R/2 and p < 2s: R^(p-2s) sum_k C(p,k) q^k / (2s+k-p) with
-    q = shift/R.  Each point sums its terms with |q|^k >= 2^-60 (at most 60)
+    |shift| <= R/2 and p < 2s, times R^lift: R^(p-2s) sum_k C(p,k) q^k / (2s+k-p)
+    with q = shift/R.  Each point sums its terms with |q|^k >= 2^-60 (at most 60)
     by Horner's rule, so its value does not depend on the call's other points.
     """
     q = shift / radius
@@ -134,17 +134,20 @@ def _tail_power_moments(p: float, shift: np.ndarray, radius: np.ndarray,
     total = np.zeros(q.size)
     for j in range(k.size - 1, -1, -1):
         total = np.where(j < n, coef[j] + q * total, 0.0)
-    return radius ** (p - 2.0 * s) * total
+    return radius ** (p - 2.0 * s + lift) * total
 
 
 def _tail_contributions(u: ScalarField, xs: np.ndarray, uxs: np.ndarray,
                         radius: np.ndarray, s: float) -> np.ndarray:
     """int_R^inf (u(x+t) + u(x-t) - 2 u(x)) t^(-1-2s) dt at each x of xs,
-    R = radius, u(x) = uxs, resummed exactly."""
-    plus = sum(c * _tail_power_moments(p, xs, radius, s) for c, p in u.tail.plus_terms)
-    minus = sum(c * _tail_power_moments(p, -xs, radius, s) for c, p in u.tail.minus_terms)
+    R = radius, u(x) = uxs, resummed exactly; where R^(-2s) is not normal the
+    terms take R^(-s) and their sum R^(-s), so none underflows before u(x)."""
+    lift = np.where(radius ** (-2.0 * s) < np.finfo(float).tiny, s, 0.0)
+    plus = sum(c * _tail_power_moments(p, xs, radius, s, lift) for c, p in u.tail.plus_terms)
+    minus = sum(c * _tail_power_moments(p, -xs, radius, s, lift) for c, p in u.tail.minus_terms)
     # the p = 0 moment as the series gives it, so a constant cancels exactly
-    return plus + minus - 2.0 * uxs * (radius ** (-2.0 * s) * (1.0 / (2.0 * s)))
+    moment0 = radius ** (lift - 2.0 * s) * (1.0 / (2.0 * s))
+    return (plus + minus - 2.0 * uxs * moment0) * radius ** -lift
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +468,6 @@ def mixed_apply(u: Field, x, params: OperatorParams, quad: QuadratureSpec = Quad
         frac, lap = frac_apply_1d(u, xs.reshape(-1), params)
         frac, lap = frac.reshape(xs.shape), lap.reshape(xs.shape)
     else:
-        if not isinstance(u, RadialField):
-            raise DomainError("dimensions 2 and 3 require a RadialField")
         frac = frac_apply(u, x, params, quad)
         lap = u.laplacian(np.linalg.norm(np.asarray(x, dtype=float)), params.n_dim)
     out = -lap + frac

@@ -443,9 +443,10 @@ def test_cli_refuses_a_subnormal_spacing_without_a_warning(tmp_path, capsys):
 def _edge_inputs():
     """Cheap edge inputs: orders at both ends and around 1/2, one to three
     nodes, a subnormal, an unresolvable and a huge domain, an overflowing
-    load, and the CES, boundary and 1D general counterexamples."""
+    load, the barrier, and the CES, boundary and 1D general counterexamples."""
     for i, s in enumerate(("1e-09", "0.4999999999", "0.5", "0.5000000001", "0.999999")):
         n = str(1 + i % 3)
+        yield ["barrier", "--s", s]
         yield ["solve", "--s", s, "--n", n]
         yield ["verify", "--s", s, "--n", n]
         yield ["counterexample", "--variant", "ces", "--s", s]
@@ -456,6 +457,7 @@ def _edge_inputs():
     yield ["solve", "--f", "poly:1e308,1e308", "--n", "2"]
     for s in ("1e-09", "0.999999"):
         yield ["counterexample", "--variant", "general", "--dimension", "1", "--s", s]
+    yield ["barrier", "--s", "0.942"]
 
 
 # the inputs of the sweep below that do not exit 0: (exit status, text on
@@ -472,6 +474,11 @@ _KNOWN_EXITS = {
     # the boundary Lipschitz gate fails a bound the paper proves
     ("verify", "--domain", "-1e100", "1e100", "--n", "3"): (1, "boundary_lipschitz: FAILED"),
     ("solve", "--f", "poly:1e308,1e308", "--n", "2"): (2, "non-finite samples"),
+    # ROADMAP item 2, the barrier at every order the doubles can reach,
+    # should build these three
+    **{("barrier", "--s", s): (2, "below the window floor 1e-06")
+       for s in ("0.5000000001", "0.999999")},
+    ("barrier", "--s", "0.942"): (2, "failed at every window down to the floor 1e-06"),
 }
 
 

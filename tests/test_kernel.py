@@ -149,9 +149,10 @@ def test_kink_evaluation_rejected(quad):
 def test_tail_series_far_out_converges_or_refuses(quad):
     # (-Delta)^s x_+^alpha = kappa x^(alpha - 2s) (Dyda) at every scale: the
     # core, the middle zone's rules and the tail series take only lengths
-    # relative to x.  Measured within 1.3e-14
+    # relative to x, and at 1e200, where R^(-2s) underflows, the tail takes
+    # it in two factors.  Measured within 1.3e-14
     for s, alpha in ((0.6, 1.1), (0.9, 1.2), (0.95, 1.5)):
-        for x in (1e-11, 1e-6, 1.0, 1e6, 1e12, 1e100):
+        for x in (1e-11, 1e-6, 1.0, 1e6, 1e12, 1e100, 1e200):
             assert frac_apply(pure_power(alpha), x, OperatorParams(1, s), quad) == pytest.approx(
                 oracles.mp_dyda_power(alpha, s, x), rel=1e-13, abs=0.0), (s, alpha, x)
 
@@ -490,6 +491,14 @@ def test_radial_rejects_plain_field(quad):
     p = OperatorParams(2, 0.5)
     with pytest.raises(DomainError):
         frac_apply(fields.parabola_cap(), np.array([0.1, 0.0]), p, quad)
+
+
+@pytest.mark.parametrize("n_dim", [2, 3])
+def test_mixed_apply_rejects_plain_field_through_frac_apply(n_dim, quad):
+    # mixed_apply leaves the refusal to frac_apply, which raises before
+    # the field's missing laplacian is read
+    with pytest.raises(DomainError, match="^dimensions 2 and 3 require a RadialField$"):
+        mixed_apply(fields.parabola_cap(), np.full(n_dim, 0.1), OperatorParams(n_dim, 0.5), quad)
 
 
 def test_evaluation_is_bitwise_deterministic(quad):

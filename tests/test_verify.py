@@ -102,6 +102,34 @@ def test_strong_mp_hat_interpolant_with_interior_contact_is_not_evaluable():
     assert r.notes == "inconclusive: operator not evaluable on the domain grid"
 
 
+def _strong_record(monkeypatch, domain):
+    # run_suite reads the strong principle off its 255-node solve alone
+    def refused(*args, **kwargs):
+        raise AssertionError("run_suite images no hat interpolant")
+
+    monkeypatch.setattr(verify, "check_strong_mp_contact", refused)
+    reports = run_suite(0.5, 31, 0, domain=domain)
+    (r,) = [r for r in reports if r.check_name == "strong_maximum_principle"]
+    rep = solve_dirichlet(build_system(build_mesh(*domain, 255), OperatorParams(1, 0.5)),
+                          fields.constant(1.0))
+    assert r.measured == float(np.min(rep.solution.coeffs))
+    assert r.passed and r.threshold == 1e-12
+    return r
+
+
+def test_suite_strong_mp_on_a_tiny_domain_is_inconclusive(monkeypatch):
+    # on (0, 1e-7) the positive solve's interior minimum is 1.9e-17
+    r = _strong_record(monkeypatch, (0.0, 1e-7))
+    assert r.measured <= 1e-12
+    assert r.notes == "inconclusive: min u <= 1e-12 cannot be told from contact"
+
+
+def test_suite_strong_mp_contrapositive_on_the_default_domain(monkeypatch):
+    r = _strong_record(monkeypatch, (-1.0, 1.0))
+    assert r.measured > 1e-12
+    assert r.notes == "positive load gives strictly positive interior; contrapositive holds"
+
+
 # ---------------------------------------------------------------------------
 # uniform bound and boundary growth
 # ---------------------------------------------------------------------------
@@ -207,8 +235,8 @@ def test_ces_counterexample(monkeypatch):
     monkeypatch.setattr(verify, "frac_apply", counted)
     monkeypatch.setattr(verify, "mixed_apply", refused)
     r = counterexample_ces(0.25)
-    # the certification grid, then the positive load at all 6 (127+1) Gauss points
-    assert calls == [99, 768]
+    # the certification grid alone: the true-sign load interpolates its image
+    assert calls == [99]
     assert r.passed
     assert "eps0=" in r.notes
     assert "weak principle passed" in r.notes
