@@ -33,11 +33,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, InputError
 from .fields import ScalarField, TailExpansion
-from .kernel import _MIN_C2_ZONE, OperatorParams, _legendre_rule
+from .kernel import _MIN_C2_ZONE, OperatorParams, _legendre
 
-_LOAD_GAUSS_X, _LOAD_GAUSS_W = _legendre_rule(
-    "0x1.e8b12d03675c5p-3 0x1.528a09655c95ep-1 0x1.dd6ca4e80a01dp-1",
-    "0x1.df24d499545e8p-2 0x1.716b7b5794c1ep-2 0x1.5edf601e2dbf5p-3")
+_LOAD_GAUSS_X, _LOAD_GAUSS_W = _legendre(6)
 _IMAGE_BLOCK = 2**13  # distances a chunk of image rows holds: 64 KiB a temporary
 
 
@@ -108,9 +106,6 @@ class GridFunction:
 
     def values_with_boundary(self) -> np.ndarray:
         return np.concatenate(([0.0], self.coeffs, [0.0]))
-
-    def as_field(self) -> ScalarField:
-        return grid_interpolant(self.mesh, self.coeffs)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.mesh.n else 0.0

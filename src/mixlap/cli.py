@@ -9,6 +9,7 @@ byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -279,6 +280,7 @@ def run(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mixlap",

@@ -34,25 +34,30 @@ from .fields import RadialField, ScalarField, TailExpansion
 _MIN_C2_ZONE = 1e-12
 
 
-def _legendre_rule(nodes: str, weights: str):
-    """The Gauss-Legendre rule on [-1, 1] mirrored from the float.hex digits of
-    its positive nodes, ascending, and their weights: bit for bit the
-    symmetrised rule of numpy's Legendre module, with no eigenvalue solve."""
-    x, w = (np.array([float.fromhex(v) for v in t.split()]) for t in (nodes, weights))
+@functools.lru_cache(maxsize=None)
+def _legendre(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1], n even, built on first use, and
+    mixlap's only source of one: 6 Newton steps (4 reach the last bit) on the three-term
+    recurrence from cos(pi (k - 1/4) / (n + 1/2)), mirrored; each weight 2 / ((1 - x^2)
+    P_n'^2) is moved to the root x - step by its log derivative -2x / (1 - x^2)."""
+    x, step = np.cos(math.pi * (np.arange(n // 2, 0, -1) - 0.25) / (n + 0.5)), 0.0
+    for _ in range(6):
+        x = x - step
+        prev, p = np.ones_like(x), x
+        for j in range(2, n + 1):
+            prev, p = p, ((2 * j - 1) * x * p - (j - 1) * prev) / j
+        one_minus_x2, dp = (1.0 - x) * (1.0 + x), n * (prev - x * p)  # (1 - x^2) P_n'
+        step = p * one_minus_x2 / dp
+    w = 2.0 * one_minus_x2 / (dp * dp) * (1.0 + 2.0 * x * step / one_minus_x2)
     return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
 
-_GX, _GW = _legendre_rule(
-    "0x1.007a5f8f630e4p-3 0x1.78a8d20a8b19dp-2 0x1.2cb4f05c077f9p-1"
-    " 0x1.8a30aeed88f36p-1 0x1.cee874ffb88b3p-1 0x1.f68f1d8e42e81p-1",
-    "0x1.fe40ce6d4f022p-3 0x1.de3155c256aaep-3 0x1.a0163e6b1ab6bp-3"
-    " 0x1.47d7258f22d96p-3 0x1.b60602bce61afp-4 0x1.8275d9dea6d53p-5")
-_GAUSS_ORDER = _GX.size
+_GX, _GW = _legendre(12)
 _CORE_NODES = 0.5 + 0.5 * _GX  # the Gauss nodes on [0, 1]
 # 1D evaluation lays out the parts of up to _CHUNK_POINTS points at once and
-# evaluates the field on up to _BLOCK_NODES Gauss nodes a call.  On barrier
-# fields (about 10 parts, 300 nodes a point) every temporary so stays under
-# glibc's 128 KB mmap threshold and is reused from the heap, not mapped anew.
+# evaluates the field on up to _BLOCK_NODES Gauss nodes a call.  On barrier fields
+# (about 7 parts and 181 nodes a point: 120,168 over the 664 points of build_barrier(0.9))
+# every temporary so stays under glibc's 128 KB mmap threshold, reused from the heap.
 _CHUNK_POINTS, _BLOCK_NODES = 64, 2**12
 # a middle-zone part gets the first size n with rho^(-2n) <= 2^(-1.2 * 53),
 # rho <= _MAX_RHO its Bernstein ellipse; 3072 covers z0 >= 1e-13 to 1e308
@@ -155,24 +160,6 @@ def _tail_contributions(u: ScalarField, xs: np.ndarray, uxs: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _legendre(n: int):
-    """The n-point Gauss-Legendre rule on [-1, 1], n even, built on first use:
-    6 Newton steps (4 reach the last bit) on the three-term recurrence from
-    cos(pi (k - 1/4) / (n + 1/2)), mirrored; each weight 2 / ((1 - x^2) P_n'^2)
-    is moved to the root x - step by its log derivative -2x / (1 - x^2)."""
-    x, step = np.cos(math.pi * (np.arange(n // 2, 0, -1) - 0.25) / (n + 0.5)), 0.0
-    for _ in range(6):
-        x = x - step
-        prev, p = np.ones_like(x), x
-        for j in range(2, n + 1):
-            prev, p = p, ((2 * j - 1) * x * p - (j - 1) * prev) / j
-        one_minus_x2, dp = (1.0 - x) * (1.0 + x), n * (prev - x * p)  # (1 - x^2) P_n'
-        step = p * one_minus_x2 / dp
-    w = 2.0 * one_minus_x2 / (dp * dp) * (1.0 + 2.0 * x * step / one_minus_x2)
-    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
-
-
 def _part_layout(z0, r_in, offsets, below, above, r_out):
     """The middle-zone parts of a chunk of points, in point order and then
     in z: each part's point, anchor b, ends near and far in e = z - b, with
@@ -245,9 +232,9 @@ def _core_weights(s: float) -> np.ndarray:
     a = 1.0 - 2.0 * s
     mu = [0.5 / (a + 1.0), -(a + 4.0) / (6.0 * (a + 1.0) * (a + 2.0))] + [
         math.prod(a - m for m in range(2, j)) / math.prod(a + m + 1.0 for m in range(j + 1))
-        for j in range(2, _GAUSS_ORDER)]
-    legendre, prev, total = np.ones(_GAUSS_ORDER), np.zeros(_GAUSS_ORDER), mu[0]
-    for j in range(1, _GAUSS_ORDER):
+        for j in range(2, _GX.size)]
+    legendre, prev, total = np.ones_like(_GX), np.zeros_like(_GX), mu[0]
+    for j in range(1, _GX.size):
         legendre, prev = ((2 * j - 1) * _GX * legendre - (j - 1) * prev) / j, legendre
         total = total + (2 * j + 1) * mu[j] * legendre
     return 0.5 * _GW * total
@@ -316,10 +303,12 @@ def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams"):
     r_c2 = np.full(xs.size, math.inf)  # distance to the nearest kink
     for k in u.kinks:
         np.minimum(r_c2, np.abs(xs - k), out=r_c2)
-    near = np.flatnonzero(r_c2 < _MIN_C2_ZONE)
-    if near.size:
-        raise DomainError(f"evaluation point {float(xs[near[0]])} is within "
-                          f"{_MIN_C2_ZONE} of a smoothness break")
+    # a point is refused within _MIN_C2_ZONE of a kink, and so far from one that
+    # the core's scale (r/8)^(2-2s) overflows: u'' of x_+^p, p < 2s, is subnormal there
+    far = np.isfinite(r_c2) & ((2.0 - 2.0 * s) * np.log2(np.maximum(r_c2, 8.0) / 8.0) >= 1023.0)
+    for bad, where in ((r_c2 < _MIN_C2_ZONE, f"within {_MIN_C2_ZONE} of"), (far, "too far from")):
+        if bad.any():
+            raise DomainError(f"evaluation point {float(xs[bad][0])} is {where} a smoothness break")
     if u.tail.max_power() >= 2.0 * s:
         raise TailDivergenceError("field grows at least like |x|^(2s); "
                                   "the defining integral diverges")
@@ -336,7 +325,7 @@ def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams"):
         dz = z0[:, None] * np.concatenate((_CORE_NODES, -_CORE_NODES))
         upp = u.second_derivative(np.concatenate((x, (x[:, None] + dz).ravel())))
         upps[chunk] = upp[:x.size]
-        pair = upp[x.size:].reshape(-1, 2, _GAUSS_ORDER).sum(axis=1)
+        pair = upp[x.size:].reshape(-1, 2, _GX.size).sum(axis=1)
         cores = -c * z0 ** (2.0 - 2.0 * s) * np.sum(pair * _core_weights(s), axis=1)
 
         # the middle zone, out to where the field's tail is exact on both

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 from scipy.linalg import toeplitz
 
 from mixlap import assembly, fields, kernel
@@ -100,8 +99,11 @@ def test_build_mesh_keeps_every_spacing_the_doubles_hold(a, b, n):
     (kernel._GX, kernel._GW, 12),
     (assembly._LOAD_GAUSS_X, assembly._LOAD_GAUSS_W, 6),
 ], ids=["kernel", "assembly"])
-def test_gauss_tables_are_the_bits_of_leggauss(nodes, weights, order):
-    x, w = leggauss(order)
+def test_gauss_rules_are_the_generated_legendre_rules(nodes, weights, order):
+    # kernel._legendre is the one source of Gauss-Legendre rules; its rules
+    # are held to Legendre exactness and to numpy's by
+    # test_kernel.py::test_generated_rules_are_gauss_legendre
+    x, w = kernel._legendre(order)
     assert nodes.tobytes() == x.tobytes() and weights.tobytes() == w.tobytes()
 
 

@@ -440,6 +440,13 @@ def test_cli_refuses_a_subnormal_spacing_without_a_warning(tmp_path, capsys):
                                        "is not positive and finite\n")
 
 
+def test_parser_is_built_once_and_keeps_no_state():
+    assert _build_parser() is _build_parser()
+    first = _build_parser().parse_args(["verify", "--seed", "3", "--s", "0.3"])
+    second = _build_parser().parse_args(["verify"])
+    assert (first.seed, first.s) == (3, 0.3) and (second.seed, second.s) == (None, None)
+
+
 def _edge_inputs():
     """Cheap edge inputs: orders at both ends and around 1/2, one to three
     nodes, a subnormal, an unresolvable and a huge domain, an overflowing

@@ -82,7 +82,7 @@ def test_strong_mp_barrier_is_inconclusive():
 
 def test_strong_mp_contrapositive_on_positive_solve(sys_05_255):
     rep = solve_dirichlet(sys_05_255, fields.constant(1.0))
-    interp = rep.solution.as_field()
+    interp = assembly.grid_interpolant(rep.solution.mesh, rep.solution.coeffs)
     params = OperatorParams(1, 0.5)
     x0 = float(rep.solution.mesh.nodes[0])
     r = check_strong_mp_contact(interp, params, x0)
