@@ -35,8 +35,7 @@ import numpy as np
 from .errors import AccuracyError, ConstructionError, DomainError
 from .fields import RadialField, ScalarField, TailExpansion, smoothstep
 from .fields import _smoothstep_d1, _smoothstep_d2, truncated_power
-from .kernel import (_MIN_C2_ZONE, OperatorParams, QuadratureSpec, frac_apply,
-                     mixed_apply)
+from .kernel import _MIN_C2_ZONE, OperatorParams, frac_apply, mixed_apply
 
 _INTEGER_TOL = 1e-9
 # the window gate d <= 1/(4 C1 C2) first reads the top end of the C2 grid,
@@ -106,14 +105,21 @@ def coefficients(ladder: ExponentLadder, kappas) -> Tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class BarrierParams:
-    """Certificate-carrying parameter set for the barrier pair (beta, gamma)."""
+class _Beta:
+    """What the corrected barrier beta is built from, each value measured or exact."""
 
     ladder: ExponentLadder
     kappas: Tuple[float, ...]
     cs: Tuple[float, ...]
     d: float
     C_sharp: float
+
+
+@dataclass(frozen=True)
+class BarrierParams(_Beta):
+    """Certificate-carrying parameter set for the barrier pair (beta, gamma); ``gamma_grid``
+    and ``lgamma`` are results: the grid Lgamma >= 1 was certified on, and Lgamma there."""
+
     C2: float
     C0: float
     C1: float
@@ -122,6 +128,8 @@ class BarrierParams:
     R: float
     c_gamma: float
     S_d: float
+    gamma_grid: Tuple[float, ...] = ()
+    lgamma: Tuple[float, ...] = ()
     certificate: dict = field(default_factory=dict)
 
 
@@ -192,12 +200,12 @@ class _Corrector:
         return out
 
 
-def _barrier_monomials(p: BarrierParams) -> Tuple[Tuple[float, float], ...]:
+def _barrier_monomials(p: _Beta) -> Tuple[Tuple[float, float], ...]:
     """(coef, power) pairs of the uncapped part of the barrier sum."""
     return tuple((p.cs[j], p.ladder.alphas[j]) for j in range(p.ladder.J + 1))
 
 
-def _corrector_for(p: BarrierParams) -> _Corrector:
+def _corrector_for(p: _Beta) -> _Corrector:
     mono = tuple(
         (2.0 * p.cs[j] / p.C_sharp, p.ladder.alphas[j])
         for j in range(1, len(p.cs))
@@ -205,7 +213,7 @@ def _corrector_for(p: BarrierParams) -> _Corrector:
     return _Corrector(p.d, mono)
 
 
-def _barrier_field(p: BarrierParams, name, ev, d2, kinks, scale=1.0, drop=0.0):
+def _barrier_field(p: _Beta, name, ev, d2, kinks, scale=1.0, drop=0.0):
     """Zero on x <= 0, graded at 0; past x = 2, scale (monomials + cap - drop)."""
     top = p.cs[-1] * 2.0 ** p.ladder.alphas[-1] - drop
     plus = tuple((scale * c, a) for c, a in _barrier_monomials(p)) + ((scale * top, 0.0),)
@@ -213,7 +221,7 @@ def _barrier_field(p: BarrierParams, name, ev, d2, kinks, scale=1.0, drop=0.0):
                        support=(0.0, math.inf))
 
 
-def beta_sharp_field(p: BarrierParams) -> ScalarField:
+def beta_sharp_field(p: _Beta) -> ScalarField:
     """The uncorrected barrier: ladder monomials plus the capped top power."""
     mono = _barrier_monomials(p)
     c_top = p.cs[-1]
@@ -238,7 +246,7 @@ def beta_sharp_field(p: BarrierParams) -> ScalarField:
     return _barrier_field(p, "beta_sharp", ev, d2, (0.0, 2.0))
 
 
-def beta_field(p: BarrierParams) -> ScalarField:
+def beta_field(p: _Beta) -> ScalarField:
     """The corrected barrier: beta = beta_sharp - C_sharp * W."""
     sharp = beta_sharp_field(p)
     W = _corrector_for(p)
@@ -348,14 +356,8 @@ def _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d) -> Barrier
     c_sharp = 1.25 * float(np.max(np.abs(c_top * frac_apply(w_top, grid, params_op))
                                   / (1.0 + np.abs(np.log(grid)))))
 
-    # provisional parameter shell so the field builders can be reused;
-    # beta_field reads none of the constants measured below
-    shell = BarrierParams(
-        ladder=ladder, kappas=kappas, cs=cs, d=d, C_sharp=c_sharp,
-        C2=1.0, C0=d / 2.0, C1=1.0, ell=d / 4.0, M=1.0, R=8.0,
-        c_gamma=0.5, S_d=0.0,
-    )
-    corr = _corrector_for(shell)
+    beta = _Beta(ladder, kappas, cs, d, c_sharp)
+    corr = _corrector_for(beta)
 
     # the explicit potential is increasing on (0, d] for d < 1, so its
     # maximum over (-inf, d] sits at d
@@ -363,9 +365,8 @@ def _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d) -> Barrier
     if corr.w_tilde_d(d, 1) <= 0.0:
         raise _AttemptFailed("corrector potential not increasing at the window edge")
     if s_d > d / (4.0 * c_sharp):
-        raise _AttemptFailed(
-            f"corrector size S(d)={s_d:.3g} exceeds d/(4 C#)={d / (4 * c_sharp):.3g}"
-        )
+        raise _AttemptFailed(f"corrector size S(d)={s_d:.3g} exceeds "
+                             f"d/(4 C#)={d / (4 * c_sharp):.3g}")
     blend_grid = np.linspace(d, 2.0 * d, 257)
     w_on_blend = corr(blend_grid)
     if float(np.max(w_on_blend)) > 2.0 * s_d * (1.0 + 1e-12):
@@ -373,7 +374,7 @@ def _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d) -> Barrier
     if float(np.min(w_on_blend)) < -1e-15:
         raise _AttemptFailed("corrector blend went negative")
 
-    bf = beta_field(shell)
+    bf = beta_field(beta)
 
     # sandwich constant C1 on (0, d)
     bgrid = np.geomspace(d * 1e-6, d * 0.999, 128)
@@ -382,9 +383,9 @@ def _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d) -> Barrier
         raise _AttemptFailed("corrected barrier lost positivity inside the window")
     c1 = 1.25 * float(max(np.max(bvals / bgrid), np.max(bgrid / bvals)))
 
-    # C0: floor past the window
+    # C0 = d/2: floor past the window
     far_grid = np.concatenate((np.linspace(d, 4.0, 64), np.geomspace(4.0, 64.0, 16)))
-    if float(np.min(bf.evaluate(far_grid))) < shell.C0:
+    if float(np.min(bf.evaluate(far_grid))) < d / 2.0:
         raise _AttemptFailed("barrier dips below d/2 past the window")
 
     # C2: measured lower bound of the mixed operator on the window
@@ -398,21 +399,15 @@ def _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d) -> Barrier
     top = mixed_apply(bf, lgrid[-_PROBE_POINTS:], params_op)
     c2_lb = c2_of(top)
     if d > 1.0 / (4.0 * c1 * c2_lb):
-        raise _AttemptFailed(
-            f"C2 ≥ {c2_lb:.3g} on the top {_PROBE_POINTS} grid points puts "
-            f"1/(4 C1 C2) ≤ {1.0 / (4 * c1 * c2_lb):.3g} below the window {d:.3g}"
-        )
+        raise _AttemptFailed(f"C2 ≥ {c2_lb:.3g} on the top {_PROBE_POINTS} grid points puts "
+                             f"1/(4 C1 C2) ≤ {1.0 / (4 * c1 * c2_lb):.3g} below the window {d:.3g}")
     lbeta = np.concatenate((mixed_apply(bf, lgrid[:-_PROBE_POINTS], params_op), top))
     c2 = c2_of(lbeta)
 
     ell = min(d / 4.0, 0.999 / (2.0 * c1 * c2))
     if d > 1.0 / (4.0 * c1 * c2):
-        raise _AttemptFailed(
-            f"window {d:.3g} exceeds 1/(4 C1 C2) = {1.0 / (4 * c1 * c2):.3g}"
-        )
-    convex_bound = 2.0 * params_op.c_ns * ell * (2.0 * d - ell) / (
-        s * (d - ell) ** (2.0 * s)
-    )
+        raise _AttemptFailed(f"window {d:.3g} exceeds 1/(4 C1 C2) = {1.0 / (4 * c1 * c2):.3g}")
+    convex_bound = 2.0 * params_op.c_ns * ell * (2.0 * d - ell) / (s * (d - ell) ** (2.0 * s))
     if convex_bound > 0.5:
         raise _AttemptFailed("convex-deduction tail bound exceeds 1/2")
 
@@ -420,8 +415,8 @@ def _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d) -> Barrier
     c_gamma = min(M / (2.0 * c1), 1.0 / (M * c1))
     assert 0.0 < c_gamma < 1.0
 
-    p = dataclasses.replace(shell, C2=c2, C1=c1, ell=ell, M=M, c_gamma=c_gamma,
-                            S_d=s_d)
+    p = BarrierParams(ladder, kappas, cs, d, c_sharp, C2=c2, C0=d / 2.0, C1=c1, ell=ell, M=M,
+                      R=8.0, c_gamma=c_gamma, S_d=s_d)
 
     # certification grids
     gf = gamma_field(p)
@@ -435,33 +430,22 @@ def _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d) -> Barrier
     sandwich_hi = float(np.max(gvals / ggrid))
     if sandwich_lo < c_gamma or sandwich_hi > 1.0 / c_gamma:
         raise _AttemptFailed("linear sandwich on gamma failed")
-    plateau_grid = np.concatenate(
-        (np.linspace(ell, 4.0, 64), np.geomspace(4.0, 8.0 * p.R, 16))
-    )
+    plateau_grid = np.concatenate((np.linspace(ell, 4.0, 64), np.geomspace(4.0, 8.0 * p.R, 16)))
     gamma_floor = float(np.min(gf.evaluate(plateau_grid)))
     if gamma_floor < 1.0:
         raise _AttemptFailed("gamma dropped below 1 past the boundary layer")
 
+    # what the parameters do not already hold
     cert = {
-        "s": s,
-        "d": d,
-        "C_sharp": c_sharp,
-        "C1": c1,
-        "C2": c2,
-        "ell": ell,
-        "M": M,
-        "c_gamma": c_gamma,
-        "S_d": s_d,
         "lbeta_min": float(np.min(lbeta)),
-        "lbeta_floor": -c2,
         "lgamma_min": lgamma_min,
         "sandwich_lo": sandwich_lo,
         "sandwich_hi": sandwich_hi,
         "gamma_floor_past_ell": gamma_floor,
         "grid_sizes": {"c_sharp": 64, "c1": 128, "c2": 400, "lgamma": 200},
-        "quad_tolerance": QuadratureSpec.tolerance,  # the default every image uses
     }
-    return dataclasses.replace(p, certificate=cert)
+    return dataclasses.replace(p, gamma_grid=tuple(ggrid.tolist()), lgamma=tuple(lgamma.tolist()),
+                               certificate=cert)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,8 @@ def truncated_power(alpha: float, L: float) -> ScalarField:
     """x -> x_+**alpha capped at the constant (2L)**alpha from x = 2L on."""
     if alpha <= 0 or L <= 0:
         raise DomainError("truncated_power requires alpha > 0 and L > 0")
+    if alpha * math.log2(2.0 * L) >= 1023.0:  # a bit short of overflow, past log2's rounding
+        raise DomainError(f"truncated_power's cap (2L)^alpha overflows at alpha={alpha}, L={L}")
     cap = (2.0 * L) ** alpha
 
     def ev(x):

@@ -28,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, TailDivergenceError
+from .errors import AccuracyError, DomainError, TailDivergenceError
 from .fields import RadialField, ScalarField, TailExpansion
 
 _MIN_C2_ZONE = 1e-12
@@ -218,7 +218,9 @@ def _part_layout(z0, r_in, offsets, below, above, r_out):
     eta = np.array([[0.0], [2.0 * math.pi]]) / length
     log_rho = np.arccosh(0.5 * (np.hypot(xi + 1.0, eta) + np.hypot(xi - 1.0, eta))).min(axis=0)
     need = _DIGITS / (2.0 * np.minimum(log_rho, math.log(_MAX_RHO)))
-    return owner.astype(int), anchor, near, far, _RULE_SIZES[np.searchsorted(_RULE_SIZES, need)]
+    # size 0: no rule is long enough, or a ratio of the part's ends overflowed
+    sizes = np.append(_RULE_SIZES, 0)[np.searchsorted(_RULE_SIZES, need)]
+    return owner.astype(int), anchor, near, far, sizes
 
 
 @functools.lru_cache(maxsize=64)
@@ -280,6 +282,7 @@ def _middle_integrals(u: ScalarField, xs: np.ndarray, uxs: np.ndarray, parts, s:
     return [math.fsum(sums[i:j].tolist()) for i, j in zip([0] + bounds, bounds)]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # what overflows is refused by name
 def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams"):
     """(-Delta)^s u and u'' at each point of the 1-D array ``xs``, as a pair
     of arrays: u'' comes from the field call that samples the core.
@@ -287,7 +290,8 @@ def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams"):
     The field must carry its second derivative; a hat interpolant, which has
     none, is imaged in closed form by ``GridFunction.frac_image``.  Each
     point gets its own core radius, middle-zone parts and tail, laid out as
-    arrays for a chunk of at most _CHUNK_POINTS points at a time.
+    arrays for a chunk of at most _CHUNK_POINTS points at a time.  A point no
+    rule is long enough for is refused, and so is one whose image overflows.
     """
     if not isinstance(u, ScalarField):
         raise DomainError("dimension 1 requires a ScalarField")
@@ -335,10 +339,17 @@ def frac_apply_1d(u: ScalarField, xs: np.ndarray, params: "OperatorParams"):
         parts = _part_layout(z0, r_in, np.abs(breaks - x[:, None]),
                              np.where(off > 0.0, off, np.nan),
                              np.where(off < 0.0, -off, np.nan), r_out)
+        unsized = parts[4] == 0
+        if unsized.any():
+            raise AccuracyError(f"evaluation point {float(x[parts[0][unsized][0]])} has a middle-"
+                                f"zone part no rule of up to {_RULE_SIZES[-1]} nodes resolves")
         middles = _middle_integrals(u, x, ux, parts, s)
         tails = -c * _tail_contributions(u, x, ux, r_out, s)
         out[chunk] = [math.fsum((core, -c * middle, tail)) for core, middle, tail
                       in zip(cores.tolist(), middles, tails.tolist())]
+    if not np.isfinite(out).all():
+        raise DomainError(f"evaluation point {float(xs[~np.isfinite(out)][0])} has a non-finite "
+                          "image: the field's samples overflow")
     return out, upps
 
 

@@ -64,7 +64,7 @@ CLI_OPTIONS = {
 
 # the total line count of src/mixlap/*.py; growth shows up here as a reviewed
 # diff, as a public name does in PUBLIC_NAMES
-SOURCE_LINE_CEILING = 2736
+SOURCE_LINE_CEILING = 2730
 
 
 def _parameters(names):

@@ -190,6 +190,18 @@ def test_barrier_type_invariants(p075):
     assert 0.0 < p075.c_gamma < 1.0
 
 
+def test_certificate_holds_what_the_fields_do_not(p075):
+    # the measured constants are fields of the parameters; the certificate
+    # holds the grid extrema and sizes, and the certified Lgamma grid is kept
+    assert set(p075.certificate) == {"lbeta_min", "lgamma_min", "sandwich_lo", "sandwich_hi",
+                                     "gamma_floor_past_ell", "grid_sizes"}
+    grid = np.array(p075.gamma_grid)
+    assert grid.tobytes() == np.geomspace(p075.ell * 1e-3, p075.ell * 0.99, 200).tobytes()
+    lgamma = mixed_apply(gamma_field(p075), grid, OperatorParams(1, 0.75))
+    assert lgamma.tobytes() == np.array(p075.lgamma).tobytes()
+    assert min(p075.lgamma) == p075.certificate["lgamma_min"]
+
+
 def test_beta_vanishes_left_of_zero(p075):
     assert beta(-0.5, p075) == 0.0
     assert gamma(-1.0, p075) == 0.0

@@ -1,6 +1,7 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from mixlap.cli import _build_parser, _config_from_args, main, parse_config, run
@@ -168,9 +169,15 @@ def test_barrier_dump(tmp_path):
     assert code == 0
     lines = (tmp_path / "barrier.csv").read_text().splitlines()
     assert lines[0] == "x,beta,gamma,Lgamma"
-    assert len(lines) == 51
     cert = (tmp_path / "certificate.txt").read_text()
     assert "C_sharp" in cert and "certificate.lgamma_min" in cert
+    # the CSV is the grid Lgamma >= 1 was certified on, with its certified values
+    values = dict(line.split(" = ") for line in cert.splitlines())
+    ell = float(values["ell"])
+    x, lgamma = np.array([[float(v) for v in row.split(",")] for row in lines[1:]])[:, [0, 3]].T
+    assert len(lines) == 201
+    assert x.tobytes() == np.geomspace(ell * 1e-3, ell * 0.99, 200).tobytes()
+    assert float(f"{lgamma.min():.17g}") == float(values["certificate.lgamma_min"])
 
 
 @pytest.mark.parametrize("s", ["0.99", "0.999999"])

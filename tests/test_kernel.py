@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -8,8 +9,9 @@ import pytest
 
 from mixlap import fields, kernel
 from mixlap.assembly import GridFunction, build_mesh, grid_interpolant
-from mixlap.barrier import beta_field, beta_sharp_field, build_barrier, gamma_field
-from mixlap.errors import DomainError, TailDivergenceError
+from mixlap.barrier import (beta_field, beta_sharp_field, build_barrier, gamma_field,
+                            radial_cutoff)
+from mixlap.errors import AccuracyError, DomainError, TailDivergenceError
 from mixlap.kernel import (OperatorParams, QuadratureSpec, frac_apply,
                            mixed_apply, normalization_constant)
 from mixlap.verify import _radial_counterexample_profile, _ring_well
@@ -146,6 +148,33 @@ def test_kink_evaluation_rejected(quad):
         frac_apply(pure_power(1.0), 0.0, p, quad)
 
 
+def test_truncated_power_refuses_an_overflowing_cap():
+    with pytest.raises(DomainError, match=r"alpha=1\.5, L=1e\+250"):
+        fields.truncated_power(1.5, 1e250)
+
+
+@pytest.mark.parametrize("n_dim", [2, 3])
+def test_radial_mixed_image_adds_the_laplacian(n_dim):
+    # the local part of a radial field in dimension 2 or 3 is its radial
+    # Laplacian at |x|; the point sits in the cutoff's decay, 1 < |x| < 2
+    u, params = radial_cutoff(1.0), OperatorParams(n_dim, 0.4)
+    x = np.array([1.2, 0.5, 0.3][:n_dim])
+    lap = u.laplacian(np.linalg.norm(x), n_dim)
+    assert lap != 0.0
+    assert mixed_apply(u, x, params) == -lap + frac_apply(u, x, params)
+
+
+@pytest.mark.parametrize("n_dim", [2, 3])
+def test_radial_image_refuses_a_bad_point(n_dim):
+    u, params = radial_cutoff(1.0), OperatorParams(n_dim, 0.4)
+    with pytest.raises(DomainError, match="point dimension does not match"):
+        frac_apply(u, np.full(n_dim + 1, 0.3), params)
+    on_kink = np.zeros(n_dim)
+    on_kink[-1] = 1.0  # the cutoff's kink sphere |x| = 1
+    with pytest.raises(DomainError, match="radius sits on a smoothness break"):
+        frac_apply(u, on_kink, params)
+
+
 def test_tail_series_far_out_converges_or_refuses(quad):
     # (-Delta)^s x_+^alpha = kappa x^(alpha - 2s) (Dyda) at every scale: the
     # core, the middle zone's rules and the tail series take only lengths
@@ -166,6 +195,24 @@ def test_tail_series_far_out_converges_or_refuses(quad):
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=r"point 1e\+250 is too far"):
                 frac_apply(u, 1e250, OperatorParams(1, 0.3), quad)
+    # where the field's own samples overflow, the image is refused by name
+    # with no numpy warning, not returned as nan
+    for s, alpha, x in ((0.95, 1.5, 1e250), (0.6, 1.1, 1e300), (0.9, 1.2, 1e300)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(f"point {x:g} has a non-finite image")):
+                frac_apply(pure_power(alpha), x, OperatorParams(1, s), quad)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.3, 0.6, 0.9])
+@pytest.mark.parametrize("x", [1e-11, 1e-8])
+def test_middle_zone_past_the_longest_rule_is_refused(x, s):
+    # the body from near x out to the cap of x_+^0.5 at 2e300 is so long
+    # that the ratio of its ends overflows, which leaves it no rule size
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AccuracyError, match=re.escape(f"point {x:g} has a middle-zone part")):
+            frac_apply(fields.truncated_power(0.5, 1e300), x, OperatorParams(1, s))
 
 
 @pytest.mark.parametrize("n_dim", [2, 3])
