@@ -20,8 +20,7 @@ from .kernel import (OperatorParams, QuadratureSpec, frac_apply, mixed_apply,
                      normalization_constant)
 from .solve import SolveReport, solve_dirichlet
 from .verify import (VerificationReport, check_boundary_lipschitz,
-                     check_linf_bound, check_strong_mp_contact, check_weak_mp,
-                     counterexample_boundary_only, counterexample_ces,
-                     counterexample_general, residual_check, run_suite)
+                     check_linf_bound, check_weak_mp, counterexample_boundary_only,
+                     counterexample_ces, counterexample_general, run_suite)
 
 __version__ = "0.1.0"

@@ -104,9 +104,6 @@ class GridFunction:
             raise InputError("coefficient vector length must match node count")
         object.__setattr__(self, "coeffs", c)
 
-    def values_with_boundary(self) -> np.ndarray:
-        return np.concatenate(([0.0], self.coeffs, [0.0]))
-
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.mesh.n else 0.0
 
@@ -121,7 +118,7 @@ class GridFunction:
         if params.n_dim != 1:
             raise DomainError("the interpolant is one-dimensional")
         knots, e = self.mesh.element_edges(), 1.0 - 2.0 * params.s
-        jumps = np.diff(np.pad(self.values_with_boundary(), 1), 2) / self.mesh.h
+        jumps = np.diff(np.pad(self.coeffs, 2), 2) / self.mesh.h
         flat = np.asarray(x, dtype=float).ravel()
         out = np.empty(flat.size)
         rows = max(1, _IMAGE_BLOCK // knots.size)

@@ -112,6 +112,8 @@ def normalization_constant(n_dim: int, s: float) -> float:
     """
     if not (0.0 < s < 1.0):
         raise DomainError("s must lie in (0, 1)")
+    if s < 2.0**-1022:  # 1/(2s) in the stiffness row would overflow
+        raise DomainError(f"s = {s!r} is subnormal; the operator needs s >= 2^-1022")
     if n_dim not in (1, 2, 3):
         raise DomainError("only dimensions 1, 2, 3 are supported")
     return (s * 4.0**s * math.gamma(0.5 * n_dim + s)

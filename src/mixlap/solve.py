@@ -161,10 +161,12 @@ def solve_dirichlet(sys: StiffnessSystem, f: ScalarField) -> SolveReport:
     if err > b.size * _EPS:
         raise NumericalError(f"backward error {err:.3g} exceeds n eps = "
                              f"{b.size * _EPS:.3g} after {iterations} PCG iterations")
-    loc = np.append(sys.local_row[:2], 0.0)  # diagonal and off-diagonal, even at n = 1
-    steps = np.diff(u, prepend=0.0, append=0.0)
-    x_sq = (loc[0] + 2.0 * loc[1]) * float(u @ u) - loc[1] * float(steps @ steps)
-    x_norm = math.sqrt(max(x_sq, 0.0))
+    steps, inv_h = np.diff(u, prepend=0.0, append=0.0), 1.0 / sys.mesh.h
+    with np.errstate(over="ignore"):  # ||u_h'||^2 = steps @ steps / h, rescaled if it overflows
+        x_norm = math.sqrt(inv_h * float(steps @ steps))
+    if not math.isfinite(x_norm):
+        top = float(np.max(np.abs(steps)))
+        x_norm = top * math.sqrt(inv_h * float((steps / top) @ (steps / top)))
     fl2 = _lp_of_samples(*samples, 2.0)
     return SolveReport(
         solution=GridFunction(sys.mesh, u),

@@ -21,14 +21,10 @@ from .barrier import radial_cutoff
 from .errors import DomainError, ResolutionError
 from .fields import (RadialField, ScalarField, TailExpansion, constant,
                      parabola_cap, plateau)
-from .kernel import (OperatorParams, QuadratureSpec, _gauss_nodes, frac_apply,
-                     mixed_apply)
+from .kernel import OperatorParams, _gauss_nodes, frac_apply
 from .solve import SolveReport, solve_dirichlet
 
 MP_TOL = 1e-8
-# a supersolution's image may dip this far below zero, 100 times the
-# quadrature tolerance, before the strong-principle check calls it inconclusive
-CONTACT_SIGN_TOL = 100.0 * QuadratureSpec.tolerance
 _EPS = np.finfo(float).eps
 _RING_LOAD_CHUNK = 512  # points per product: 512 x 36 doubles, 147 kB a temporary
 # the boundary counterexample's interior minimum, like its load, scales with
@@ -79,56 +75,6 @@ def check_weak_mp(report: SolveReport) -> VerificationReport:
         # ext=0.0, the zero exterior data, keeps the digests of earlier runs
         inputs_digest=_digest(n=report.solution.mesh.n, ext=0.0, f=report.l2_f_norm),
         notes=f"min nodal value vs -{MP_TOL}*(1+max|u|)",
-    )
-
-
-def check_strong_mp_contact(u, params: OperatorParams, x0: float,
-                            omega=(-1.0, 1.0)) -> VerificationReport:
-    """Interior contact point of a supersolution forces global vanishing.
-
-    Exact contact points do not arise in floating point, so the check is
-    guarded: with no contact it passes in contrapositive form; with contact
-    but unverifiable operator sign it reports inconclusive.  Nonnegativity
-    is sampled on [-8, 8].
-    """
-    a, b = omega
-    digest = _digest(x0=x0, omega=omega, s=params.s)
-    xs = np.linspace(-8.0, 8.0, 801)
-    uvals = u.evaluate(xs)
-    maxu = float(np.max(np.abs(uvals)))
-    if float(np.min(uvals)) < -1e-10 * (1.0 + maxu):
-        return VerificationReport(
-            "strong_maximum_principle", True, 0.0, 0.0, digest,
-            notes="inconclusive: u is not nonnegative, principle not applicable",
-        )
-    u_at_x0 = float(u(x0))
-    if u_at_x0 > 1e-12:
-        return VerificationReport(
-            "strong_maximum_principle", True, u_at_x0, 1e-12, digest,
-            notes="no interior contact (u(x0) > 0); contrapositive holds",
-        )
-    if not (a < x0 < b):
-        return VerificationReport(
-            "strong_maximum_principle", True, 0.0, 0.0, digest,
-            notes="inconclusive: contact point lies outside the domain",
-        )
-    interior = np.linspace(a, b, 41)[1:-1]
-    try:
-        lu = mixed_apply(u, interior, params)
-    except DomainError:
-        return VerificationReport(
-            "strong_maximum_principle", True, 0.0, 0.0, digest,
-            notes="inconclusive: operator not evaluable on the domain grid",
-        )
-    if min(lu) < -CONTACT_SIGN_TOL:
-        return VerificationReport(
-            "strong_maximum_principle", True, 0.0, 0.0, digest,
-            notes=(f"inconclusive: supersolution sign fails "
-                   f"(min L u = {min(lu):.3g}), not applicable"),
-        )
-    return VerificationReport(
-        "strong_maximum_principle", maxu <= 1e-8, maxu, 1e-8, digest,
-        notes="interior contact forces global vanishing",
     )
 
 
@@ -439,62 +385,6 @@ def counterexample_boundary_only(r: float, s: float, n: int) -> VerificationRepo
                f"backward error={rep.backward_error:.3g} (n eps {n * _EPS:.3g}); "
                f"full-exterior-data principle "
                f"{'passed' if mp_rep.passed else 'FAILED'}"),
-    )
-
-
-# ---------------------------------------------------------------------------
-# pointwise residual of discrete solutions
-# ---------------------------------------------------------------------------
-
-
-# u'' at an element's midpoint from the six nodal values around it, times
-# 48 h^2: the exact second derivative of the quintic through them
-_MIDPOINT_CURVATURE = np.array([-5.0, 39.0, -34.0, -34.0, 39.0, -5.0])
-
-
-def _midpoint_residual(report: SolveReport, targets, f: ScalarField,
-                       params: OperatorParams):
-    """max |L u_h - f| over the midpoints of the elements k that hold the
-    targets, and how many targets were skipped: k is kept iff 3 <= k <= n-3,
-    where the curvature stencil stays off the boundary.  L u_h is minus that
-    curvature plus the interpolant's closed-form image, for all at once."""
-    sol, mesh = report.solution, report.solution.mesh
-    k = np.floor((np.asarray(targets) - mesh.a) / mesh.h).astype(int)
-    k = k[(3 <= k) & (k <= mesh.n - 3)]
-    xs = mesh.a + (k + 0.5) * mesh.h
-    stencils = sol.values_with_boundary()[k[:, None] + np.arange(-2, 4)]
-    upps = np.sum(stencils * _MIDPOINT_CURVATURE, axis=-1) / (48.0 * mesh.h**2)
-    residuals = np.abs(sol.frac_image(xs, params) - upps - f.evaluate(xs))
-    return float(np.max(residuals, initial=0.0)), len(targets) - k.size
-
-
-def residual_check(reports: Sequence[SolveReport], f: ScalarField,
-                   params: OperatorParams) -> VerificationReport:
-    """Max |L u_h - f| on the middle half must decrease across refinements."""
-    if len(reports) < 3:
-        raise DomainError("need at least three refinements")
-    mesh0 = reports[0].solution.mesh
-    center = 0.5 * (mesh0.a + mesh0.b)
-    w = (mesh0.b - mesh0.a) / 4.0
-    targets = np.linspace(center - w, center + w, 17)
-    residuals = []
-    skipped = 0
-    for rep in reports:
-        worst, missed = _midpoint_residual(rep, targets, f, params)
-        residuals.append(worst)
-        skipped += missed
-    floor = 1e-12
-    decreasing = all(
-        r2 < r1 or (r1 <= floor and r2 <= floor)
-        for r1, r2 in zip(residuals[:-1], residuals[1:])
-    )
-    digest = _digest(ns=tuple(r.solution.mesh.n for r in reports), w=w)
-    notes = f"residuals {['%.4g' % r for r in residuals]}"
-    if skipped:
-        notes += f"; {skipped} boundary-adjacent points skipped"
-    return VerificationReport(
-        "interior_residual_decay", decreasing, residuals[-1], residuals[-2],
-        digest, notes=notes,
     )
 
 

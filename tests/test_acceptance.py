@@ -16,11 +16,10 @@ from mixlap.kernel import (OperatorParams, QuadratureSpec, mixed_apply,
 from mixlap.solve import solve_dirichlet
 from mixlap.verify import (check_boundary_lipschitz, check_linf_bound,
                            check_weak_mp, counterexample_boundary_only,
-                           counterexample_ces, fit_boundary_exponent,
-                           residual_check)
+                           counterexample_ces, fit_boundary_exponent)
 
 import oracles
-from helpers import mollifier_bump, without
+from helpers import mollifier_bump, residual_check, without
 
 QUAD = QuadratureSpec()
 

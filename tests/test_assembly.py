@@ -286,7 +286,7 @@ def test_nonlocal_offdiagonal_signs_reported():
 
 def test_load_zero():
     mesh = build_mesh(-1.0, 1.0, 9)
-    assert np.allclose(load_vector(fields.zero(), mesh), 0.0)
+    assert np.allclose(load_vector(fields.constant(0.0), mesh), 0.0)
 
 
 def test_load_constant_one_gives_h():

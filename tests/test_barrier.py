@@ -510,8 +510,9 @@ def test_theta_rejects_small_truncation(p075):
 
 
 def test_tail_kappa_zero_field():
+    # the cap's tail is empty past 1: zero beyond R = 4, with no quadrature
     params = OperatorParams(1, 0.5)
-    assert tail_kappa(4.0, fields.zero(), params) == 0.0
+    assert tail_kappa(4.0, fields.parabola_cap(), params) == 0.0
 
 
 def test_tail_kappa_bounded_field_decays():

@@ -1,11 +1,16 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mixlap import fields
+from mixlap.assembly import build_mesh, build_system
 from mixlap.cli import _build_parser, _config_from_args, main, parse_config, run
 from mixlap.errors import ConfigError
+from mixlap.kernel import OperatorParams
+from mixlap.solve import solve_dirichlet
 
 
 def test_parse_minimal_solve_config():
@@ -365,6 +370,22 @@ def test_load_norm_holds_past_the_range_of_its_square(tmp_path, domain, c):
     assert doc["l2_f_norm"] == pytest.approx(expected, rel=1e-12)
 
 
+def test_gradient_norm_holds_past_the_range_of_its_square(tmp_path):
+    # on (-1e100, 1e100) the squared steps of u ~ 1e197 overflow.  x_norm is
+    # the reference solve's on (-1, 1), whose nonlocal part carries the weight
+    # w = (L/2)^(2-2s), times (L/2)^1.5, and report.json stays JSON
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--domain", "-1e100", "1e100", "--n", "63", "--s", "0.99",
+                     "--output-dir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "report.json").read_text(), parse_constant=_refuse_constant)
+    half, s = 1e100, 0.99
+    sys_ = build_system(build_mesh(-1.0, 1.0, 63), OperatorParams(1, s))
+    ref = solve_dirichlet(replace(sys_, nonlocal_row=half ** (2.0 - 2.0 * s) * sys_.nonlocal_row),
+                          fields.constant(1.0))
+    assert doc["x_norm"] == pytest.approx(ref.x_norm * half**1.5, rel=1e-12)
+
+
 # each command with a value for every key it reads besides output_dir; a
 # counterexample reads the keys of its variant
 READ_KEYS = [
@@ -455,9 +476,10 @@ def test_parser_is_built_once_and_keeps_no_state():
 
 
 def _edge_inputs():
-    """Cheap edge inputs: orders at both ends and around 1/2, one to three
-    nodes, a subnormal, an unresolvable and a huge domain, an overflowing
-    load, the barrier, and the CES, boundary and 1D general counterexamples."""
+    """Cheap edge inputs: orders at both ends and around 1/2, subnormal
+    orders, one to three nodes, a subnormal, an unresolvable and a huge
+    domain, an overflowing load, the barrier, and the CES, boundary and 1D
+    general counterexamples."""
     for i, s in enumerate(("1e-09", "0.4999999999", "0.5", "0.5000000001", "0.999999")):
         n = str(1 + i % 3)
         yield ["barrier", "--s", s]
@@ -468,7 +490,10 @@ def _edge_inputs():
     for domain in (["0", "1e-310"], ["1e15", "1.0000000000000002e15"], ["-1e100", "1e100"]):
         yield ["solve", "--domain", *domain, "--n", "1"]
         yield ["verify", "--domain", *domain, "--n", "3"]
+    yield ["solve", "--domain", "-1e100", "1e100", "--n", "63", "--s", "0.99"]
     yield ["solve", "--f", "poly:1e308,1e308", "--n", "2"]
+    for s in ("1e-310", "5e-324"):
+        yield ["solve", "--s", s, "--n", "3"]
     for s in ("1e-09", "0.999999"):
         yield ["counterexample", "--variant", "general", "--dimension", "1", "--s", s]
     yield ["barrier", "--s", "0.942"]
@@ -488,6 +513,8 @@ _KNOWN_EXITS = {
     # the boundary Lipschitz gate fails a bound the paper proves
     ("verify", "--domain", "-1e100", "1e100", "--n", "3"): (1, "boundary_lipschitz: FAILED"),
     ("solve", "--f", "poly:1e308,1e308", "--n", "2"): (2, "non-finite samples"),
+    **{("solve", "--s", s, "--n", "3"): (2, f"s = {s} is subnormal")
+       for s in ("1e-310", "5e-324")},
     # ROADMAP item 2, the barrier at every order the doubles can reach,
     # should build these three
     **{("barrier", "--s", s): (2, "below the window floor 1e-06")

@@ -41,7 +41,6 @@ def _barrier_smooth_points(p):
 # name -> (field, points away from its kinks and smoothness joins)
 SCALAR_CASES = {
     "constant": lambda p: (fields.constant(2.5), [-1.0, 0.5, 3.0]),
-    "zero": lambda p: (fields.zero(), [-1.0, 0.5, 3.0]),
     "truncated_power": lambda p: (fields.truncated_power(1.4, 1.0), [0.3, 1.1, 1.9]),
     "truncated_power below 1": lambda p: (fields.truncated_power(0.6, 0.5), [0.2, 0.7]),
     "parabola_cap": lambda p: (fields.parabola_cap(), [-0.5, 0.2, 0.9]),

@@ -302,7 +302,7 @@ def test_hat_interpolant_matches_closed_form(n, s):
 
 def test_mixed_zero_field(quad):
     p = OperatorParams(1, 0.5)
-    assert mixed_apply(fields.zero(), 0.2, p, quad) == 0.0
+    assert mixed_apply(fields.constant(0.0), 0.2, p, quad) == 0.0
 
 
 def test_mixed_requires_second_derivative(quad):
@@ -354,7 +354,7 @@ def test_wrong_sign_scaled_parabola_lower_bound(quad):
 
 def test_tail_integral_zero_and_compact():
     p = OperatorParams(1, 0.5)
-    assert tail_integral(fields.zero(), p) == 0.0
+    assert tail_integral(fields.constant(0.0), p) == 0.0
     val = tail_integral(fields.parabola_cap(), p)
     assert 0.0 < val < math.inf
 

@@ -22,7 +22,7 @@ def sys_05_255():
 
 
 def test_zero_load_gives_zero_solution(sys_05_255):
-    rep = solve_dirichlet(sys_05_255, fields.zero())
+    rep = solve_dirichlet(sys_05_255, fields.constant(0.0))
     assert np.all(rep.solution.coeffs == 0.0)
     assert rep.energy == 0.0
     assert rep.ratio_energy == 0.0
@@ -202,14 +202,14 @@ def test_a_negated_load_gives_the_negated_solution_to_the_bit(load, s, n):
 def test_lift_with_zero_datum_matches_plain_solve():
     sys_ = build_system(build_mesh(-1.0, 1.0, 63), OperatorParams(1, 0.5))
     plain = solve_dirichlet(sys_, fields.constant(1.0))
-    lifted = lift_nonhomogeneous(sys_, fields.constant(1.0), fields.zero())
+    lifted = lift_nonhomogeneous(sys_, fields.constant(1.0), fields.constant(0.0))
     assert np.allclose(lifted.solution.coeffs, plain.solution.coeffs, atol=1e-12)
 
 
 def test_lift_exterior_bump_nonnegative():
     sys_ = build_system(build_mesh(-1.0, 1.0, 63), OperatorParams(1, 0.5))
     g = mollifier_bump(2.0, 0.5, 1.0)  # supported outside the closure
-    rep = lift_nonhomogeneous(sys_, fields.zero(), g)
+    rep = lift_nonhomogeneous(sys_, fields.constant(0.0), g)
     assert float(np.min(rep.solution.coeffs)) >= -1e-10
     assert rep.meta["exterior"] is g
 
@@ -217,7 +217,7 @@ def test_lift_exterior_bump_nonnegative():
 def test_lift_far_plateau_is_nearly_constant():
     sys_ = build_system(build_mesh(-1.0, 1.0, 63), OperatorParams(1, 0.5))
     g = fields.plateau(-60.0, -50.0, 50.0, 60.0, depth=1.0)
-    rep = lift_nonhomogeneous(sys_, fields.zero(), g)
+    rep = lift_nonhomogeneous(sys_, fields.constant(0.0), g)
     assert np.all(np.abs(rep.solution.coeffs - 1.0) < 5e-3)
 
 
@@ -225,7 +225,7 @@ def test_lift_rejects_datum_without_curvature():
     sys_ = build_system(build_mesh(-1.0, 1.0, 15), OperatorParams(1, 0.5))
     bare = fields.ScalarField(evaluate=lambda x: np.zeros_like(np.asarray(x, float)))
     with pytest.raises(DomainError):
-        lift_nonhomogeneous(sys_, fields.zero(), bare)
+        lift_nonhomogeneous(sys_, fields.constant(0.0), bare)
 
 
 # ---------------------------------------------------------------------------
