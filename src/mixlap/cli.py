@@ -48,7 +48,7 @@ _CHECKS = {
     "variant": (str, lambda v: v in ("auto", *_READS["counterexample"]),
                 "must be auto|ces|general|boundary"),
     "dimension": (int, lambda d: d in (1, 2, 3), "must be 1, 2 or 3"),
-    "annulus_radius": (float, lambda rr: rr > 1.0, "must exceed 1"),
+    "annulus_radius": (float, lambda rr: 1.0 < rr < math.inf, "must be finite and exceed 1"),
 }
 
 

@@ -10,8 +10,8 @@ needs to evaluate nonlocal operators on an explicitly given function:
 * an exact far-field description (:class:`TailExpansion`) so that the
   integral beyond any finite radius can be resummed in closed form,
 * a ``support`` interval (lo, hi): the field is exactly 0 at and beyond
-  both ends, so the quadrature skips the nodes that fall there and grades
-  into each finite end.
+  both ends; the quadrature grades into each finite end and evaluates the
+  field wherever its rules put a node, on either side of it.
 
 Every callable a field carries (the evaluator, the second derivative, and a
 radial field's profile, its derivatives and its Laplacian) takes an array of
@@ -74,10 +74,10 @@ class ScalarField:
     """A function on R with the metadata needed for nonlocal evaluation.
 
     ``support = (lo, hi)`` promises u(x) == 0.0 exactly for x <= lo and for
-    x >= hi; the default is the whole line.  The 1D operator evaluates the
-    field only at quadrature nodes strictly inside it and takes 0.0
-    elsewhere, so a wrong promise changes the image.  Each finite end is
-    also a break, graded from the side where the field is nonzero.
+    x >= hi; the default is the whole line.  Each finite end is a break,
+    graded from the side where the field is nonzero; the 1D operator
+    evaluates the field wherever its rules put a node, beyond an end too,
+    so the evaluator must give 0.0 there without a numpy warning.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]

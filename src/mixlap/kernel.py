@@ -55,10 +55,10 @@ def _legendre(n: int):
 _GX, _GW = _legendre(12)
 _CORE_NODES = 0.5 + 0.5 * _GX  # the Gauss nodes on [0, 1]
 # 1D evaluation lays out the parts of up to _CHUNK_POINTS points at once and
-# evaluates the field on up to _BLOCK_NODES Gauss nodes a call.  On barrier fields
-# (about 7 parts and 181 nodes a point: 120,168 over the 664 points of build_barrier(0.9))
-# every temporary so stays under glibc's 128 KB mmap threshold, reused from the heap.
-_CHUNK_POINTS, _BLOCK_NODES = 64, 2**12
+# evaluates the field at x + z and x - z on up to _BLOCK_NODES Gauss nodes z in one
+# call, up to 2 _BLOCK_NODES positions: 64 KiB a temporary.  Barrier fields take
+# about 7 parts and 181 nodes a point (120,168 over the 664 points of build_barrier(0.9)).
+_CHUNK_POINTS, _BLOCK_NODES = 128, 2**12
 # a middle-zone part gets the first size n with rho^(-2n) <= 2^(-1.2 * 53),
 # rho <= _MAX_RHO its Bernstein ellipse; 3072 covers z0 >= 1e-13 to 1e308
 _RULE_SIZES = np.array([8, 12, 16, 20, 24, 32, 40, 48, 64, 80, 96, 128, 160, 192, 256,
@@ -244,23 +244,10 @@ def _core_weights(s: float) -> np.ndarray:
     return 0.5 * _GW * total
 
 
-def _on_support(u: ScalarField, y: np.ndarray) -> np.ndarray:
-    """u at each node of y, evaluated only strictly inside ``u.support``:
-    0.0 is the field's exact value at and beyond either end."""
-    lo, hi = u.support
-    inside = (lo < y) & (y < hi)
-    if inside.all():
-        return u.evaluate(y)
-    out = np.zeros_like(y)
-    out[inside] = u.evaluate(y[inside])
-    return out
-
-
 def _middle_integrals(u: ScalarField, xs: np.ndarray, uxs: np.ndarray, parts, s: float):
     """int_{z0}^{r_out} (u(x+z) + u(x-z) - 2 u(x)) z^(-1-2s) dz at each point
-    x of ``xs``, on its ``parts``, in blocks of at most _BLOCK_NODES nodes.
-    Nodes outside the field's support are not evaluated: on a field
-    supported on (0, inf), every node past z = x > 0 has u(x - z) = 0."""
+    x of ``xs``, on its ``parts``, in blocks of at most _BLOCK_NODES nodes,
+    each evaluated at x + z and x - z in one field call."""
     owner, anchor, near, far, size = parts
     half, x_of, twice_ux_of = 0.5 * np.log(far / near), xs[owner], 2.0 * uxs[owner]
     ends, sums, a = np.cumsum(size), np.empty(size.size), 0
@@ -270,9 +257,10 @@ def _middle_integrals(u: ScalarField, xs: np.ndarray, uxs: np.ndarray, parts, s:
         at = np.repeat(np.arange(a, b), size[a:b])
         e = near[at] * np.exp(half[at] * (1.0 + t))
         z, y = anchor[at] + e, x_of[at]
-        # (u(x+z) + u(x-z) - 2 u(x)) w z^(-1-2s), from two half-size field
-        # calls and in place, to keep the temporaries few and small
-        delta2 = _on_support(u, y + z) + _on_support(u, y - z)
+        # (u(x+z) + u(x-z) - 2 u(x)) w z^(-1-2s), in place, to keep the
+        # temporaries few and small
+        both = u.evaluate(np.concatenate((y + z, y - z)))
+        delta2 = both[:z.size] + both[z.size:]
         delta2 -= twice_ux_of[at]
         root = z ** -s  # z^(-2s) in two factors, so none underflows before delta2 does
         delta2 *= half[at] * tw * np.abs(e) / z * root

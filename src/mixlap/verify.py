@@ -310,8 +310,8 @@ def _ring_well(r: float) -> ScalarField:
     )
 
 
-def _ring_load(r: float, params: OperatorParams) -> ScalarField:
-    """-L phi for the ring well phi, exact on |x| < r+1.
+def _ring_load(r: float, params: OperatorParams, scale: float = 1.0) -> ScalarField:
+    """-L phi for the ring well phi, times ``scale``, exact on |x| < r+1.
 
     phi and phi'' vanish there, so -L phi(x) = c int phi(y) |x-y|^(-1-2s) dy
     over the well's support r+1 <= |y| <= r+4, where the kernel is smooth.
@@ -319,7 +319,7 @@ def _ring_load(r: float, params: OperatorParams) -> ScalarField:
     whole array of points in one product per chunk.
     """
     y, gw = _gauss_nodes([r + 1.0, r + 2.0, r + 3.0], [r + 2.0, r + 3.0, r + 4.0])
-    w = params.c_ns * gw * _ring_well(r).evaluate(y)
+    w = params.c_ns * scale * gw * _ring_well(r).evaluate(y)
     p = -1.0 - 2.0 * params.s
 
     def ev(x):
@@ -345,14 +345,21 @@ def counterexample_boundary_only(r: float, s: float, n: int) -> VerificationRepo
     """
     if r <= 1.0:
         raise DomainError("the annulus radius must exceed 1")
+    if not r + 1.0 < r + 2.0 < r + 3.0 < r + 4.0:
+        raise DomainError(f"the annulus radius {r!r} is too large: r+1 ... r+4, "
+                          "the ring's kinks, are not four distinct doubles")
     params = OperatorParams(1, s)
     phi = _ring_well(r)
     mesh = build_mesh(-1.0, 1.0, n)
     sys_ = build_system(mesh, params)
 
-    f = _ring_load(r, params)
-    rep = solve_dirichlet(sys_, f)
-    u = rep.solution.coeffs
+    # the load, u and PCG's inner products scale with c_{1,s} and its square,
+    # which underflow at tiny s: solve for the load over 2^k, k the binary
+    # exponent of c_{1,s}, and scale back by 2^k, which changes no bit of normal data
+    k = math.frexp(params.c_ns)[1]
+    rep = solve_dirichlet(sys_, _ring_load(r, params, 2.0**-k))
+    u = np.ldexp(rep.solution.coeffs, k)
+    rep = replace(rep, solution=GridFunction(mesh, u), l2_f_norm=math.ldexp(rep.l2_f_norm, k))
     m = float(min(np.min(u), 0.0))
     threshold = -_BOUNDARY_MIN_REL * rep.l2_f_norm
     if m >= threshold:

@@ -61,7 +61,7 @@ CLI_OPTIONS = {
 
 # the total line count of src/mixlap/*.py; growth shows up here as a reviewed
 # diff, as a public name does in PUBLIC_NAMES
-SOURCE_LINE_CEILING = 2613
+SOURCE_LINE_CEILING = 2608
 
 
 def _parameters(names):

@@ -476,10 +476,10 @@ def test_parser_is_built_once_and_keeps_no_state():
 
 
 def _edge_inputs():
-    """Cheap edge inputs: orders at both ends and around 1/2, subnormal
-    orders, one to three nodes, a subnormal, an unresolvable and a huge
-    domain, an overflowing load, the barrier, and the CES, boundary and 1D
-    general counterexamples."""
+    """Cheap edge inputs: orders at both ends and around 1/2, subnormal and
+    tiny normal orders, one to three nodes, a subnormal, an unresolvable and a
+    huge domain, an overflowing load, the barrier, the CES, boundary and 1D
+    general counterexamples, and annulus radii the ring cannot resolve."""
     for i, s in enumerate(("1e-09", "0.4999999999", "0.5", "0.5000000001", "0.999999")):
         n = str(1 + i % 3)
         yield ["barrier", "--s", s]
@@ -497,6 +497,12 @@ def _edge_inputs():
     for s in ("1e-09", "0.999999"):
         yield ["counterexample", "--variant", "general", "--dimension", "1", "--s", s]
     yield ["barrier", "--s", "0.942"]
+    # tiny normal orders, where the ring load and PCG's inner products underflow unrescaled
+    for s in ("1e-200", "1e-300"):
+        yield ["counterexample", "--variant", "boundary", "--s", s, "--n", "3"]
+    yield ["verify", "--s", "1e-300", "--n", "3"]
+    for radius in ("inf", "1e16"):
+        yield ["counterexample", "--variant", "boundary", "--annulus-radius", radius, "--n", "3"]
 
 
 # the inputs of the sweep below that do not exit 0: (exit status, text on
@@ -520,6 +526,11 @@ _KNOWN_EXITS = {
     **{("barrier", "--s", s): (2, "below the window floor 1e-06")
        for s in ("0.5000000001", "0.999999")},
     ("barrier", "--s", "0.942"): (2, "failed at every window down to the floor 1e-06"),
+    ("counterexample", "--variant", "boundary", "--annulus-radius", "inf", "--n", "3"):
+        (2, "annulus_radius: must be finite and exceed 1"),
+    # r+1 ... r+4 round to fewer than four doubles
+    ("counterexample", "--variant", "boundary", "--annulus-radius", "1e16", "--n", "3"):
+        (2, "the annulus radius 1e+16 is too large"),
 }
 
 

@@ -422,6 +422,28 @@ def test_support_end_is_graded_from_inside_only(monkeypatch):
     np.testing.assert_array_equal(far[~at_end], [0.15, 1.7, 3.3])
 
 
+@pytest.mark.parametrize("which", ["barrier_03", "barrier_09"])
+def test_fields_are_exactly_zero_beyond_their_support(which, request):
+    # the 1D middle zone evaluates a field at every node its rules lay out,
+    # also past a finite support end, and takes the value there as it comes:
+    # each library field with such an end gives exactly 0.0 beyond it, from
+    # 1e-14 (1 + |end|) out to 10 (1 + |end|), with no numpy warning
+    p = request.getfixturevalue(which)
+    line_fields = [kernel._line_field(radial, r, phi)
+                   for radial in (radial_cutoff(0.5), _radial_counterexample_profile(3))
+                   for r in (0.0, 0.3, 1.5, 4.0) for phi in (0.0, 0.7, 0.5 * math.pi)]
+    for u in [fields.truncated_power(1.5, 1.0), fields.truncated_power(0.3, 1e3),
+              beta_sharp_field(p), beta_field(p), gamma_field(p), *line_fields]:
+        for end, side in zip(u.support, (-1.0, 1.0)):
+            if not math.isfinite(end):
+                continue
+            ys = end + side * 10.0 * (1.0 + abs(end)) * np.geomspace(1e-15, 1.0, 80)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = u.evaluate(ys)
+            assert values.tobytes() == np.zeros_like(ys).tobytes(), (u.name, end)
+
+
 @pytest.mark.parametrize("alpha,s", [(1.0, 0.3), (1.5, 0.6), (1.8, 0.9)])
 def test_truncated_power_left_of_its_support_matches_mpmath_oracle(alpha, s):
     # the lower end 0 is graded from above its offset |x|: u(x + z) is 0
@@ -723,8 +745,8 @@ def test_tail_series_matches_scalar(s, p):
 
 def test_barrier_image_temporaries_stay_small(barrier_03):
     # panels are laid out a chunk of points at a time and the field is
-    # evaluated on blocks of nodes, so every temporary stays small: 593 KiB
-    # at the peak here, against 1335 KiB with all 400 points in one chunk
+    # evaluated on blocks of nodes, so every temporary stays small: 913 KiB
+    # at the peak here with 128-point chunks, 833 KiB with 64-point ones
     p = barrier_03
     bf = beta_field(p)
     xs = np.geomspace(p.d * 1e-6, 0.999 * p.d, 400)
@@ -766,17 +788,49 @@ def barrier_09():
 
 @pytest.mark.parametrize("s,nodes", [(0.3, 118_756), (0.9, 120_168)])
 def test_barrier_build_evaluates_few_nodes(s, nodes, monkeypatch):
-    # the Gauss nodes a build evaluates, each at x + z and at x - z, may not
-    # grow: 118,756 at s = 0.3 and 120,168 at s = 0.9 when this bound was set
-    real, seen = kernel._on_support, []
+    # the Gauss nodes a build lays out, each evaluated at x + z and at x - z,
+    # may not grow: 118,756 at s = 0.3 and 120,168 at s = 0.9 when this bound was set
+    real, seen = kernel._part_layout, []
 
-    def counted(u, y):
-        seen.append(y.size)
-        return real(u, y)
+    def counted(*args):
+        parts = real(*args)
+        seen.append(2 * int(parts[4].sum()))
+        return parts
 
-    monkeypatch.setattr(kernel, "_on_support", counted)
+    monkeypatch.setattr(kernel, "_part_layout", counted)
     build_barrier(s)
     assert sum(seen) <= 2 * nodes
+
+
+def test_middle_zone_evaluates_the_field_once_a_node_block(barrier_09, monkeypatch):
+    # the parts are taken in order into blocks of at most _BLOCK_NODES nodes,
+    # and each block is one field call on its nodes' x + z and x - z
+    bf = beta_field(barrier_09)
+    xs = np.geomspace(barrier_09.d * 1e-6, 0.999 * barrier_09.d, 400)
+    params = OperatorParams(1, 0.9)
+    expected = frac_apply(bf, xs, params)
+    real, blocks, calls = kernel._part_layout, [], []
+
+    def counted(*args):
+        parts = real(*args)
+        room = 0
+        for n in parts[4].tolist():
+            if n > room:
+                blocks.append(0)
+                room = kernel._BLOCK_NODES
+            blocks[-1] += n
+            room -= n
+        return parts
+
+    def spy(x):
+        calls.append(np.size(x))
+        return bf.evaluate(x)
+
+    monkeypatch.setattr(kernel, "_part_layout", counted)
+    image = frac_apply(dataclasses.replace(bf, evaluate=spy), xs, params)
+    assert image.tobytes() == expected.tobytes()
+    # the first call is u at the points themselves
+    assert len(blocks) > 1 and calls == [xs.size] + [2 * n for n in blocks]
 
 
 def _barrier_grid_cases(p):
@@ -802,32 +856,3 @@ def test_grid_image_is_the_concatenation_of_its_slices(which, name, apply, reque
     for cut in (xs.size - 8, 37):
         parts = np.concatenate((apply(u, xs[:cut], params), apply(u, xs[cut:], params)))
         assert parts.tobytes() == whole.tobytes()
-
-
-@pytest.mark.parametrize("which", ["barrier_03", "barrier_09"])
-@pytest.mark.parametrize("name", ["beta_sharp", "beta", "gamma", "truncated power"])
-def test_support_skip_is_exact(which, name, request, monkeypatch):
-    p = request.getfixturevalue(which)
-    u = {"beta_sharp": beta_sharp_field(p), "beta": beta_field(p), "gamma": gamma_field(p),
-         "truncated power": fields.truncated_power(p.ladder.alphas[-1], 1.0)}[name]
-    assert u.support == (0.0, math.inf)
-    d = p.d
-    xs = np.array([-3.0 * d, -0.5 * d, -1e-3 * d, 1e-3 * d, 0.1 * d, 0.6 * d, 0.9 * d,
-                   1.5 * d, 3.0 * d, 1.0, 2.5])
-    params = OperatorParams(1, p.ladder.s)
-    seen = []
-
-    def spy(x):
-        seen.append(np.array(x, dtype=float).ravel())
-        return u.evaluate(x)
-
-    image = mixed_apply(dataclasses.replace(u, evaluate=spy), xs, params)
-    # the same parts with every node evaluated: the field is exactly 0.0
-    # off its support, so skipping those nodes changes no bit
-    monkeypatch.setattr(kernel, "_on_support", lambda f, y: f.evaluate(y))
-    assert image.tobytes() == mixed_apply(u, xs, params).tobytes()
-    # besides the evaluation points themselves, every node the field sees
-    # lies inside its support
-    nodes = np.concatenate(seen)
-    nodes = nodes[~np.isin(nodes, xs)]
-    assert nodes.size and nodes.min() > 0.0

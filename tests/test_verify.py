@@ -354,6 +354,10 @@ def test_boundary_only_value_on_annulus():
 def test_boundary_only_rejects_bad_radius():
     with pytest.raises(DomainError):
         counterexample_boundary_only(0.5, 0.5, 63)
+    # past about 1e16 the ring's kinks r+1 ... r+4 are not four distinct doubles
+    for r in (1e16, 1e300, float("inf")):
+        with pytest.raises(DomainError, match="annulus radius"):
+            counterexample_boundary_only(r, 0.5, 3)
 
 
 @pytest.mark.parametrize("n", [1023, 4095])
