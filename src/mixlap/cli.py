@@ -98,12 +98,6 @@ def _json_object(text: str) -> dict:
     return doc
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON config document; a key its command does not
-    read is refused."""
-    return _validated(_json_object(text))
-
-
 def _checked(doc: dict, key: str):
     """The value of doc[key] once it passes its check."""
     if key == "domain":

@@ -183,43 +183,6 @@ def _smoothstep_d2(t):
     return 60.0 * t * (1.0 - t) * (1.0 - 2.0 * t)
 
 
-def plateau(lo_inner, lo_outer, hi_inner, hi_outer, depth: float = 1.0) -> ScalarField:
-    """C^2 plateau: depth on [lo_outer, hi_inner], 0 outside (lo_inner, hi_outer).
-
-    Ramps are quintic smoothsteps, C^2 on all of R; each ramp end is a kink.
-    """
-    if not (lo_inner < lo_outer <= hi_inner < hi_outer):
-        raise DomainError("plateau breakpoints must be increasing")
-
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        up = smoothstep((x - lo_inner) / (lo_outer - lo_inner))
-        down = smoothstep((hi_outer - x) / (hi_outer - hi_inner))
-        return depth * up * down
-
-    def d2(x):
-        x = np.asarray(x, dtype=float)
-        wu = lo_outer - lo_inner
-        wd = hi_outer - hi_inner
-        tu = (x - lo_inner) / wu
-        td = (hi_outer - x) / wd
-        up = smoothstep(tu)
-        down = smoothstep(td)
-        up1 = _smoothstep_d1(tu) / wu
-        down1 = -_smoothstep_d1(td) / wd
-        up2 = _smoothstep_d2(tu) / wu**2
-        down2 = _smoothstep_d2(td) / wd**2
-        return depth * (up2 * down + 2.0 * up1 * down1 + up * down2)
-
-    return ScalarField(
-        evaluate=ev,
-        second_derivative=d2,
-        kinks=(lo_inner, lo_outer, hi_inner, hi_outer),
-        tail=TailExpansion(max(abs(lo_inner), abs(hi_outer))),
-        name=f"plateau[{lo_inner},{lo_outer},{hi_inner},{hi_outer}]",
-    )
-
-
 # ---------------------------------------------------------------------------
 # radial fields for N >= 2
 # ---------------------------------------------------------------------------

@@ -365,14 +365,15 @@ def _line_field(u: RadialField, r: float, phi: float) -> ScalarField:
         return u.dd_profile(rho) * (1.0 - q) + u.d_profile(rho) * q / rho
 
     half = math.sqrt(max(u.support_radius**2 - b * b, 0.0))
+    lo, hi = t0 - half, t0 + half  # hypot can round inside the support past them
     return ScalarField(
-        evaluate=lambda t: u.profile(np.hypot(t - t0, b)),
+        evaluate=lambda t: np.where((lo < t) & (t < hi), u.profile(np.hypot(t - t0, b)), 0.0),
         second_derivative=d2,
         kinks=tuple(t0 + sign * math.sqrt(k * k - b * b)
                     for k in u.kinks if k > b for sign in (-1.0, 1.0)),
         tail=TailExpansion(abs(t0) + half),
         name=f"{u.name} on a line",
-        support=(t0 - half, t0 + half),
+        support=(lo, hi),
     )
 
 

@@ -26,6 +26,8 @@ MAX_ITERATIONS = 500
 _EPS = np.finfo(float).eps
 # a power sum at or above this lost no bits to subnormal terms
 _NORMAL_FLOOR = np.finfo(float).tiny / _EPS
+# the binary exponents, as math.frexp gives them, of the normal doubles
+_MIN_EXP, _MAX_EXP = np.finfo(float).minexp + 1, np.finfo(float).maxexp
 
 
 def _lp_of_samples(vals: np.ndarray, w: np.ndarray, p: float) -> float:
@@ -152,26 +154,39 @@ def _pcg(sys: StiffnessSystem, b: np.ndarray):
 def solve_dirichlet(sys: StiffnessSystem, f: ScalarField) -> SolveReport:
     """Solve (local + nonlocal) u = load and report energies and norms.
 
-    The load is sampled once: ||f||_2 comes from load_vector's samples.
-    Raises ``NumericalError`` if the backward error of u exceeds n eps."""
+    The load is sampled once: ||f||_2 comes from load_vector's samples.  PCG
+    runs on the load vector b over 2^k, k the binary exponent of max |b|, so
+    its inner products neither overflow nor underflow with the load's size;
+    u, its energy and the norms are scaled back, which changes no bit of
+    normal data.  Raises ``NumericalError`` if the backward error of u
+    exceeds n eps, or if u or its energy leaves the double range."""
     samples = []
     b = load_vector(f, sys.mesh, samples=samples)
-    u, au, iterations = _pcg(sys, b)
+    k = math.frexp(float(np.max(np.abs(b))))[1]
+    u, au, iterations = _pcg(sys, np.ldexp(b, -k, out=b))
     err = _backward_error(sys.norm_inf, float(np.abs(b).max()), b - au, u)
     if err > b.size * _EPS:
         raise NumericalError(f"backward error {err:.3g} exceeds n eps = "
                              f"{b.size * _EPS:.3g} after {iterations} PCG iterations")
+    peak, energy = float(np.max(np.abs(u))), float(u @ au)
+    # below the normal range u has lost its bits; past it, u or its energy is inf
+    if not (_MIN_EXP <= math.frexp(peak)[1] + k <= _MAX_EXP
+            and math.frexp(energy)[1] + 2 * k <= _MAX_EXP):
+        raise NumericalError("the solution or its energy left the double range "
+                             "(the domain or the load is too small or too large for doubles)")
     steps, inv_h = np.diff(u, prepend=0.0, append=0.0), 1.0 / sys.mesh.h
-    with np.errstate(over="ignore"):  # ||u_h'||^2 = steps @ steps / h, rescaled if it overflows
-        x_norm = math.sqrt(inv_h * float(steps @ steps))
-    if not math.isfinite(x_norm):
+    with np.errstate(over="ignore"):  # ||u_h'||^2 = steps @ steps / h, rescaled out of range
+        squares = float(steps @ steps)
+        x_norm = math.sqrt(inv_h * squares)
+    if peak > 0.0 and not (_NORMAL_FLOOR <= squares and x_norm < math.inf):
         top = float(np.max(np.abs(steps)))
         x_norm = top * math.sqrt(inv_h * float((steps / top) @ (steps / top)))
+    x_norm = math.ldexp(x_norm, k)
     fl2 = _lp_of_samples(*samples, 2.0)
     return SolveReport(
-        solution=GridFunction(sys.mesh, u),
-        residual_norm=float(np.linalg.norm(au - b)),
-        energy=float(u @ au),
+        solution=GridFunction(sys.mesh, np.ldexp(u, k, out=u)),
+        residual_norm=math.ldexp(float(np.linalg.norm(au - b)), k),
+        energy=math.ldexp(energy, 2 * k),
         x_norm=x_norm,
         l2_f_norm=fl2,
         ratio_energy=(x_norm / fl2 if fl2 > 0 else math.inf if x_norm > 0 else 0.0),

@@ -20,7 +20,7 @@ from .assembly import GridFunction, build_mesh, build_system
 from .barrier import radial_cutoff
 from .errors import DomainError, ResolutionError
 from .fields import (RadialField, ScalarField, TailExpansion, constant,
-                     parabola_cap, plateau)
+                     parabola_cap, smoothstep)
 from .kernel import OperatorParams, _gauss_nodes, frac_apply
 from .solve import SolveReport, solve_dirichlet
 
@@ -296,22 +296,20 @@ def counterexample_general(s: float, n_dim: int) -> VerificationReport:
     )
 
 
-def _ring_well(r: float) -> ScalarField:
-    """Even C^2 field: -1 on r+2 <= |x| <= r+3, 0 inside |x| <= r+1 and
-    outside |x| >= r+4, values in [-1, 0]: the even extension of a plateau."""
-    kink_radii = (r + 1.0, r + 2.0, r + 3.0, r + 4.0)
-    well = plateau(*kink_radii, depth=-1.0)
-    return ScalarField(
-        evaluate=lambda x: well.evaluate(np.abs(x)),
-        second_derivative=lambda x: well.second_derivative(np.abs(x)),
-        kinks=tuple(-k for k in kink_radii[::-1]) + kink_radii,
-        tail=TailExpansion(r + 4.0),
-        name=f"ring well(r={r})",
-    )
+def _ring_well(r: float):
+    """The values of the even C^2 ring well: -1 on r+2 <= |x| <= r+3, 0 inside
+    |x| <= r+1 and outside |x| >= r+4, quintic smoothstep ramps between."""
+    r1, r2, r3, r4 = r + 1.0, r + 2.0, r + 3.0, r + 4.0
+
+    def ev(x):
+        x = np.abs(np.asarray(x, dtype=float))
+        return -smoothstep((x - r1) / (r2 - r1)) * smoothstep((r4 - x) / (r4 - r3))
+
+    return ev
 
 
-def _ring_load(r: float, params: OperatorParams, scale: float = 1.0) -> ScalarField:
-    """-L phi for the ring well phi, times ``scale``, exact on |x| < r+1.
+def _ring_load(r: float, params: OperatorParams) -> ScalarField:
+    """-L phi for the ring well phi, exact on |x| < r+1.
 
     phi and phi'' vanish there, so -L phi(x) = c int phi(y) |x-y|^(-1-2s) dy
     over the well's support r+1 <= |y| <= r+4, where the kernel is smooth.
@@ -319,7 +317,7 @@ def _ring_load(r: float, params: OperatorParams, scale: float = 1.0) -> ScalarFi
     whole array of points in one product per chunk.
     """
     y, gw = _gauss_nodes([r + 1.0, r + 2.0, r + 3.0], [r + 2.0, r + 3.0, r + 4.0])
-    w = params.c_ns * scale * gw * _ring_well(r).evaluate(y)
+    w = params.c_ns * gw * _ring_well(r)(y)
     p = -1.0 - 2.0 * params.s
 
     def ev(x):
@@ -353,13 +351,8 @@ def counterexample_boundary_only(r: float, s: float, n: int) -> VerificationRepo
     mesh = build_mesh(-1.0, 1.0, n)
     sys_ = build_system(mesh, params)
 
-    # the load, u and PCG's inner products scale with c_{1,s} and its square,
-    # which underflow at tiny s: solve for the load over 2^k, k the binary
-    # exponent of c_{1,s}, and scale back by 2^k, which changes no bit of normal data
-    k = math.frexp(params.c_ns)[1]
-    rep = solve_dirichlet(sys_, _ring_load(r, params, 2.0**-k))
-    u = np.ldexp(rep.solution.coeffs, k)
-    rep = replace(rep, solution=GridFunction(mesh, u), l2_f_norm=math.ldexp(rep.l2_f_norm, k))
+    rep = solve_dirichlet(sys_, _ring_load(r, params))
+    u = rep.solution.coeffs
     m = float(min(np.min(u), 0.0))
     threshold = -_BOUNDARY_MIN_REL * rep.l2_f_norm
     if m >= threshold:
@@ -369,7 +362,7 @@ def counterexample_boundary_only(r: float, s: float, n: int) -> VerificationRepo
     v_boundary = -m
     v_min_inside = m
     annulus = np.linspace(1.0 + 1e-9, r, 33)
-    v_annulus = 2.0 * phi.evaluate(annulus) - m
+    v_annulus = 2.0 * phi(annulus) - m
 
     # positive side: the transferred load is nonpositive inside, so its
     # negation drives a weak-principle-obeying solve on the same geometry.

@@ -13,7 +13,8 @@ import numpy as np
 from mixlap.assembly import GridFunction, StiffnessSystem
 from mixlap.barrier import BarrierParams, beta_field, gamma_field
 from mixlap.errors import DomainError
-from mixlap.fields import RadialField, ScalarField, TailExpansion
+from mixlap.fields import (RadialField, ScalarField, TailExpansion, _smoothstep_d1,
+                           _smoothstep_d2, smoothstep)
 from mixlap.kernel import (_SPHERE_AREA, Field, OperatorParams, QuadratureSpec,
                            _gauss_nodes, mixed_apply)
 from mixlap.solve import SolveReport, _lp_of_samples, solve_dirichlet
@@ -156,6 +157,58 @@ def mollifier_bump(center: float, radius: float, height: float = 1.0) -> ScalarF
         tail=TailExpansion(abs(center) + radius),
         name=f"bump(c={center},r={radius})",
         support=(center - radius, center + radius),
+    )
+
+
+def plateau(lo_inner, lo_outer, hi_inner, hi_outer, depth: float = 1.0) -> ScalarField:
+    """C^2 plateau: depth on [lo_outer, hi_inner], 0 outside (lo_inner, hi_outer).
+
+    Ramps are quintic smoothsteps, C^2 on all of R; each ramp end is a kink.
+    """
+    if not (lo_inner < lo_outer <= hi_inner < hi_outer):
+        raise DomainError("plateau breakpoints must be increasing")
+
+    def ev(x):
+        x = np.asarray(x, dtype=float)
+        up = smoothstep((x - lo_inner) / (lo_outer - lo_inner))
+        down = smoothstep((hi_outer - x) / (hi_outer - hi_inner))
+        return depth * up * down
+
+    def d2(x):
+        x = np.asarray(x, dtype=float)
+        wu = lo_outer - lo_inner
+        wd = hi_outer - hi_inner
+        tu = (x - lo_inner) / wu
+        td = (hi_outer - x) / wd
+        up = smoothstep(tu)
+        down = smoothstep(td)
+        up1 = _smoothstep_d1(tu) / wu
+        down1 = -_smoothstep_d1(td) / wd
+        up2 = _smoothstep_d2(tu) / wu**2
+        down2 = _smoothstep_d2(td) / wd**2
+        return depth * (up2 * down + 2.0 * up1 * down1 + up * down2)
+
+    return ScalarField(
+        evaluate=ev,
+        second_derivative=d2,
+        kinks=(lo_inner, lo_outer, hi_inner, hi_outer),
+        tail=TailExpansion(max(abs(lo_inner), abs(hi_outer))),
+        name=f"plateau[{lo_inner},{lo_outer},{hi_inner},{hi_outer}]",
+    )
+
+
+def ring_well(r: float) -> ScalarField:
+    """The boundary counterexample's ring well as a field: the even extension
+    of plateau(r+1, r+2, r+3, r+4, depth=-1), with its second derivative,
+    the reference for verify._ring_well's values."""
+    kink_radii = (r + 1.0, r + 2.0, r + 3.0, r + 4.0)
+    well = plateau(*kink_radii, depth=-1.0)
+    return ScalarField(
+        evaluate=lambda x: well.evaluate(np.abs(x)),
+        second_derivative=lambda x: well.second_derivative(np.abs(x)),
+        kinks=tuple(-k for k in kink_radii[::-1]) + kink_radii,
+        tail=TailExpansion(r + 4.0),
+        name=f"ring well(r={r})",
     )
 
 

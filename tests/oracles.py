@@ -490,7 +490,7 @@ def mp_core_integrals(s: float, dps: int = 30) -> list:
 
 
 def mp_frac_plateau(s: float, x: float, dps: int = 30) -> float:
-    """(-Delta)^s of fields.plateau(-2, -1, 1, 3, depth=1.5) at x: quintic
+    """(-Delta)^s of helpers.plateau(-2, -1, 1, 3, depth=1.5) at x: quintic
     smoothstep ramps on [-2, -1] and [1, 3].  Below z = 1e-4 the second
     difference is its two-term Taylor series (u^(2) and u^(4) by mp.diff;
     the next term is below 1e-20 of the image); tanh-sinh takes the body,

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from dataclasses import replace
 
@@ -7,17 +8,17 @@ import pytest
 
 from mixlap import fields
 from mixlap.assembly import build_mesh, build_system
-from mixlap.cli import _build_parser, _config_from_args, main, parse_config, run
+from mixlap.cli import _build_parser, _config_from_args, _json_object, _validated, main, run
 from mixlap.errors import ConfigError
 from mixlap.kernel import OperatorParams
 from mixlap.solve import solve_dirichlet
 
 
 def test_parse_minimal_solve_config():
-    cfg = parse_config(json.dumps({
+    cfg = _validated(_json_object(json.dumps({
         "command": "solve", "s": 0.5, "domain": [-1, 1], "n": 127,
         "f": "constant:1",
-    }))
+    })))
     assert cfg.command == "solve"
     assert cfg.s == 0.5
     assert cfg.n == 127
@@ -25,43 +26,43 @@ def test_parse_minimal_solve_config():
 
 def test_parse_rejects_bad_order():
     with pytest.raises(ConfigError, match="s"):
-        parse_config(json.dumps({"command": "solve", "s": 1.2}))
+        _validated(_json_object(json.dumps({"command": "solve", "s": 1.2})))
 
 
 def test_parse_rejects_zero_nodes():
     with pytest.raises(ConfigError, match="n"):
-        parse_config(json.dumps({"command": "solve", "n": 0}))
+        _validated(_json_object(json.dumps({"command": "solve", "n": 0})))
 
 
 def test_parse_rejects_unknown_key():
     with pytest.raises(ConfigError, match="mystery"):
-        parse_config(json.dumps({"command": "solve", "mystery": 1}))
+        _validated(_json_object(json.dumps({"command": "solve", "mystery": 1})))
 
 
 def test_parse_rejects_bad_domain():
     with pytest.raises(ConfigError, match="domain"):
-        parse_config(json.dumps({"command": "solve", "domain": [1, -1]}))
+        _validated(_json_object(json.dumps({"command": "solve", "domain": [1, -1]})))
 
 
 def test_parse_rejects_bad_load():
     with pytest.raises(ConfigError, match="f"):
-        parse_config(json.dumps({"command": "solve", "f": "sine:3"}))
+        _validated(_json_object(json.dumps({"command": "solve", "f": "sine:3"})))
 
 
 def test_parse_poly_and_csv_loads(tmp_path):
-    cfg = parse_config(json.dumps({"command": "solve", "f": "poly:1,0,2"}))
+    cfg = _validated(_json_object(json.dumps({"command": "solve", "f": "poly:1,0,2"})))
     assert cfg.f == "poly:1,0,2"
     sample = tmp_path / "load.csv"
     sample.write_text("x,u\n-0.5,1.0\n0.5,1.0\n")
-    cfg = parse_config(json.dumps({"command": "solve", "f": f"csv:{sample}"}))
+    cfg = _validated(_json_object(json.dumps({"command": "solve", "f": f"csv:{sample}"})))
     assert cfg.f.startswith("csv:")
 
 
 def test_solve_run_emits_artifacts(tmp_path):
-    cfg = parse_config(json.dumps({
+    cfg = _validated(_json_object(json.dumps({
         "command": "solve", "s": 0.5, "n": 31, "f": "constant:1",
         "output_dir": str(tmp_path),
-    }))
+    })))
     assert run(cfg) == 0
     csv = (tmp_path / "solution.csv").read_text().splitlines()
     assert len(csv) == 1 + 31
@@ -72,10 +73,10 @@ def test_solve_run_emits_artifacts(tmp_path):
 def test_rerun_reproduces_artifacts(tmp_path):
     doc = {"command": "solve", "s": 0.5, "n": 31, "f": "constant:1",
            "output_dir": str(tmp_path)}
-    run(parse_config(json.dumps(doc)))
+    run(_validated(_json_object(json.dumps(doc))))
     first = (tmp_path / "solution.csv").read_bytes()
     (tmp_path / "solution.csv").unlink()
-    run(parse_config(json.dumps(doc)))
+    run(_validated(_json_object(json.dumps(doc))))
     assert (tmp_path / "solution.csv").read_bytes() == first
 
 
@@ -321,7 +322,7 @@ def test_cli_refuses_a_poly_load_that_overflows_without_a_warning(tmp_path, caps
 
 
 def test_parse_accepts_an_integral_float_for_an_integer():
-    cfg = parse_config(json.dumps({"command": "verify", "n": 7.0, "seed": 3.0}))
+    cfg = _validated(_json_object(json.dumps({"command": "verify", "n": 7.0, "seed": 3.0})))
     assert (cfg.n, cfg.seed) == (7, 3) and type(cfg.n) is int
 
 
@@ -347,6 +348,35 @@ def test_cli_refuses_a_solve_that_leaves_the_double_range(tmp_path, capsys, argv
     err = capsys.readouterr().err
     assert err.startswith("error:") and "left the double range" in err
     assert "breakdown" not in err
+
+
+def test_cli_solves_a_tiny_domain_at_the_load_binary_scale(tmp_path):
+    # on (0, 1e-150) PCG's inner products underflow unless the load is scaled.
+    # The nonlocal part carries the weight (L/2)^(2-2s) = 5e-151 here, so u is
+    # the local solution x (L - x) / 2 to roundoff, and x_norm is the H^1
+    # seminorm of its hat interpolant, L^1.5 sqrt((1 - (n+1)^-2) / 12)
+    L = 1e-150
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in ("solve", "verify"):
+            assert main([command, "--domain", "0", "1e-150", "--n", "63", "--s", "0.5",
+                         "--output-dir", str(tmp_path / command)]) == 0
+    doc = json.loads((tmp_path / "solve" / "report.json").read_text())
+    assert doc["max_abs_u"] == pytest.approx(L * L / 8.0, rel=1e-12)
+    assert doc["x_norm"] == pytest.approx(L**1.5 * math.sqrt((1.0 - 64.0**-2) / 12.0), rel=1e-12)
+    assert (tmp_path / "verify" / "verify_summary.txt").read_text().endswith("all passed\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_cli_refuses_a_solution_below_the_double_range(tmp_path, capsys, command):
+    # on (-1e-300, 1e-300) u is about L^2/8 = 5e-601: it would read 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--domain", "-1e-300", "1e-300", "--n", "63",
+                     "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the solution or its energy left the double range")
+    assert err.count("\n") == 1
 
 
 def _refuse_constant(name):
@@ -431,7 +461,7 @@ def test_a_config_key_the_command_does_not_read_is_refused(tmp_path, capsys, com
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.glob("*.txt")) and not list(tmp_path.glob("*.csv"))
     with pytest.raises(ConfigError, match=message):
-        parse_config(json.dumps({**doc, "command": command}))
+        _validated(_json_object(json.dumps({**doc, "command": command})))
 
 
 def test_a_flag_the_command_does_not_read_is_refused(tmp_path, capsys):
@@ -477,8 +507,8 @@ def test_parser_is_built_once_and_keeps_no_state():
 
 def _edge_inputs():
     """Cheap edge inputs: orders at both ends and around 1/2, subnormal and
-    tiny normal orders, one to three nodes, a subnormal, an unresolvable and a
-    huge domain, an overflowing load, the barrier, the CES, boundary and 1D
+    tiny normal orders, one to three nodes, a subnormal, an unresolvable, a
+    huge and two tiny domains, an overflowing load, the barrier, the CES, boundary and 1D
     general counterexamples, and annulus radii the ring cannot resolve."""
     for i, s in enumerate(("1e-09", "0.4999999999", "0.5", "0.5000000001", "0.999999")):
         n = str(1 + i % 3)
@@ -487,7 +517,8 @@ def _edge_inputs():
         yield ["verify", "--s", s, "--n", n]
         yield ["counterexample", "--variant", "ces", "--s", s]
         yield ["counterexample", "--variant", "boundary", "--s", s, "--n", n]
-    for domain in (["0", "1e-310"], ["1e15", "1.0000000000000002e15"], ["-1e100", "1e100"]):
+    for domain in (["0", "1e-310"], ["1e15", "1.0000000000000002e15"], ["-1e100", "1e100"],
+                   ["0", "1e-150"], ["-1e-300", "1e-300"]):
         yield ["solve", "--domain", *domain, "--n", "1"]
         yield ["verify", "--domain", *domain, "--n", "3"]
     yield ["solve", "--domain", "-1e100", "1e100", "--n", "63", "--s", "0.99"]
@@ -519,6 +550,9 @@ _KNOWN_EXITS = {
     # the boundary Lipschitz gate fails a bound the paper proves
     ("verify", "--domain", "-1e100", "1e100", "--n", "3"): (1, "boundary_lipschitz: FAILED"),
     ("solve", "--f", "poly:1e308,1e308", "--n", "2"): (2, "non-finite samples"),
+    # u is about 5e-601, below the normal range
+    ("solve", "--domain", "-1e-300", "1e-300", "--n", "1"): (2, "left the double range"),
+    ("verify", "--domain", "-1e-300", "1e-300", "--n", "3"): (2, "left the double range"),
     **{("solve", "--s", s, "--n", "3"): (2, f"s = {s} is subnormal")
        for s in ("1e-310", "5e-324")},
     # ROADMAP item 2, the barrier at every order the doubles can reach,

@@ -14,9 +14,10 @@ import pytest
 from mixlap import fields
 from mixlap.barrier import (_corrector_for, beta_field, beta_sharp_field,
                             build_barrier, gamma_field, radial_cutoff)
-from mixlap.verify import _radial_counterexample_profile, _ring_well
+from mixlap.verify import _radial_counterexample_profile
 
-from helpers import linear_combination, mollifier_bump, pure_power, scaled, translated
+from helpers import (linear_combination, mollifier_bump, plateau, pure_power, ring_well, scaled,
+                     translated)
 from test_exact_solutions import _cap_profile_1d, _cap_profile_radial
 
 _EPS = np.finfo(float).eps
@@ -50,14 +51,14 @@ SCALAR_CASES = {
         linear_combination([1.0, -2.0], [fields.parabola_cap(), mollifier_bump(0.5, 1.0)]),
         [-0.7, 0.2, 1.2]),
     "mollifier_bump": lambda p: (mollifier_bump(0.5, 1.0, 2.0), [-0.2, 0.5, 1.1]),
-    "plateau": lambda p: (fields.plateau(-2.0, -1.0, 1.0, 3.0, depth=1.5), [-1.7, 0.0, 1.6, 2.5]),
+    "plateau": lambda p: (plateau(-2.0, -1.0, 1.0, 3.0, depth=1.5), [-1.7, 0.0, 1.6, 2.5]),
     "_Corrector": lambda p: (_corrector_field(p), [0.5 * p.d, 1.5 * p.d]),
     "beta_sharp_field": lambda p: (beta_sharp_field(p), _barrier_smooth_points(p)),
     "beta_field": lambda p: (beta_field(p), _barrier_smooth_points(p)),
     "gamma_field": lambda p: (gamma_field(p), _barrier_smooth_points(p)),
     "_radial_counterexample_profile": lambda p: (_radial_counterexample_profile(1),
                                                  [-1.5, -0.5, 0.3, 1.5]),
-    "_ring_well": lambda p: (_ring_well(2.0), [-5.7, -3.3, 3.2, 4.5, 5.8]),
+    "_ring_well": lambda p: (ring_well(2.0), [-5.7, -3.3, 3.2, 4.5, 5.8]),
     "pure_power": lambda p: (pure_power(1.3), [0.5, 3.0]),
     "cap profile": lambda p: (_cap_profile_1d(0.5), [-0.6, 0.1, 0.8]),
 }

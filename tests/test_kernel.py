@@ -14,11 +14,11 @@ from mixlap.barrier import (beta_field, beta_sharp_field, build_barrier, gamma_f
 from mixlap.errors import AccuracyError, DomainError, TailDivergenceError
 from mixlap.kernel import (OperatorParams, QuadratureSpec, frac_apply,
                            mixed_apply, normalization_constant)
-from mixlap.verify import _radial_counterexample_profile, _ring_well
+from mixlap.verify import _radial_counterexample_profile
 
 import oracles
-from helpers import (linear_combination, mollifier_bump, pure_power, scaled,
-                     tail_integral, translated)
+from helpers import (linear_combination, mollifier_bump, plateau, pure_power, ring_well,
+                     scaled, tail_integral, translated)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,7 @@ def test_plateau_matches_mpmath_oracle_near_its_ramp_ends(s, quad):
     # roundoff near x = 1.02, where undeclared ends left errors of 1e-2 at
     # s = 0.9
     xs = np.array([-1.03, -0.98, -0.5, 0.97, 1.02, 2.5])
-    mine = frac_apply(fields.plateau(-2.0, -1.0, 1.0, 3.0, depth=1.5), xs,
+    mine = frac_apply(plateau(-2.0, -1.0, 1.0, 3.0, depth=1.5), xs,
                       OperatorParams(1, s), quad)
     for x, v in zip(xs.tolist(), mine.tolist()):
         assert v == pytest.approx(oracles.mp_frac_plateau(s, x), rel=1e-10, abs=0.0), x
@@ -378,7 +378,7 @@ def test_constructors_declare_their_support():
     assert mollifier_bump(0.0, 1.0).support == (-1.0, 1.0)
     assert grid_interpolant(build_mesh(-1.0, 1.0, 7), np.ones(7)).support == WHOLE_LINE
     assert _radial_counterexample_profile(1).support == WHOLE_LINE
-    assert _ring_well(2.0).support == WHOLE_LINE
+    assert ring_well(2.0).support == WHOLE_LINE
 
 
 def test_support_follows_scaling_translation_and_sums():
@@ -426,8 +426,8 @@ def test_support_end_is_graded_from_inside_only(monkeypatch):
 def test_fields_are_exactly_zero_beyond_their_support(which, request):
     # the 1D middle zone evaluates a field at every node its rules lay out,
     # also past a finite support end, and takes the value there as it comes:
-    # each library field with such an end gives exactly 0.0 beyond it, from
-    # 1e-14 (1 + |end|) out to 10 (1 + |end|), with no numpy warning
+    # each library field with such an end gives exactly 0.0 at it and beyond
+    # it, from the end itself out to 10 (1 + |end|), with no numpy warning
     p = request.getfixturevalue(which)
     line_fields = [kernel._line_field(radial, r, phi)
                    for radial in (radial_cutoff(0.5), _radial_counterexample_profile(3))
@@ -437,7 +437,8 @@ def test_fields_are_exactly_zero_beyond_their_support(which, request):
         for end, side in zip(u.support, (-1.0, 1.0)):
             if not math.isfinite(end):
                 continue
-            ys = end + side * 10.0 * (1.0 + abs(end)) * np.geomspace(1e-15, 1.0, 80)
+            offsets = np.concatenate(([0.0], np.geomspace(1e-17, 10.0 * (1.0 + abs(end)), 80)))
+            ys = end + side * offsets
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 values = u.evaluate(ys)

@@ -11,7 +11,7 @@ from mixlap.errors import DomainError, NumericalError
 from mixlap.kernel import OperatorParams
 from mixlap.solve import export_report, export_solution_csv, solve_dirichlet
 
-from helpers import lift_nonhomogeneous, lp_norm, mollifier_bump, without
+from helpers import lift_nonhomogeneous, lp_norm, mollifier_bump, plateau, without
 
 EPS = np.finfo(float).eps
 
@@ -145,9 +145,9 @@ def test_backward_error_gate_rejects_a_corrupted_solution(monkeypatch, sys_05_25
 
 
 def test_underflowing_data_raise_numerical_error():
-    # on (0, 1e-300) the preconditioned residual underflows to zero
+    # on (0, 1e-300) u is about L^2/8 = 1e-601, below the normal range
     sys_ = build_system(build_mesh(0.0, 1e-300, 3), OperatorParams(1, 0.5))
-    with pytest.raises(NumericalError, match="breakdown") as info:
+    with pytest.raises(NumericalError, match="left the double range") as info:
         solve_dirichlet(sys_, fields.constant(1.0))
     assert info.value.eigenvalue_estimate is None
 
@@ -216,7 +216,7 @@ def test_lift_exterior_bump_nonnegative():
 
 def test_lift_far_plateau_is_nearly_constant():
     sys_ = build_system(build_mesh(-1.0, 1.0, 63), OperatorParams(1, 0.5))
-    g = fields.plateau(-60.0, -50.0, 50.0, 60.0, depth=1.0)
+    g = plateau(-60.0, -50.0, 50.0, 60.0, depth=1.0)
     rep = lift_nonhomogeneous(sys_, fields.constant(0.0), g)
     assert np.all(np.abs(rep.solution.coeffs - 1.0) < 5e-3)
 

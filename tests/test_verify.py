@@ -348,7 +348,23 @@ def test_boundary_only_value_on_annulus():
     # where the ring well vanishes, v equals the reflected minimum exactly
     phi = verify._ring_well(2.0)
     ys = np.linspace(1.1, 2.0, 7)
-    assert np.all(phi.evaluate(ys) == 0.0)
+    assert np.all(phi(ys) == 0.0)
+
+
+@pytest.mark.parametrize("r", [1.01, 2.0, 5.0, 5e15])
+def test_ring_well_values_match_the_test_side_field_to_the_bit(r):
+    # verify keeps only the ring well's values; the field with its second
+    # derivative lives beside the tests, and _ring_load's cross-check against
+    # mixed_apply of that field holds only while the two agree in every bit
+    kinks = np.array([r + 1.0, r + 2.0, r + 3.0, r + 4.0])
+    inside = np.concatenate(([0.0, 0.5 * kinks[0]], 0.5 * (kinks[:-1] + kinks[1:]),
+                             kinks, [kinks[-1] + 0.5, 2.0 * kinks[-1], 1e300]))
+    xs = np.concatenate((inside, -inside, np.nextafter(kinks, 0.0), np.nextafter(kinks, np.inf)))
+    mine = verify._ring_well(r)(xs)
+    assert mine.tobytes() == helpers.ring_well(r).evaluate(xs).tobytes()
+    assert np.any(mine == -1.0) and np.any(mine == 0.0)
+    # at 5e15 the doubles are 1 apart: no ramp holds a double strictly inside
+    assert r > 1e15 or np.any((-1.0 < mine) & (mine < 0.0))
 
 
 def test_boundary_only_rejects_bad_radius():
@@ -380,7 +396,7 @@ def test_ring_load_matches_oracle_and_mixed_apply(quad, s, r):
     load = verify._ring_load(r, params).evaluate(xs)
     ref = np.array([oracles.ring_image_oracle(r, s, float(x)) for x in xs])
     assert np.all(np.abs(load - ref) <= 1e-14 * np.abs(ref))
-    phi = verify._ring_well(r)
+    phi = helpers.ring_well(r)
     adaptive = np.array([-mixed_apply(phi, float(x), params, quad) for x in xs])
     assert np.all(np.abs(load - adaptive) <= 1e-13 * np.abs(adaptive))
 
