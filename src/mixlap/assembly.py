@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, NumericalError
 from .fields import ScalarField, TailExpansion
 from .kernel import _MIN_C2_ZONE, OperatorParams, _legendre
 
@@ -39,24 +39,22 @@ _LOAD_GAUSS_X, _LOAD_GAUSS_W = _legendre(6)
 _IMAGE_BLOCK = 2**13  # distances a chunk of image rows holds: 64 KiB a temporary
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Mesh:
-    """Uniform partition of (a, b) with n interior nodes, spacing h; equal
-    meshes have equal (a, b, n), from which h and the nodes follow."""
+    """Uniform partition of (a, b) with n interior nodes; the spacing h and
+    the nodes follow from (a, b, n), which alone make meshes equal."""
 
     a: float
     b: float
     n: int
-    h: float
-    nodes: np.ndarray
 
-    def __eq__(self, other):
-        if not isinstance(other, Mesh):
-            return NotImplemented
-        return (self.a, self.b, self.n) == (other.a, other.b, other.n)
+    @cached_property
+    def h(self) -> float:
+        return (self.b - self.a) / (self.n + 1)
 
-    def __hash__(self):
-        return hash((self.a, self.b, self.n))
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return self.a + self.h * np.arange(1, self.n + 1)
 
     def element_edges(self) -> np.ndarray:
         """The n+2 element boundaries a = x_0 < ... < x_{n+1} = b."""
@@ -77,17 +75,17 @@ def build_mesh(a: float, b: float, n: int) -> Mesh:
         raise DomainError("mesh requires at least one interior node")
     if n > np.iinfo(np.intp).max // 8:  # 8 n bytes of nodes could not be indexed
         raise DomainError(f"mesh of n = {n} nodes is too large to index")
-    h = (b - a) / (n + 1)
-    if not (math.isfinite(a) and math.isfinite(b) and 0.0 < h < math.inf):
-        raise DomainError(f"mesh requires finite a, b and spacing h > 0, got h = {h!r}")
+    mesh = Mesh(float(a), float(b), int(n))
+    if not (math.isfinite(a) and math.isfinite(b) and 0.0 < mesh.h < math.inf):
+        raise DomainError(f"mesh requires finite a, b and spacing h > 0, got h = {mesh.h!r}")
     try:  # np.arange sizes from float(n): n >= 2^60 - 64 reads as 2^60
-        nodes = a + h * np.arange(1, n + 1)
+        nodes = mesh.nodes
     except (ValueError, MemoryError) as exc:
         raise DomainError(f"mesh of n = {n} nodes cannot be allocated ({exc})") from exc
     if not (a < nodes[0] and nodes[-1] < b and np.all(nodes[1:] > nodes[:-1])):
-        raise DomainError(f"mesh spacing h = {h!r} is too fine for doubles on ({a!r}, {b!r}), "
+        raise DomainError(f"mesh spacing h = {mesh.h!r} is too fine for doubles on ({a!r}, {b!r}), "
                           f"which are {math.ulp(max(abs(a), abs(b)))!r} apart there")
-    return Mesh(a=float(a), b=float(b), n=int(n), h=h, nodes=nodes)
+    return mesh
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,6 +296,14 @@ def _sum_columns(x: np.ndarray) -> np.ndarray:
     return total
 
 
+def _odd_rfft(ext: np.ndarray, n: int) -> np.ndarray:
+    """Imaginary part of the rfft of the odd extension of ext[1:n+1], which
+    it writes into ext (length 2n+2, zero at 0 and n+1): minus the DST-I
+    (scipy's type 1) of ext[1:n+1].  Squared, the DST-I is 2(n+1) I."""
+    np.negative(ext[n:0:-1], out=ext[n + 2:])
+    return np.fft.rfft(ext).imag[1:n + 1]
+
+
 @dataclass(frozen=True, eq=False)
 class StiffnessSystem:
     """First rows of the symmetric Toeplitz local and nonlocal stiffness;
@@ -326,6 +332,20 @@ class StiffnessSystem:
         size = 1 << (2 * n - 2).bit_length()
         col = np.concatenate((self.row, np.zeros(size + 1 - 2 * n), self.row[:0:-1]))
         return size, np.fft.rfft(col)
+
+    @cached_property
+    def tau(self) -> np.ndarray:
+        """Spectrum of the tau matrix T - H(T), first column t - [t_2, ...,
+        t_{n-1}, 0, 0], which the DST-I diagonalises; must be > 0."""
+        row, n = self.row, self.row.size
+        ext = np.zeros(2 * n + 2)
+        ext[1:n + 1] = row - np.concatenate([row[2:], np.zeros(min(n, 2))])
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+            lam = -_odd_rfft(ext, n) / (2.0 * np.sin(np.pi * np.arange(1, n + 1) / (n + 1)))
+        if not (lam.min() > 0.0 and lam.max() < math.inf):
+            raise NumericalError("the tau spectrum of the Toeplitz row is not positive and finite",
+                                 eigenvalue_estimate=float(lam.min()))
+        return lam
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """(local + nonlocal) @ x in O(n log n), through the circulant embedding."""

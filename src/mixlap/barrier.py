@@ -42,6 +42,8 @@ _INTEGER_TOL = 1e-9
 # where every failing window measured so far had its deciding maximum; it
 # rejects d = 1/2 at s <= 1/2, which no closed form decides
 _PROBE_POINTS = 8
+# points of each grid a window is measured and certified on, as the certificate records them
+_GRID_SIZES = {"c_sharp": 64, "c1": 128, "c2": 400, "lgamma": 200}
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,6 @@ class ExponentLadder:
     """Powers 1 + 2 j (1 - s), j = 0..J+1; all but the capped last stay below 2s."""
 
     s: float
-    rho: float
     J: int
     alphas: Tuple[float, ...]
     case: str  # "high_s" or "low_s", from the sign of J
@@ -65,7 +66,7 @@ def build_ladder(s: float) -> ExponentLadder:
     else:
         J = math.ceil(rho) - 1  # floor(rho) off the integers; -1 for s <= 1/2
     alphas = tuple(1.0 + 2.0 * j * (1.0 - s) for j in range(J + 2))
-    ladder = ExponentLadder(s, rho, J, alphas, "high_s" if J >= 0 else "low_s")
+    ladder = ExponentLadder(s, J, alphas, "high_s" if J >= 0 else "low_s")
     for a in alphas[:-1]:
         if a >= 2.0 * s - 1e-12:
             raise AccuracyError("ladder exponent reached 2s prematurely")
@@ -352,7 +353,7 @@ def build_barrier(s: float) -> BarrierParams:
 
 def _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d) -> BarrierParams:
     # C_sharp: log-normalized bound of the capped power's nonlocal output
-    grid = np.geomspace(d * 1e-6, d * 0.999, 64)
+    grid = np.geomspace(d * 1e-6, d * 0.999, _GRID_SIZES["c_sharp"])
     c_sharp = 1.25 * float(np.max(np.abs(c_top * frac_apply(w_top, grid, params_op))
                                   / (1.0 + np.abs(np.log(grid)))))
 
@@ -377,7 +378,7 @@ def _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d) -> Barrier
     bf = beta_field(beta)
 
     # sandwich constant C1 on (0, d)
-    bgrid = np.geomspace(d * 1e-6, d * 0.999, 128)
+    bgrid = np.geomspace(d * 1e-6, d * 0.999, _GRID_SIZES["c1"])
     bvals = bf.evaluate(bgrid)
     if float(np.min(bvals)) <= 0.0:
         raise _AttemptFailed("corrected barrier lost positivity inside the window")
@@ -395,7 +396,7 @@ def _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d) -> Barrier
     # d > 1/(4 C1 C2) only gets truer as C2 grows, so the grid's top
     # _PROBE_POINTS points, imaged first, can reject the window on their own;
     # a point's image does not depend on the points that share its call
-    lgrid = np.geomspace(d * 1e-6, d * 0.999, 400)
+    lgrid = np.geomspace(d * 1e-6, d * 0.999, _GRID_SIZES["c2"])
     top = mixed_apply(bf, lgrid[-_PROBE_POINTS:], params_op)
     c2_lb = c2_of(top)
     if d > 1.0 / (4.0 * c1 * c2_lb):
@@ -420,7 +421,7 @@ def _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d) -> Barrier
 
     # certification grids
     gf = gamma_field(p)
-    ggrid = np.geomspace(ell * 1e-3, ell * 0.99, 200)
+    ggrid = np.geomspace(ell * 1e-3, ell * 0.99, _GRID_SIZES["lgamma"])
     lgamma = mixed_apply(gf, ggrid, params_op)
     lgamma_min = float(np.min(lgamma))
     if lgamma_min < 1.0 - 1e-6:
@@ -442,7 +443,7 @@ def _attempt_build(s, params_op, ladder, kappas, cs, w_top, c_top, d) -> Barrier
         "sandwich_lo": sandwich_lo,
         "sandwich_hi": sandwich_hi,
         "gamma_floor_past_ell": gamma_floor,
-        "grid_sizes": {"c_sharp": 64, "c1": 128, "c2": 400, "lgamma": 200},
+        "grid_sizes": dict(_GRID_SIZES),
     }
     return dataclasses.replace(p, gamma_grid=tuple(ggrid.tolist()), lgamma=tuple(lgamma.tolist()),
                                certificate=cert)

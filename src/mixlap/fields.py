@@ -104,14 +104,10 @@ class ScalarField:
 # ---------------------------------------------------------------------------
 
 
-def _zeros(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
 def constant(value: float) -> ScalarField:
     return ScalarField(
         evaluate=lambda x: np.full_like(np.asarray(x, dtype=float), value),
-        second_derivative=_zeros,
+        second_derivative=np.zeros_like,
         kinks=(),
         tail=TailExpansion(0.0, ((value, 0.0),), ((value, 0.0),)),
         name=f"constant({value})",

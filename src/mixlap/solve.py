@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import GridFunction, StiffnessSystem, load_vector
+from .assembly import GridFunction, StiffnessSystem, _odd_rfft, load_vector
 from .errors import NumericalError
 from .fields import ScalarField
 
@@ -58,7 +58,6 @@ class SolveReport:
     ratio_energy: float
     iterations: int
     backward_error: float
-    meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -72,16 +71,8 @@ class SolveReport:
             "iterations": self.iterations,
             "max_abs_u": self.solution.max_abs(),
             "min_u": float(np.min(self.solution.coeffs)),
-            **self.meta,
+            "solver": "toeplitz-pcg",
         }
-
-
-def _odd_rfft(ext: np.ndarray, n: int) -> np.ndarray:
-    """Imaginary part of the rfft of the odd extension of ext[1:n+1], which
-    it writes into ext (length 2n+2, zero at 0 and n+1): minus the DST-I
-    (scipy's type 1) of ext[1:n+1].  Squared, the DST-I is 2(n+1) I."""
-    np.negative(ext[n:0:-1], out=ext[n + 2:])
-    return np.fft.rfft(ext).imag[1:n + 1]
 
 
 def _tau_solve(r: np.ndarray, neg_lam: np.ndarray, ext: np.ndarray) -> np.ndarray:
@@ -91,19 +82,6 @@ def _tau_solve(r: np.ndarray, neg_lam: np.ndarray, ext: np.ndarray) -> np.ndarra
     ext[1:n + 1] = r
     np.divide(_odd_rfft(ext, n), neg_lam, out=ext[1:n + 1])
     return -_odd_rfft(ext, n)
-
-
-def _tau_eigenvalues(row: np.ndarray) -> np.ndarray:
-    """Spectrum of T - H(T), first column t - [t_2, ..., t_{n-1}, 0, 0]; must be > 0."""
-    n = row.size
-    ext = np.zeros(2 * n + 2)
-    ext[1:n + 1] = row - np.concatenate([row[2:], np.zeros(min(n, 2))])
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
-        lam = -_odd_rfft(ext, n) / (2.0 * np.sin(np.pi * np.arange(1, n + 1) / (n + 1)))
-    if not (lam.min() > 0.0 and lam.max() < math.inf):
-        raise NumericalError("the tau spectrum of the Toeplitz row is not positive and finite",
-                             eigenvalue_estimate=float(lam.min()))
-    return lam
 
 
 def _backward_error(norm_a: float, norm_b: float, r: np.ndarray, u: np.ndarray) -> float:
@@ -118,7 +96,7 @@ def _pcg(sys: StiffnessSystem, b: np.ndarray):
     or MAX_ITERATIONS.  The recursive residual proposes convergence and the
     one recomputed from u confirms it, or CG goes on from the recomputed one."""
     n = b.size
-    neg_lam = -2.0 * (n + 1) * _tau_eigenvalues(sys.row)
+    neg_lam = -2.0 * (n + 1) * sys.tau
     norm_a, norm_b, tol = sys.norm_inf, float(np.abs(b).max()), n * _EPS
     ext = np.zeros(2 * n + 2)
     u, r, p, rz = np.zeros(n), b.copy(), None, 0.0
@@ -192,7 +170,6 @@ def solve_dirichlet(sys: StiffnessSystem, f: ScalarField) -> SolveReport:
         ratio_energy=(x_norm / fl2 if fl2 > 0 else math.inf if x_norm > 0 else 0.0),
         iterations=iterations,
         backward_error=err,
-        meta={"solver": "toeplitz-pcg"},
     )
 
 

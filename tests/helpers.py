@@ -364,8 +364,7 @@ def lift_nonhomogeneous(sys: StiffnessSystem, f: ScalarField,
     report = solve_dirichlet(sys, rhs_field)
     u_vals = report.solution.coeffs + g.evaluate(mesh.nodes)
     return dataclasses.replace(
-        report, solution=GridFunction(mesh, u_vals), l2_f_norm=lp_norm(f, mesh, 2.0),
-        meta={**report.meta, "exterior": g})
+        report, solution=GridFunction(mesh, u_vals), l2_f_norm=lp_norm(f, mesh, 2.0))
 
 
 def beta(x, p: BarrierParams):

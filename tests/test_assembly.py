@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -46,6 +47,23 @@ def test_build_mesh_offset_interval():
     mesh = build_mesh(0.0, 2.0, 7)
     assert mesh.h == 0.25
     assert mesh.nodes.size == 7
+
+
+def test_mesh_holds_a_b_n_and_derives_h_and_the_nodes():
+    first, second = build_mesh(-1.0, 1.0, 15), build_mesh(-1.0, 1.0, 15)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert [f.name for f in dataclasses.fields(assembly.Mesh)] == ["a", "b", "n"]
+    with pytest.raises(TypeError):
+        assembly.Mesh(-1.0, 1.0, 15, h=0.125)
+    with pytest.raises(TypeError):
+        assembly.Mesh(-1.0, 1.0, 15, nodes=np.zeros(15))
+    h = (1.0 - -1.0) / (15 + 1)
+    assert first.h == h
+    assert first.nodes.tobytes() == (-1.0 + h * np.arange(1, 16)).tobytes()
+    # a replaced mesh derives its own spacing and nodes
+    finer = dataclasses.replace(first, n=31)
+    assert finer.h == 2.0 / 32 and finer.nodes.size == 31
 
 
 def test_build_mesh_errors():

@@ -28,7 +28,6 @@ _KAPPA_12_09_ORACLE = -0.42253461123528113
 def test_ladder_s075():
     lad = build_ladder(0.75)
     assert lad.case == "high_s"
-    assert lad.rho == pytest.approx(1.0)
     assert lad.J == 0
     assert lad.alphas == pytest.approx((1.0, 1.5))
     assert lad.alphas[-1] == pytest.approx(2.0 * 0.75)

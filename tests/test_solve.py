@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as sla
 
 from mixlap import fields, solve, verify
-from mixlap.assembly import build_mesh, build_system, load_vector
+from mixlap.assembly import StiffnessSystem, _odd_rfft, build_mesh, build_system, load_vector
 from mixlap.errors import DomainError, NumericalError
 from mixlap.kernel import OperatorParams
 from mixlap.solve import export_report, export_solution_csv, solve_dirichlet
@@ -96,7 +96,7 @@ def test_solves_where_the_residual_gate_refused(n, s):
     assert rep.backward_error <= n * EPS
     assert float(np.min(rep.solution.coeffs)) > 0.0
     assert 0 < rep.iterations < solve.MAX_ITERATIONS
-    assert rep.meta["solver"] == "toeplitz-pcg"
+    assert rep.to_dict()["solver"] == "toeplitz-pcg"
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
@@ -211,7 +211,6 @@ def test_lift_exterior_bump_nonnegative():
     g = mollifier_bump(2.0, 0.5, 1.0)  # supported outside the closure
     rep = lift_nonhomogeneous(sys_, fields.constant(0.0), g)
     assert float(np.min(rep.solution.coeffs)) >= -1e-10
-    assert rep.meta["exterior"] is g
 
 
 def test_lift_far_plateau_is_nearly_constant():
@@ -289,3 +288,29 @@ def test_indefinite_row_raises_on_the_tau_spectrum():
     with pytest.raises(NumericalError, match="tau spectrum") as info:
         solve_dirichlet(bad, fields.constant(1.0))
     assert info.value.eigenvalue_estimate < 0.0
+
+
+def test_a_system_derives_its_tau_spectrum_once(monkeypatch):
+    # run_suite solves several loads on one system: the DST of the tau
+    # column is taken on the first solve and read back on the next
+    calls = []
+    spectrum = StiffnessSystem.tau.func
+
+    def counted(sys_):
+        calls.append(sys_)
+        return spectrum(sys_)
+
+    monkeypatch.setattr(StiffnessSystem.tau, "func", counted)
+    sys_ = build_system(build_mesh(-1.0, 1.0, 255), OperatorParams(1, 0.25))
+    first = solve_dirichlet(sys_, fields.constant(1.0))
+    second = solve_dirichlet(sys_, _smooth_load())
+    assert calls == [sys_]
+    fresh = solve_dirichlet(build_system(sys_.mesh, sys_.params), _smooth_load())
+    assert second.solution.coeffs.tobytes() == fresh.solution.coeffs.tobytes()
+    assert first.iterations > 0 and second.iterations > 0
+    # the spectrum a solve formerly computed for itself, to the bit
+    row, n = sys_.row, sys_.row.size
+    ext = np.zeros(2 * n + 2)
+    ext[1:n + 1] = row - np.concatenate([row[2:], np.zeros(2)])
+    lam = -_odd_rfft(ext, n) / (2.0 * np.sin(np.pi * np.arange(1, n + 1) / (n + 1)))
+    assert sys_.tau.tobytes() == lam.tobytes()

@@ -207,7 +207,7 @@ def test_boundary_exponent_is_nan_below_four_band_points():
 
 def test_boundary_exponent_is_nan_silently_without_spread():
     # four values at one distance from the boundary: no slope to fit
-    mesh = assembly.Mesh(a=0.0, b=1.0, n=4, h=0.2, nodes=np.full(4, 0.1))
+    mesh = SimpleNamespace(a=0.0, b=1.0, n=4, h=0.2, nodes=np.full(4, 0.1))
     rep = SimpleNamespace(solution=assembly.GridFunction(mesh, np.arange(1.0, 5.0)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
