@@ -14,6 +14,7 @@ import numpy as np
 
 import mixlap
 from mixlap import fields
+from test_api import _fresh_interpreter
 
 _SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -31,6 +32,14 @@ def test_every_traced_layer_resolves():
     for module, function in keys:
         assert callable(getattr(importlib.import_module(f"mixlap.{module}"), function)), (
             module, function)
+
+
+def test_the_cli_import_loads_every_traced_module():
+    # perfbench imports only mixlap and mixlap.cli, then takes each module of
+    # LAYERS from sys.modules; the package imports its modules on first use,
+    # so the CLI's own imports are what must load them
+    out = _fresh_interpreter("import sys, mixlap, mixlap.cli; print(*sys.modules)")
+    assert {f"mixlap.{module}" for module, _ in _layer_keys()} <= set(out.split())
 
 
 def test_frac_apply_takes_the_quadrature_spec_by_position():
